@@ -50,46 +50,66 @@ def _round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5)) if v >= 0 else -int(math.floor(-v + 0.5))
 
 
+def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
+    """Nearest-neighbor placement of a layer, clipped to the canvas.
+
+    Returns ``((y0, y1, x0, x1), pixels, alpha)``: the covered canvas rectangle
+    and the layer's uint8 pixels and float alpha resampled onto it, or None
+    when the layer falls entirely outside the canvas.
+    """
+    if layer.scale <= 0:
+        raise InvalidTransform(f"scale must be > 0, got {layer.scale}")
+    sw = _round_half_away(layer.pixels.width * layer.scale)
+    sh = _round_half_away(layer.pixels.height * layer.scale)
+    x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
+    y0, y1 = max(0, layer.ty), min(canvas_h, layer.ty + sh)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    xs = np.arange(x0, x1)
+    ys = np.arange(y0, y1)
+    src_x = np.minimum(((xs - layer.tx) / layer.scale).astype(np.int64), layer.pixels.width - 1)
+    src_y = np.minimum(((ys - layer.ty) / layer.scale).astype(np.int64), layer.pixels.height - 1)
+    rows, cols = src_y[:, None], src_x[None, :]
+    pixels = layer.pixels.to_array()[rows, cols]
+    alpha = layer.matte.to_array()[rows, cols]
+    return (y0, y1, x0, x1), pixels, alpha
+
+
 def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
     """Resample and translate a layer onto a canvas; returns (Frame, AlphaMatte).
 
     Pixels falling outside the canvas are clipped; uncovered canvas pixels get
     alpha 0 (and black pixels).
     """
-    if layer.scale <= 0:
-        raise InvalidTransform(f"scale must be > 0, got {layer.scale}")
-    src = layer.pixels.to_array()
-    src_alpha = layer.matte.to_array()
-    sw = _round_half_away(layer.pixels.width * layer.scale)
-    sh = _round_half_away(layer.pixels.height * layer.scale)
-
     out = np.zeros((canvas_h, canvas_w, layer.pixels.channels), dtype=np.uint8)
     out_alpha = np.zeros((canvas_h, canvas_w))
-
-    x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
-    y0, y1 = max(0, layer.ty), min(canvas_h, layer.ty + sh)
-    if x0 < x1 and y0 < y1:
-        xs = np.arange(x0, x1)
-        ys = np.arange(y0, y1)
-        src_x = np.minimum(((xs - layer.tx) / layer.scale).astype(np.int64), layer.pixels.width - 1)
-        src_y = np.minimum(((ys - layer.ty) / layer.scale).astype(np.int64), layer.pixels.height - 1)
-        out[y0:y1, x0:x1] = src[src_y[:, None], src_x[None, :]]
-        out_alpha[y0:y1, x0:x1] = src_alpha[src_y[:, None], src_x[None, :]]
-
+    placed = _resample(layer, canvas_w, canvas_h)
+    if placed is not None:
+        (y0, y1, x0, x1), pixels, alpha = placed
+        out[y0:y1, x0:x1] = pixels
+        out_alpha[y0:y1, x0:x1] = alpha
     return Frame.from_array(out, index=layer.pixels.index), AlphaMatte.from_array(out_alpha)
 
 
 def compose(background: Frame, layers) -> Frame:
-    """Blend layers over the background, far first (ascending depth)."""
+    """Blend layers over the background, far first (ascending depth).
+
+    Only each layer's clipped footprint is blended.  Everywhere else the
+    placed alpha is 0, and ``round_u8(0*0 + 1*c) == c`` for every integer
+    sample c, so the result is byte-identical to a full-canvas blend.
+    """
     canvas = background.to_array()
     ordered = sorted(layers, key=lambda l: l.depth)  # stable: equal depths keep input order
     for layer in ordered:
         if layer.pixels.channels != background.channels:
             raise DimensionMismatch("layer channel count differs from background")
-        placed, matte = place_layer(layer, background.width, background.height)
-        fg = placed.to_array().astype(np.float64)
-        a = matte.to_array()[:, :, None]
-        canvas = round_u8(a * fg + (1.0 - a) * canvas.astype(np.float64))
+        placed = _resample(layer, background.width, background.height)
+        if placed is None:
+            continue
+        (y0, y1, x0, x1), pixels, alpha = placed
+        a = alpha[:, :, None]
+        region = canvas[y0:y1, x0:x1].astype(np.float64)
+        canvas[y0:y1, x0:x1] = round_u8(a * pixels.astype(np.float64) + (1.0 - a) * region)
     return Frame.from_array(canvas, index=background.index)
 
 

@@ -207,20 +207,44 @@ def _binary(frame: Frame) -> np.ndarray:
     return arr == 255
 
 
+def _window_any(padded: np.ndarray, radius: int) -> np.ndarray:
+    """OR over every (2r+1)-square window of a boolean array padded by r per side.
+
+    Separable: OR along rows, then along columns of the row results.
+    """
+    k = 2 * radius + 1
+    h = padded.shape[0] - 2 * radius
+    w = padded.shape[1] - 2 * radius
+    rows = padded[:, :w].copy()
+    for d in range(1, k):
+        rows |= padded[:, d:d + w]
+    out = rows[:h].copy()
+    for d in range(1, k):
+        out |= rows[d:d + h]
+    return out
+
+
 def _erode(mask: np.ndarray, radius: int, pad_mode: str) -> np.ndarray:
+    """Square-window binary erosion.
+
+    The complement of a dilation of the complement; complementing after
+    padding pads True in ``"constant"`` mode.  A boolean min filter equals
+    its row-then-column decomposition, so the result is exact.
+    """
     if radius < 1:
         return mask.copy()
-    padded = np.pad(mask, radius, mode=pad_mode)
-    win = np.lib.stride_tricks.sliding_window_view(padded, (2 * radius + 1, 2 * radius + 1))
-    return win.all(axis=(2, 3))
+    return ~_window_any(~np.pad(mask, radius, mode=pad_mode), radius)
 
 
 def _dilate(mask: np.ndarray, radius: int, pad_mode: str) -> np.ndarray:
+    """Square-window binary dilation.
+
+    A boolean max filter over a square is the max over rows of the max over
+    columns, so the separable pass is exact.
+    """
     if radius < 1:
         return mask.copy()
-    padded = np.pad(mask, radius, mode=pad_mode)
-    win = np.lib.stride_tricks.sliding_window_view(padded, (2 * radius + 1, 2 * radius + 1))
-    return win.any(axis=(2, 3))
+    return _window_any(np.pad(mask, radius, mode=pad_mode), radius)
 
 
 def mask_postprocess(mask: Frame) -> Frame:

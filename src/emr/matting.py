@@ -77,6 +77,19 @@ def _box(ii: np.ndarray, ys, xs, radius, h, w):
     return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
 
 
+def _grow(box, margin: int, h: int, w: int):
+    """A (y0, y1, x0, x1) box grown by margin on every side, clipped to h x w."""
+    y0, y1, x0, x1 = box
+    return max(y0 - margin, 0), min(y1 + margin, h), max(x0 - margin, 0), min(x1 + margin, w)
+
+
+def _sum3x3(arr: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 window sums: each window row left to right, then the rows."""
+    p = np.pad(arr, 1)
+    rows = p[:, :-2] + p[:, 1:-1] + p[:, 2:]
+    return rows[:-2] + rows[1:-1] + rows[2:]
+
+
 def alpha_solve(
     frame: Frame,
     trimap: Trimap,
@@ -89,6 +102,13 @@ def alpha_solve(
     FG pixels get alpha exactly 1 and BG exactly 0.  Pixels whose local
     foreground and background estimates coincide (squared separation < 1)
     default to 0.5 and are reported in ``degenerate``.
+
+    Work stays near the band's bounding box.  The summed-area tables cover it
+    grown by the largest window radius used so far, and are rebuilt when a
+    doubling passes that margin; from radius ``max(h, w)`` on they cover the
+    whole frame.  Smoothing covers the box grown by one pixel.  The tables sum
+    integer counts and colors, so every box sum is exact in float64 and the
+    matte is bit-identical to one solved with full-frame tables.
     """
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
@@ -110,52 +130,67 @@ def alpha_solve(
 
     colors = frame.to_array().astype(np.float64)
     ys, xs = np.nonzero(unk)
+    n = ys.size
     cvals = colors[ys, xs]  # (n, C)
     alpha[unk] = 0.5
     max_radius = max(h, w)
+    band = (int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1)
 
-    degenerate = frozenset()
+    # a band pixel's 3x3 neighborhood lies in the band box grown by one
+    sy0, sy1, sx0, sx1 = _grow(band, 1, h, w)
+    sy, sx = ys - sy0, xs - sx0
+    neighbor_cnt = _sum3x3(np.ones((sy1 - sy0, sx1 - sx0)))[sy, sx]  # in-bounds neighbors
+
+    degen = np.zeros(n, dtype=bool)
+    margin = window
     iterations = 0
     converged = False
     changes = []
-    padded_cnt = np.pad(np.ones((h, w)), 1)
-    wincnt = np.lib.stride_tricks.sliding_window_view(padded_cnt, (3, 3))
-    neighbor_cnt = wincnt.sum(axis=(2, 3))  # in-bounds neighbors per pixel
 
     for _ in range(max_iters):
         fg_src = fg_lab | (alpha > _FG_CONF)
         bg_src = bg_lab | (alpha < _BG_CONF)
-        fg_cnt_ii = _integral(fg_src.astype(np.float64))
-        bg_cnt_ii = _integral(bg_src.astype(np.float64))
-        fg_sum_ii = _integral(colors * fg_src[:, :, None])
-        bg_sum_ii = _integral(colors * bg_src[:, :, None])
 
-        n = ys.size
         fsum = np.zeros((n, frame.channels))
         bsum = np.zeros((n, frame.channels))
         fcnt = np.zeros(n)
         bcnt = np.zeros(n)
         unresolved = np.ones(n, dtype=bool)
         radius = window
+        fg_cnt_ii = None
         while unresolved.any():
+            if fg_cnt_ii is None or radius > margin:
+                # a window of radius <= margin around a band pixel stays
+                # inside the band box grown by the margin, clipped to the frame
+                margin = max(margin, radius)
+                y0, y1, x0, x1 = _grow(band, margin, h, w)
+                bh, bw = y1 - y0, x1 - x0
+                by, bx = ys - y0, xs - x0
+                fg_box = fg_src[y0:y1, x0:x1]
+                bg_box = bg_src[y0:y1, x0:x1]
+                box_colors = colors[y0:y1, x0:x1]
+                fg_cnt_ii = _integral(fg_box.astype(np.float64))
+                bg_cnt_ii = _integral(bg_box.astype(np.float64))
+                fg_sum_ii = _integral(box_colors * fg_box[:, :, None])
+                bg_sum_ii = _integral(box_colors * bg_box[:, :, None])
             sel = np.nonzero(unresolved)[0]
-            cf = _box(fg_cnt_ii, ys[sel], xs[sel], radius, h, w)
-            cb = _box(bg_cnt_ii, ys[sel], xs[sel], radius, h, w)
+            cf = _box(fg_cnt_ii, by[sel], bx[sel], radius, bh, bw)
+            cb = _box(bg_cnt_ii, by[sel], bx[sel], radius, bh, bw)
             good = (cf > 0) & (cb > 0)
             done = sel[good]
             if done.size:
                 fcnt[done] = cf[good]
                 bcnt[done] = cb[good]
-                fsum[done] = _box(fg_sum_ii, ys[done], xs[done], radius, h, w)
-                bsum[done] = _box(bg_sum_ii, ys[done], xs[done], radius, h, w)
+                fsum[done] = _box(fg_sum_ii, by[done], bx[done], radius, bh, bw)
+                bsum[done] = _box(bg_sum_ii, by[done], bx[done], radius, bh, bw)
                 unresolved[done] = False
             if radius >= max_radius:
-                # precondition guarantees global samples; full-frame window
+                # precondition guarantees global samples; the box is the whole frame
                 rest = np.nonzero(unresolved)[0]
-                fcnt[rest] = fg_cnt_ii[h, w]
-                bcnt[rest] = bg_cnt_ii[h, w]
-                fsum[rest] = fg_sum_ii[h, w]
-                bsum[rest] = bg_sum_ii[h, w]
+                fcnt[rest] = fg_cnt_ii[bh, bw]
+                bcnt[rest] = bg_cnt_ii[bh, bw]
+                fsum[rest] = fg_sum_ii[bh, bw]
+                bsum[rest] = bg_sum_ii[bh, bw]
                 unresolved[rest] = False
             radius *= 2
 
@@ -170,20 +205,14 @@ def alpha_solve(
         proj = np.clip(proj, 0.0, 1.0)
         proj[degen] = 0.5
 
-        projected = alpha.copy()
-        projected[ys, xs] = proj
-
         # one Jacobi-style 3x3 averaging pass over the UNKNOWN band only
-        padded = np.pad(projected, 1)
-        win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-        neighbor_sum = win.sum(axis=(2, 3))
-        new_alpha = projected.copy()
-        new_alpha[unk] = (neighbor_sum / neighbor_cnt)[unk]
+        projected = alpha[sy0:sy1, sx0:sx1].copy()
+        projected[sy, sx] = proj
+        smoothed = _sum3x3(projected)[sy, sx] / neighbor_cnt
 
-        change = float(np.abs(new_alpha[unk] - alpha[unk]).max())
+        change = float(np.abs(smoothed - alpha[ys, xs]).max())
         changes.append(change)
-        alpha = new_alpha
-        degenerate = frozenset((ys[degen] * w + xs[degen]).tolist())
+        alpha[ys, xs] = smoothed
         iterations += 1
         if change < eps:
             converged = True
@@ -192,7 +221,7 @@ def alpha_solve(
     matte = AlphaMatte.from_array(np.clip(alpha, 0.0, 1.0))
     return AlphaSolveResult(
         matte=matte, iterations=iterations, converged=converged,
-        degenerate=degenerate, changes=tuple(changes),
+        degenerate=frozenset((ys[degen] * w + xs[degen]).tolist()), changes=tuple(changes),
     )
 
 
@@ -208,7 +237,7 @@ class FuzzyKnowledge:
     def __post_init__(self):
         if len(self.membership) != self.width * self.height:
             raise ValueError("membership length != width*height")
-        if any(m < 0.0 or m > 1.0 for m in self.membership):
+        if any(not 0.0 <= m <= 1.0 for m in self.membership):
             raise ValueError("membership values must lie in [0, 1]")
         if not 0.0 <= self.lambda_t <= 1.0:
             raise ValueError("lambda_t must lie in [0, 1]")

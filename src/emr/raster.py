@@ -93,7 +93,7 @@ class AlphaMatte:
             raise ValueError("matte dimensions must be >= 1")
         if len(self.alpha) != self.width * self.height:
             raise ValueError("alpha length != width*height")
-        if any(a < 0.0 or a > 1.0 for a in self.alpha):
+        if any(not 0.0 <= a <= 1.0 for a in self.alpha):
             raise ValueError("alpha values must lie in [0, 1]")
 
     def to_array(self) -> np.ndarray:

@@ -39,6 +39,8 @@ import random
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     GroupTooSmall,
     InvalidKey,
@@ -164,23 +166,31 @@ def _seed_from_material(material: bytes) -> float:
     return x
 
 
-def _logistic_step(x: float, r: float) -> float:
-    x = r * x * (1.0 - x)
-    if x <= _DEGENERATE_TOL or x >= 1.0 - _DEGENERATE_TOL:
-        raise ReseedRequired(f"chaos state collapsed to {x!r}")
-    return x
+def _logistic_orbit(x: float, r: float, steps: int) -> list:
+    """The states x, f(x), ..., f^steps(x) of the logistic map f(x) = r*x*(1-x).
+
+    Every new state is checked; one within 1e-12 of 0 or 1 raises ReseedRequired.
+    """
+    lo = _DEGENERATE_TOL
+    hi = 1.0 - _DEGENERATE_TOL
+    states = [x]
+    append = states.append
+    for _ in range(steps):
+        x = r * x * (1.0 - x)
+        if x <= lo or x >= hi:
+            raise ReseedRequired(f"chaos state collapsed to {x!r}")
+        append(x)
+    return states
 
 
 def logistic_keystream(x0: float, r: float, n: int, burn_in: int = 0) -> bytes:
-    """n keystream bytes from the logistic map after burn_in warm-up steps."""
-    x = x0
-    for _ in range(burn_in):
-        x = _logistic_step(x, r)
-    out = bytearray(n)
-    for i in range(n):
-        x = _logistic_step(x, r)
-        out[i] = int(x * 256.0)
-    return bytes(out)
+    """n keystream bytes from the logistic map after burn_in warm-up steps.
+
+    Byte i is floor(256 * x) of state burn_in + 1 + i; scaling by a power of
+    two is exact, so the array conversion matches per-state ``int(x * 256.0)``.
+    """
+    states = np.array(_logistic_orbit(x0, r, burn_in + n))[burn_in + 1:]
+    return (states * 256.0).astype(np.uint8).tobytes()
 
 
 def handshake(
@@ -204,9 +214,8 @@ def handshake(
     if peer_fp not in registry:
         raise UnauthorizedAgent(f"peer fingerprint {peer_fp.hex()[:16]}... not trusted")
     shared = pow(peer_public, local_private, group.p)
-    x = _seed_from_material(_encode_int(shared, group))
-    for _ in range(burn_in):
-        x = _logistic_step(x, chaos_r)
+    seed = _seed_from_material(_encode_int(shared, group))
+    x = _logistic_orbit(seed, chaos_r, burn_in)[-1]
     return SessionTunnel(
         local_fingerprint=fingerprint(local_public, group),
         peer_fingerprint=peer_fp,
@@ -235,7 +244,9 @@ def _envelope_digest(tunnel: SessionTunnel, seq: int, ciphertext: bytes) -> byte
 
 
 def _xor(data: bytes, keystream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, keystream))
+    return np.bitwise_xor(
+        np.frombuffer(data, dtype=np.uint8), np.frombuffer(keystream, dtype=np.uint8)
+    ).tobytes()
 
 
 def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:

@@ -3,7 +3,7 @@ import pytest
 
 from emr.errors import InvalidTransform, NoViews
 from emr.fusion import RvoLayer, ViewSource, compose, place_layer, select_view
-from emr.raster import AlphaMatte, Frame
+from emr.raster import AlphaMatte, Frame, round_u8
 
 
 def layer_from(pixels, alpha, **kw):
@@ -25,6 +25,17 @@ def random_layer(rng, canvas=16):
         ty=int(rng.integers(-4, canvas)),
         depth=float(rng.normal()),
     )
+
+
+def full_canvas_compose(background, layers):
+    """Reference blend over the whole canvas, one placed layer at a time."""
+    canvas = background.to_array()
+    for layer in sorted(layers, key=lambda l: l.depth):
+        placed, matte = place_layer(layer, background.width, background.height)
+        a = matte.to_array()[:, :, None]
+        fg = placed.to_array().astype(np.float64)
+        canvas = round_u8(a * fg + (1.0 - a) * canvas.astype(np.float64))
+    return Frame.from_array(canvas, index=background.index)
 
 
 class TestPlaceLayer:
@@ -113,6 +124,18 @@ class TestCompose:
         first = layer_from(np.full((1, 1, 3), 10), [[1.0]], depth=1.0)
         second = layer_from(np.full((1, 1, 3), 20), [[1.0]], depth=1.0)
         assert compose(bg, [first, second]).to_array()[0, 0, 0] == 20
+
+    def test_matches_full_canvas_blend(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            bg = self.background(rng)
+            layers = [random_layer(rng, canvas=8) for _ in range(int(rng.integers(1, 4)))]
+            # one layer pushed wholly off the canvas, on a random side
+            off = layers[0]
+            tx, ty = [(off.tx, 9), (off.tx, -20), (9, off.ty), (-20, off.ty)][int(rng.integers(4))]
+            layers.append(RvoLayer(pixels=off.pixels, matte=off.matte, scale=off.scale,
+                                   tx=tx, ty=ty, depth=off.depth))
+            assert compose(bg, layers) == full_canvas_compose(bg, layers)
 
     def test_depth_offset_invariance(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from emr.errors import DimensionMismatch, InvalidMask, InvalidParams
 from emr.layering import (
     GmmParams,
+    _dilate,
+    _erode,
     layer_init,
     layer_update_classify,
     mask_postprocess,
@@ -39,6 +44,44 @@ def brute_force_opening(mask):
                         hit = True
             dilated[y, x] = hit
     return dilated
+
+
+def brute_force_window(mask, radius, erode, pad_mode):
+    """Square-window AND (erode) or OR (dilate) by plain loops.
+
+    Outside the mask a window reads the nearest pixel ("edge") or False
+    ("constant").
+    """
+    h, w = mask.shape
+    out = np.zeros_like(mask, dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            acc = erode
+            for yy in range(y - radius, y + radius + 1):
+                for xx in range(x - radius, x + radius + 1):
+                    if pad_mode == "edge":
+                        v = mask[min(max(yy, 0), h - 1), min(max(xx, 0), w - 1)]
+                    else:
+                        v = 0 <= yy < h and 0 <= xx < w and mask[yy, xx]
+                    acc = (acc and v) if erode else (acc or v)
+            out[y, x] = acc
+    return out
+
+
+class TestMorphology:
+    @given(
+        arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
+        st.integers(0, 4),
+        st.sampled_from(["edge", "constant"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_separable_matches_square_window(self, mask, radius, pad_mode):
+        assert np.array_equal(
+            _erode(mask, radius, pad_mode), brute_force_window(mask, radius, True, pad_mode)
+        )
+        assert np.array_equal(
+            _dilate(mask, radius, pad_mode), brute_force_window(mask, radius, False, pad_mode)
+        )
 
 
 class TestParams:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,44 @@ class TestAlphaSolve:
             alpha_solve(frame, trimap)
 
 
+def pinned_solve(labels):
+    """(sha256 of the matte's float64 bytes, iterations) on seeded random colors."""
+    rng = np.random.default_rng(7)
+    img = rng.integers(0, 256, labels.shape + (3,), dtype=np.uint8)
+    res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
+    return hashlib.sha256(res.matte.to_array().tobytes()).hexdigest(), res.iterations
+
+
+class TestAlphaSolveBandBox:
+    """Matte digests recorded with full-frame summed-area tables."""
+
+    def test_band_touching_frame_border(self):
+        labels = np.full((16, 20), BG, dtype=np.uint8)
+        labels[0:8, 0:9] = UNKNOWN
+        labels[0:4, 0:4] = FG
+        assert pinned_solve(labels) == (
+            "3f217cf5694d1bbdfa988c98d3a689d52a579b26042a72e1c22fab354b46fe32", 3
+        )
+
+    def test_band_needing_window_doubling(self):
+        # corners of the band lie 10 px from the FG core: windows 3 -> 6 -> 12
+        labels = np.full((40, 40), BG, dtype=np.uint8)
+        labels[10:30, 8:32] = UNKNOWN
+        labels[18:22, 18:22] = FG
+        assert pinned_solve(labels) == (
+            "d856e813715be5428f82480ca1f8a3bf58277c19416eddee3ac48a4ccbce46a0", 4
+        )
+
+    def test_window_reaching_full_frame(self):
+        # (11, 0) needs radius 15 to reach both anchors: the window doubles to 24 >= max(h, w)
+        labels = np.full((12, 16), UNKNOWN, dtype=np.uint8)
+        labels[0, 0] = FG
+        labels[11, 15] = BG
+        assert pinned_solve(labels) == (
+            "1c61d202548fc1b64144f6cfe4a70760db1ec9ad2021ce287a0893e00fae109a", 2
+        )
+
+
 class TestFuzzyKnowledge:
     def test_zero_rate_keeps_membership(self):
         k = fuzzy_init(2, 1, lambda_t=0.0)
@@ -179,6 +219,10 @@ class TestFuzzyKnowledge:
         k = FuzzyKnowledge(width=1, height=1, membership=(0.2,), lambda_t=0.5)
         m = AlphaMatte(width=1, height=1, alpha=(0.8,))
         assert fuzzy_update(k, m).membership[0] == pytest.approx(0.5)
+
+    def test_nan_membership_rejected(self):
+        with pytest.raises(ValueError):
+            FuzzyKnowledge(width=1, height=1, membership=(float("nan"),))
 
     def test_dimension_mismatch_rejected(self):
         k = fuzzy_init(2, 2)

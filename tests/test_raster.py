@@ -190,6 +190,10 @@ class TestMatteAndTrimap:
         with pytest.raises(ValueError):
             AlphaMatte(width=1, height=1, alpha=(1.5,))
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            AlphaMatte(width=1, height=1, alpha=(float("nan"),))
+
     def test_matte_quantizes_to_frame(self):
         m = AlphaMatte(width=2, height=1, alpha=(0.0, 0.5))
         assert m.to_frame().data == bytes([0, 128])  # 0.5*255 = 127.5 -> 128

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -129,6 +130,17 @@ class TestKeystream:
         with pytest.raises(ReseedRequired):
             logistic_keystream(1e-13, 3.99, 1, burn_in=0)
 
+    def test_collapse_during_burn_in_raises(self):
+        # 4*0.5*0.5 = 1.0 on the first warm-up step, before any byte is drawn
+        with pytest.raises(ReseedRequired):
+            logistic_keystream(0.5, 4.0, 0, burn_in=10)
+
+    def test_pinned_keystream_bytes(self):
+        stream = logistic_keystream(0.4321, 3.99, 4096, burn_in=1000)
+        assert hashlib.sha256(stream).hexdigest() == (
+            "7653d44faea353bf13b1dba3d6e8fae0f405e1b73e382e1882fd796831953a3c"
+        )
+
     def test_chi2_statistic_computes_known_cases(self):
         uniform = bytes(range(256)) * 4
         assert keystream_chi2(uniform) == 0.0
@@ -162,6 +174,16 @@ class TestEnvelopes:
         for _ in range(50):
             payload = rng.randbytes(rng.randrange(0, 512))
             assert decrypt_verify(b, encrypt_envelope(a, payload), reg) == payload
+
+    def test_pinned_ciphertext(self):
+        priv_a, pub_a = keypair_gen(1)
+        priv_b, pub_b = keypair_gen(2)
+        registry = {fingerprint(pub_a), fingerprint(pub_b)}
+        a = handshake(priv_a, pub_a, pub_b, registry, burn_in=50)
+        env = encrypt_envelope(a, bytes(range(256)) * 16)
+        assert hashlib.sha256(env.ciphertext).hexdigest() == (
+            "75be0e37a495a00a1febeae63f60e7766667639def38da13e794b7de29a0997b"
+        )
 
     def test_sequence_strictly_increases(self):
         a, _, _ = session_pair()

@@ -12,6 +12,12 @@ ordered by weight/sigma descending, whose cumulative weight reaches ``t_bg``.
 A sample that matched no background-set component is keyed as foreground.
 The model bootstraps from the first frame alone and needs no prior knowledge
 of the scene.
+
+The mixture state is component-major: one contiguous plane over all pixels
+per component slot (weights, variances) and per slot and channel (means).
+Steps across slots or channels are short Python loops over whole planes;
+the rank order of the background set comes from plane comparisons rather
+than a per-pixel sort.
 """
 
 from __future__ import annotations
@@ -69,8 +75,11 @@ class PixelGmm:
 class LayerModel:
     """Per-pixel mixture grid; owned by a single worker, updated frame by frame.
 
-    Internal state is kept in dense arrays indexed ``[pixel, component]``;
-    slots at or beyond a pixel's active count are unused.
+    State is planar: ``_w`` and ``_var`` are ``(K, P)``, ``_mu`` is
+    ``(K, C, P)`` and ``_n`` is ``(P,)``, with P pixels in row-major order.
+    Each component slot and each channel is one contiguous plane, so every
+    update step is a ufunc over whole planes.  Slots at or beyond a pixel's
+    active count are unused.
     """
 
     def __init__(self, width, height, channels, params, weights, means, variances, n_active):
@@ -78,9 +87,9 @@ class LayerModel:
         self.height = height
         self.channels = channels
         self.params = params
-        self._w = weights        # (P, K) float64
-        self._mu = means         # (P, K, C) float64
-        self._var = variances    # (P, K) float64
+        self._w = weights        # (K, P) float64
+        self._mu = means         # (K, C, P) float64
+        self._var = variances    # (K, P) float64
         self._n = n_active       # (P,) int64
 
     @property
@@ -92,9 +101,9 @@ class LayerModel:
         p = y * self.width + x
         comps = tuple(
             GmmComponent(
-                weight=float(self._w[p, j]),
-                mean=tuple(float(v) for v in self._mu[p, j]),
-                variance=float(self._var[p, j]),
+                weight=float(self._w[j, p]),
+                mean=tuple(float(v) for v in self._mu[j, :, p]),
+                variance=float(self._var[j, p]),
             )
             for j in range(int(self._n[p]))
         )
@@ -122,13 +131,38 @@ def layer_init(frame: Frame, params: GmmParams = GmmParams()) -> LayerModel:
     h, w, c = frame.height, frame.width, frame.channels
     p = h * w
     k = params.k
-    weights = np.zeros((p, k))
-    means = np.zeros((p, k, c))
-    variances = np.full((p, k), params.var_init)
-    weights[:, 0] = 1.0
-    means[:, 0, :] = frame.to_array().reshape(p, c).astype(np.float64)
+    weights = np.zeros((k, p))
+    means = np.zeros((k, c, p))
+    variances = np.full((k, p), params.var_init)
+    weights[0] = 1.0
+    means[0] = _planes(frame)
     n_active = np.ones(p, dtype=np.int64)
     return LayerModel(w, h, c, params, weights, means, variances, n_active)
+
+
+def _planes(frame: Frame) -> np.ndarray:
+    """A frame's samples as a contiguous (C, P) float64 array, one plane per channel."""
+    arr = frame.to_array()
+    return np.moveaxis(arr, 2, 0).reshape(frame.channels, -1).astype(np.float64)
+
+
+def _sum_planes(planes) -> np.ndarray:
+    """Sum of a sequence of planes, added left to right."""
+    total = planes[0].copy()
+    for plane in planes[1:]:
+        total += plane
+    return total
+
+
+def _argmin_planes(planes) -> np.ndarray:
+    """Index of the smallest plane per pixel; ties go to the lowest index."""
+    best = np.zeros(planes[0].shape, dtype=np.intp)
+    low = planes[0]
+    for j in range(1, len(planes)):
+        below = planes[j] < low
+        best[below] = j
+        low = np.where(below, planes[j], low)
+    return best
 
 
 def layer_update_classify(model: LayerModel, frame: Frame):
@@ -136,6 +170,12 @@ def layer_update_classify(model: LayerModel, frame: Frame):
 
     The mask is a single-channel frame with 255 on foreground.  With
     alpha_lr = 0 the model is left untouched and only classification runs.
+
+    Every sum over channels or components runs left to right, and every
+    argmin and rank order breaks ties by the lowest slot.  That is what
+    numpy's reductions (sequential below 8 elements) and stable argsort did
+    over the former pixel-major ``(P, K, C)`` layout, so for k < 8 the mask
+    and the model are bit-identical to it.
     """
     if (frame.height, frame.width, frame.channels) != model.shape:
         raise DimensionMismatch(
@@ -146,56 +186,69 @@ def layer_update_classify(model: LayerModel, frame: Frame):
     alpha = prm.alpha_lr
     out = model.copy()
     w, mu, var, n = out._w, out._mu, out._var, out._n
-    pcount, k = w.shape
+    k, pcount = w.shape
+    slots = np.arange(k)[:, None]
 
-    x = frame.to_array().reshape(pcount, model.channels).astype(np.float64)
-    active = np.arange(k)[None, :] < n[:, None]
+    x = _planes(frame)  # (C, P)
+    active = slots < n
 
-    diff = x[:, None, :] - mu
-    within = np.abs(diff) <= (prm.lam * np.sqrt(var))[:, :, None]
-    matched = active & within.all(axis=2)
-    has_match = matched.any(axis=1)
+    diff = x - mu  # (K, C, P)
+    sq = diff * diff
+    within = np.abs(diff) <= (prm.lam * np.sqrt(var))[:, None, :]
+    matched = active.copy()
+    for c in range(model.channels):
+        matched &= within[:, c]
+    has_match = matched.any(axis=0)
 
-    dist2 = np.where(matched, (diff * diff).sum(axis=2), np.inf)
-    best = np.argmin(dist2, axis=1)  # ties resolve to the lowest slot
+    dist2 = _sum_planes(sq.transpose(1, 0, 2))  # over channels: (K, P)
+    best = _argmin_planes(np.where(matched, dist2, np.inf))
 
     if alpha > 0.0:
-        rows = np.where(has_match)[0]
-        b = best[rows]
-        old_mean = mu[rows, b].copy()
-        w[rows] *= 1.0 - alpha
-        w[rows, b] += alpha
-        mu[rows, b] = (1.0 - alpha) * old_mean + alpha * x[rows]
+        hit = (best == slots) & has_match  # the component each matched pixel updates
+        keep = 1.0 - alpha
+        np.multiply(w, keep, out=w, where=has_match)
+        np.add(w, alpha, out=w, where=hit)
         # variance target: per-channel squared deviation from the pre-update mean
-        dev2 = ((x[rows] - old_mean) ** 2).mean(axis=1)
-        var[rows, b] = np.maximum(prm.var_min, (1.0 - alpha) * var[rows, b] + alpha * dev2)
+        dev2 = dist2 / model.channels
+        np.copyto(var, np.maximum(prm.var_min, keep * var + alpha * dev2), where=hit)
+        np.copyto(mu, keep * mu + alpha * x, where=hit[:, None, :])
 
-        miss = np.where(~has_match)[0]
-        if miss.size:
-            room = n[miss] < k
-            slot = np.where(room, np.minimum(n[miss], k - 1), np.argmin(w[miss], axis=1))
-            w[miss, slot] = alpha
-            mu[miss, slot] = x[miss]
-            var[miss, slot] = prm.var_init
-            n[miss] = np.minimum(n[miss] + room, k)
+        miss = ~has_match
+        room = n < k
+        slot = np.where(room, n, _argmin_planes(w))
+        fresh = (slot == slots) & miss
+        w[fresh] = alpha
+        np.copyto(mu, x, where=fresh[:, None, :])
+        var[fresh] = prm.var_init
+        n += miss & room
 
-        w /= w.sum(axis=1, keepdims=True)
-        active = np.arange(k)[None, :] < n[:, None]
+        w /= _sum_planes(w)
+        active = slots < n
 
     # background set from the (updated) model: smallest weight/sigma-ordered
-    # prefix whose cumulative weight reaches t_bg
+    # prefix whose cumulative weight reaches t_bg.  pos[j] is slot j's place
+    # in a stable descending sort by rank.
     rank = np.where(active, w / np.sqrt(var), -np.inf)
-    order = np.argsort(-rank, axis=1, kind="stable")
-    sorted_w = np.take_along_axis(w, order, axis=1)
-    cum_before = np.cumsum(sorted_w, axis=1) - sorted_w
-    in_bg_sorted = (cum_before < prm.t_bg) & np.take_along_axis(active, order, axis=1)
-    in_bg = np.zeros_like(in_bg_sorted)
-    np.put_along_axis(in_bg, order, in_bg_sorted, axis=1)
+    pos = np.zeros(w.shape, dtype=np.intp)
+    for j in range(k):
+        for i in range(k):
+            if i != j:
+                pos[j] += rank[i] >= rank[j] if i < j else rank[i] > rank[j]
+    flat = (pos * pcount + np.arange(pcount)).reshape(-1)  # slot j's cell in rank order
+    sorted_w = np.empty(k * pcount)
+    sorted_w[flat] = w.reshape(-1)
+    sorted_w = sorted_w.reshape(k, pcount)
+    cum = np.zeros(pcount)
+    bg_sorted = np.empty((k, pcount), dtype=bool)
+    for r in range(k):
+        cum = cum + sorted_w[r]
+        bg_sorted[r] = cum - sorted_w[r] < prm.t_bg
+    in_bg = active & bg_sorted.reshape(-1)[flat].reshape(k, pcount)
 
-    background = (matched & in_bg).any(axis=1)
+    background = (matched & in_bg).any(axis=0)
     mask = np.where(background, 0, 255).astype(np.uint8).reshape(model.height, model.width)
     mask_frame = Frame.from_array(mask, index=frame.index)
-    return mask_frame, (out if alpha > 0.0 else model.copy())
+    return mask_frame, out
 
 
 def _binary(frame: Frame) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientLabels, InvalidRadii
 from .layering import _binary, _dilate, _erode
-from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap
+from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _readonly_unit
 
 DEFAULT_WINDOW = 3
 DEFAULT_MAX_ITERS = 20
@@ -61,20 +61,40 @@ class AlphaSolveResult:
     changes: tuple = ()    # max per-pixel change after each iteration
 
 
-def _integral(arr: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero top row and left column."""
-    s = arr.cumsum(axis=0).cumsum(axis=1)
-    out = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1) + arr.shape[2:], dtype=np.float64)
-    out[1:, 1:] = s
-    return out
+def _stacked_table(fg: np.ndarray, bg: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Raveled summed-area table of FG count, BG count, FG colors and BG colors.
+
+    The table has a zero top row and left column and is returned as
+    ``((h + 1) * (w + 1), 2 + 2C)``: row ``y * (w + 1) + x`` holds the sums
+    over ``[0, y) x [0, x)``.  Each channel is accumulated on its own, down
+    the rows first, then along the columns.
+    """
+    h, w, c = colors.shape
+    table = np.zeros((h + 1, w + 1, 2 + 2 * c))
+    cells = table[1:, 1:]
+    cells[:, :, 0] = fg
+    cells[:, :, 1] = bg
+    np.multiply(colors, cells[:, :, 0:1], out=cells[:, :, 2:2 + c])
+    np.multiply(colors, cells[:, :, 1:2], out=cells[:, :, 2 + c:])
+    np.cumsum(cells, axis=0, out=cells)
+    np.cumsum(cells, axis=1, out=cells)
+    return table.reshape(-1, 2 + 2 * c)
 
 
-def _box(ii: np.ndarray, ys, xs, radius, h, w):
-    y0 = np.maximum(ys - radius, 0)
-    y1 = np.minimum(ys + radius + 1, h)
+def _box_sums(table: np.ndarray, ys, xs, radius: int, h: int, w: int) -> np.ndarray:
+    """Every channel's sum over the radius windows at (ys, xs), clipped to h x w.
+
+    One gather fetches the four corners of every window from the raveled
+    table; they combine as ``a - b - c + d``, left to right.
+    """
+    stride = w + 1
+    y0 = np.maximum(ys - radius, 0) * stride
+    y1 = np.minimum(ys + radius + 1, h) * stride
     x0 = np.maximum(xs - radius, 0)
     x1 = np.minimum(xs + radius + 1, w)
-    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+    corners = table.take(np.concatenate((y1 + x1, y0 + x1, y1 + x0, y0 + x0)), axis=0)
+    a, b, c, d = corners.reshape(4, ys.size, table.shape[1])
+    return a - b - c + d
 
 
 def _grow(box, margin: int, h: int, w: int):
@@ -85,7 +105,8 @@ def _grow(box, margin: int, h: int, w: int):
 
 def _sum3x3(arr: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 window sums: each window row left to right, then the rows."""
-    p = np.pad(arr, 1)
+    p = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2))
+    p[1:-1, 1:-1] = arr
     rows = p[:, :-2] + p[:, 1:-1] + p[:, 2:]
     return rows[:-2] + rows[1:-1] + rows[2:]
 
@@ -103,12 +124,19 @@ def alpha_solve(
     foreground and background estimates coincide (squared separation < 1)
     default to 0.5 and are reported in ``degenerate``.
 
-    Work stays near the band's bounding box.  The summed-area tables cover it
-    grown by the largest window radius used so far, and are rebuilt when a
-    doubling passes that margin; from radius ``max(h, w)`` on they cover the
-    whole frame.  Smoothing covers the box grown by one pixel.  The tables sum
-    integer counts and colors, so every box sum is exact in float64 and the
-    matte is bit-identical to one solved with full-frame tables.
+    Work stays near the band's bounding box.  One summed-area table of
+    2 + 2C channels (FG count, BG count, FG colors, BG colors) covers it
+    grown by the largest window radius used so far, and is rebuilt when a
+    doubling passes that margin; from radius ``max(h, w)`` on it covers the
+    whole frame.  Smoothing covers the box grown by one pixel.
+
+    Exactness: every table entry is a sum of integer counts or 8-bit colors
+    over at most h*w pixels, far below 2**53, so each is exact in float64,
+    and so is every ``a - b - c + d`` window sum, whatever the table's
+    extent or channel stacking.  Each channel is still accumulated rows then
+    columns and combined in that corner order, as the four separate
+    tables were, so the matte, iteration count, ``converged``,
+    ``degenerate`` and ``changes`` are bit-identical to theirs.
     """
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
@@ -129,6 +157,7 @@ def alpha_solve(
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
 
     colors = frame.to_array().astype(np.float64)
+    c = frame.channels
     ys, xs = np.nonzero(unk)
     n = ys.size
     cvals = colors[ys, xs]  # (n, C)
@@ -151,59 +180,41 @@ def alpha_solve(
         fg_src = fg_lab | (alpha > _FG_CONF)
         bg_src = bg_lab | (alpha < _BG_CONF)
 
-        fsum = np.zeros((n, frame.channels))
-        bsum = np.zeros((n, frame.channels))
-        fcnt = np.zeros(n)
-        bcnt = np.zeros(n)
+        sums = np.zeros((n, 2 + 2 * c))  # per band pixel: fcnt, bcnt, fsum, bsum
         unresolved = np.ones(n, dtype=bool)
         radius = window
-        fg_cnt_ii = None
+        table = None
         while unresolved.any():
-            if fg_cnt_ii is None or radius > margin:
+            if table is None or radius > margin:
                 # a window of radius <= margin around a band pixel stays
                 # inside the band box grown by the margin, clipped to the frame
                 margin = max(margin, radius)
                 y0, y1, x0, x1 = _grow(band, margin, h, w)
                 bh, bw = y1 - y0, x1 - x0
                 by, bx = ys - y0, xs - x0
-                fg_box = fg_src[y0:y1, x0:x1]
-                bg_box = bg_src[y0:y1, x0:x1]
-                box_colors = colors[y0:y1, x0:x1]
-                fg_cnt_ii = _integral(fg_box.astype(np.float64))
-                bg_cnt_ii = _integral(bg_box.astype(np.float64))
-                fg_sum_ii = _integral(box_colors * fg_box[:, :, None])
-                bg_sum_ii = _integral(box_colors * bg_box[:, :, None])
+                table = _stacked_table(
+                    fg_src[y0:y1, x0:x1], bg_src[y0:y1, x0:x1], colors[y0:y1, x0:x1]
+                )
             sel = np.nonzero(unresolved)[0]
-            cf = _box(fg_cnt_ii, by[sel], bx[sel], radius, bh, bw)
-            cb = _box(bg_cnt_ii, by[sel], bx[sel], radius, bh, bw)
-            good = (cf > 0) & (cb > 0)
+            found = _box_sums(table, by[sel], bx[sel], radius, bh, bw)
+            good = (found[:, 0] > 0) & (found[:, 1] > 0)
             done = sel[good]
-            if done.size:
-                fcnt[done] = cf[good]
-                bcnt[done] = cb[good]
-                fsum[done] = _box(fg_sum_ii, by[done], bx[done], radius, bh, bw)
-                bsum[done] = _box(bg_sum_ii, by[done], bx[done], radius, bh, bw)
-                unresolved[done] = False
+            sums[done] = found[good]
+            unresolved[done] = False
             if radius >= max_radius:
                 # precondition guarantees global samples; the box is the whole frame
-                rest = np.nonzero(unresolved)[0]
-                fcnt[rest] = fg_cnt_ii[bh, bw]
-                bcnt[rest] = bg_cnt_ii[bh, bw]
-                fsum[rest] = fg_sum_ii[bh, bw]
-                bsum[rest] = bg_sum_ii[bh, bw]
-                unresolved[rest] = False
+                sums[unresolved] = table[-1]
+                unresolved[:] = False
             radius *= 2
 
-        fhat = fsum / fcnt[:, None]
-        bhat = bsum / bcnt[:, None]
+        fhat = sums[:, 2:2 + c] / sums[:, 0:1]
+        bhat = sums[:, 2 + c:] / sums[:, 1:2]
         d = fhat - bhat
         denom = (d * d).sum(axis=1)
         degen = denom < _DEGENERATE_SEP
-        proj = np.zeros(n)
-        ok = ~degen
-        proj[ok] = ((cvals[ok] - bhat[ok]) * d[ok]).sum(axis=1) / denom[ok]
-        proj = np.clip(proj, 0.0, 1.0)
-        proj[degen] = 0.5
+        num = ((cvals - bhat) * d).sum(axis=1)
+        proj = np.divide(num, denom, out=np.full(n, 0.5), where=~degen)
+        np.clip(proj, 0.0, 1.0, out=proj)
 
         # one Jacobi-style 3x3 averaging pass over the UNKNOWN band only
         projected = alpha[sy0:sy1, sx0:sx1].copy()
@@ -225,30 +236,41 @@ def alpha_solve(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzyKnowledge:
-    """Temporal foreground membership, blended from mattes at rate lambda_t."""
+    """Temporal foreground membership, blended from mattes at rate lambda_t.
+
+    ``membership`` accepts any sequence of width*height values in [0, 1] and
+    is stored as a flat read-only float64 array.
+    """
 
     width: int
     height: int
-    membership: tuple
+    membership: np.ndarray
     lambda_t: float = 0.1
 
     def __post_init__(self):
-        if len(self.membership) != self.width * self.height:
-            raise ValueError("membership length != width*height")
-        if any(not 0.0 <= m <= 1.0 for m in self.membership):
-            raise ValueError("membership values must lie in [0, 1]")
+        membership = _readonly_unit(self.membership, self.width * self.height, "membership")
+        object.__setattr__(self, "membership", membership)
         if not 0.0 <= self.lambda_t <= 1.0:
             raise ValueError("lambda_t must lie in [0, 1]")
 
+    def __eq__(self, other):
+        if not isinstance(other, FuzzyKnowledge):
+            return NotImplemented
+        return (
+            (self.width, self.height, self.lambda_t) == (other.width, other.height, other.lambda_t)
+            and np.array_equal(self.membership, other.membership)
+        )
+
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.membership, dtype=np.float64).reshape(self.height, self.width)
+        """The membership grid as a read-only (height, width) view."""
+        return self.membership.reshape(self.height, self.width)
 
 
 def fuzzy_init(width: int, height: int, lambda_t: float = 0.1, value: float = 0.0) -> FuzzyKnowledge:
     return FuzzyKnowledge(
-        width=width, height=height, membership=(value,) * (width * height), lambda_t=lambda_t
+        width=width, height=height, membership=np.full(width * height, value), lambda_t=lambda_t
     )
 
 
@@ -257,9 +279,7 @@ def fuzzy_update(knowledge: FuzzyKnowledge, matte: AlphaMatte) -> FuzzyKnowledge
     if (knowledge.width, knowledge.height) != (matte.width, matte.height):
         raise DimensionMismatch("matte dimensions do not match the knowledge grid")
     lam = knowledge.lambda_t
-    mem = tuple(
-        (1.0 - lam) * m + lam * a for m, a in zip(knowledge.membership, matte.alpha)
-    )
     return FuzzyKnowledge(
-        width=knowledge.width, height=knowledge.height, membership=mem, lambda_t=lam
+        width=knowledge.width, height=knowledge.height,
+        membership=(1.0 - lam) * knowledge.membership + lam * matte.alpha, lambda_t=lam,
     )

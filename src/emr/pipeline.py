@@ -39,7 +39,7 @@ from .matting import alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
 from .qoeqos import Bounds, reencode, score as level_score, select_encoding
 from .raster import FG, BG, UNKNOWN, AlphaMatte, Frame, decode_pnm, encode_pnm, load_pnm, save_pnm
-from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template
+from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template, write_atomic
 from .tunnel import (
     AgentRole,
     decrypt_verify,
@@ -339,7 +339,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
     metrics_text = emit_metrics(records)
     config.metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    config.metrics_path.write_text(metrics_text)
+    write_atomic(config.metrics_path, metrics_text)
     return PipelineResult(
         records=records,
         traces=traces,

@@ -80,31 +80,55 @@ class Frame:
         return cls(width=w, height=h, channels=c, data=a.tobytes(), index=index)
 
 
-@dataclass(frozen=True)
+def _readonly_unit(values, size: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values`` flattened; each must lie in [0, 1].
+
+    NaN and ±inf fail the range check.  The copy keeps later writes to the source
+    array from reaching the value that holds it.
+    """
+    a = np.array(values, dtype=np.float64).reshape(-1)
+    if a.size != size:
+        raise ValueError(f"{what} length != width*height")
+    if not ((a >= 0.0) & (a <= 1.0)).all():
+        raise ValueError(f"{what} values must lie in [0, 1]")
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class AlphaMatte:
-    """Per-pixel opacity in [0, 1], row-major."""
+    """Per-pixel opacity in [0, 1], row-major, held as a read-only float64 array.
+
+    ``alpha`` accepts any sequence of width*height values and is stored flat.
+    """
 
     width: int
     height: int
-    alpha: tuple
+    alpha: np.ndarray
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("matte dimensions must be >= 1")
-        if len(self.alpha) != self.width * self.height:
-            raise ValueError("alpha length != width*height")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha):
-            raise ValueError("alpha values must lie in [0, 1]")
+        alpha = _readonly_unit(self.alpha, self.width * self.height, "alpha")
+        object.__setattr__(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlphaMatte):
+            return NotImplemented
+        return (self.width, self.height) == (other.width, other.height) and np.array_equal(
+            self.alpha, other.alpha
+        )
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.alpha, dtype=np.float64).reshape(self.height, self.width)
+        """The opacities as a read-only (height, width) view."""
+        return self.alpha.reshape(self.height, self.width)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "AlphaMatte":
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(width=a.shape[1], height=a.shape[0], alpha=tuple(a.reshape(-1).tolist()))
+        return cls(width=a.shape[1], height=a.shape[0], alpha=a)
 
     def to_frame(self, index: int = 0) -> Frame:
         """Quantize to an 8-bit grayscale frame (alpha * 255, rounded)."""

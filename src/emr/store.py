@@ -12,11 +12,14 @@ rebalanced to any shard count without losing a template.
 
 Persistence: one text file per shard, one record per line:
 ``user_id,sample_count,v0,...,v255`` with full-precision decimal reals.
+Files are replaced whole (``write_atomic``), so a write that fails part way
+leaves the previous file in place.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +36,26 @@ TEMPLATE_SIDE = 16
 TEMPLATE_DIM = TEMPLATE_SIDE * TEMPLATE_SIDE
 
 _SHARD_FILE = "shard_{:03d}.csv"
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace the file at path with text, or leave it as it was.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over the target in one step.  A failure
+    before the rename removes the temporary file and leaves the target
+    untouched.  Nothing is fsynced: the guarantee covers a process that
+    fails mid-write, not a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def extract_template(region: Frame) -> np.ndarray:
@@ -175,7 +198,7 @@ class KnowledgeStore:
                 entry = shard.templates[user_id]
                 values = ",".join(repr(float(v)) for v in entry.centroid)
                 lines.append(f"{user_id},{entry.sample_count},{values}\n")
-            (directory / _SHARD_FILE.format(shard.node_id)).write_text("".join(lines))
+            write_atomic(directory / _SHARD_FILE.format(shard.node_id), "".join(lines))
 
     @classmethod
     def load(cls, directory, shard_count: int) -> "KnowledgeStore":

@@ -267,12 +267,20 @@ def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:
 def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry) -> bytes:
     """Authenticate and decipher an envelope; raises the matching alarm.
 
-    Check order: registry membership, digest, then sequence freshness.  No
-    plaintext is ever produced on an alarmed envelope.
+    Check order: registry membership, the session peer, digest, then
+    sequence freshness.  A trusted sender other than the tunnel's peer (such
+    as the receiver's own fingerprint on a relabelled envelope) is
+    unauthorized on this tunnel.  No plaintext is ever produced and no state
+    changes on an alarmed envelope.
     """
     if envelope.sender_fingerprint not in registry:
         raise UnauthorizedAgent(
             f"sender fingerprint {envelope.sender_fingerprint.hex()[:16]}... not trusted"
+        )
+    if envelope.sender_fingerprint != tunnel.peer_fingerprint:
+        raise UnauthorizedAgent(
+            f"sender fingerprint {envelope.sender_fingerprint.hex()[:16]}... "
+            "is not this session's peer"
         )
     expected = _envelope_digest(tunnel, envelope.seq, envelope.ciphertext)
     if expected != envelope.digest:

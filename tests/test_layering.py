@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from emr.errors import DimensionMismatch, InvalidMask, InvalidParams
 from emr.layering import (
     GmmParams,
+    LayerModel,
     _dilate,
     _erode,
     layer_init,
@@ -187,8 +188,8 @@ class TestUpdateRules:
         for _ in range(20):
             frame = gray_frame(rng.randint(0, 256, (8, 8)))
             _, model = layer_update_classify(model, frame)
-            assert np.allclose(model._w.sum(axis=1), 1.0, atol=1e-9)
-            active = np.arange(model._w.shape[1])[None, :] < model._n[:, None]
+            assert np.allclose(model._w.sum(axis=0), 1.0, atol=1e-9)
+            active = np.arange(model._w.shape[0])[:, None] < model._n[None, :]
             assert np.all(model._var[active] >= 4.0)
 
     def test_stationary_input_never_regrows_foreground(self):
@@ -250,3 +251,123 @@ class TestColorFrames:
         arr = mask.to_array()[:, :, 0]
         assert arr[1, 1] == 255
         assert np.count_nonzero(arr) == 1
+
+
+def reference_update_classify(prm, state, x):
+    """The pixel-major (P, K, C) update the planar model replaced.
+
+    ``state`` is (w (P, K), mu (P, K, C), var (P, K), n (P,)) and ``x`` the
+    frame as (P, C) float64; returns the foreground flags and the new state.
+    """
+    w, mu, var, n = (a.copy() for a in state)
+    alpha = prm.alpha_lr
+    pcount, k = w.shape
+    active = np.arange(k)[None, :] < n[:, None]
+
+    diff = x[:, None, :] - mu
+    within = np.abs(diff) <= (prm.lam * np.sqrt(var))[:, :, None]
+    matched = active & within.all(axis=2)
+    has_match = matched.any(axis=1)
+
+    dist2 = np.where(matched, (diff * diff).sum(axis=2), np.inf)
+    best = np.argmin(dist2, axis=1)
+
+    if alpha > 0.0:
+        rows = np.where(has_match)[0]
+        b = best[rows]
+        old_mean = mu[rows, b].copy()
+        w[rows] *= 1.0 - alpha
+        w[rows, b] += alpha
+        mu[rows, b] = (1.0 - alpha) * old_mean + alpha * x[rows]
+        dev2 = ((x[rows] - old_mean) ** 2).mean(axis=1)
+        var[rows, b] = np.maximum(prm.var_min, (1.0 - alpha) * var[rows, b] + alpha * dev2)
+
+        miss = np.where(~has_match)[0]
+        if miss.size:
+            room = n[miss] < k
+            slot = np.where(room, np.minimum(n[miss], k - 1), np.argmin(w[miss], axis=1))
+            w[miss, slot] = alpha
+            mu[miss, slot] = x[miss]
+            var[miss, slot] = prm.var_init
+            n[miss] = np.minimum(n[miss] + room, k)
+
+        w /= w.sum(axis=1, keepdims=True)
+        active = np.arange(k)[None, :] < n[:, None]
+
+    rank = np.where(active, w / np.sqrt(var), -np.inf)
+    order = np.argsort(-rank, axis=1, kind="stable")
+    sorted_w = np.take_along_axis(w, order, axis=1)
+    cum_before = np.cumsum(sorted_w, axis=1) - sorted_w
+    in_bg_sorted = (cum_before < prm.t_bg) & np.take_along_axis(active, order, axis=1)
+    in_bg = np.zeros_like(in_bg_sorted)
+    np.put_along_axis(in_bg, order, in_bg_sorted, axis=1)
+
+    foreground = ~(matched & in_bg).any(axis=1)
+    return foreground, (w, mu, var, n)
+
+
+@st.composite
+def gmm_cases(draw):
+    """Short frame sequences over a few sample levels, so ties and full mixtures occur."""
+    k = draw(st.integers(1, 4))
+    channels = draw(st.sampled_from([1, 3]))
+    alpha_lr = draw(st.sampled_from([0.0, 0.02, 0.25, 0.5, 1.0]))
+    var_init = draw(st.sampled_from([4.0, 100.0, 225.0]))
+    prm = GmmParams(k=k, lam=draw(st.sampled_from([1.0, 2.5])), alpha_lr=alpha_lr,
+                    t_bg=draw(st.sampled_from([0.3, 0.7, 1.0])), var_init=var_init, var_min=4.0)
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    levels = st.sampled_from([0, 10, 60, 200])
+    frames = draw(st.lists(
+        arrays(np.uint8, (h, w, channels), elements=levels), min_size=2, max_size=6,
+    ))
+    return prm, frames
+
+
+class TestPlanarMatchesReference:
+    @given(gmm_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_masks_and_state(self, case):
+        prm, frames = case
+        model = layer_init(Frame.from_array(frames[0]), prm)
+        pcount, c = frames[0].shape[0] * frames[0].shape[1], frames[0].shape[2]
+        state = (
+            model._w.T.copy(), model._mu.transpose(2, 0, 1).copy(),
+            model._var.T.copy(), model._n.copy(),
+        )
+        for arr in frames[1:]:
+            mask, model = layer_update_classify(model, Frame.from_array(arr))
+            fg, state = reference_update_classify(
+                prm, state, arr.reshape(pcount, c).astype(np.float64)
+            )
+            assert np.array_equal(mask.to_array().reshape(-1) == 255, fg)
+            w, mu, var, n = state
+            assert np.array_equal(model._w, w.T)
+            assert np.array_equal(model._mu, mu.transpose(1, 2, 0))
+            assert np.array_equal(model._var, var.T)
+            assert np.array_equal(model._n, n)
+
+    def test_cumulative_weight_rounding_matches_reference(self):
+        # the 0.9 slot ranks second; its weight before it is (0.1 + 0.9) - 0.9,
+        # which rounds to just under t_bg = 0.1, so it is in the background set
+        prm = GmmParams(k=2, alpha_lr=0.0, t_bg=0.1)
+        w = np.array([[0.1], [0.9]])
+        mu = np.array([[[0.0]], [[100.0]]])
+        var = np.array([[4.0], [400.0]])
+        n = np.array([2])
+        model = LayerModel(1, 1, 1, prm, w, mu, var, n)
+        mask, _ = layer_update_classify(model, gray_frame([[100]]))
+        fg, _ = reference_update_classify(
+            prm, (w.T, mu.transpose(2, 0, 1), var.T, n), np.array([[100.0]])
+        )
+        assert not fg[0]
+        assert mask.to_array()[0, 0, 0] == 0
+
+    def test_full_mixture_replaces_lowest_weight_slot(self):
+        # k = 2 fills after one miss; the third level then replaces the slot
+        # of lowest weight (the newcomer), not the established background
+        prm = GmmParams(k=2, lam=1.0, alpha_lr=0.25, var_init=4.0)
+        model = layer_init(gray_frame([[0]]), prm)
+        _, model = layer_update_classify(model, gray_frame([[100]]))
+        _, model = layer_update_classify(model, gray_frame([[200]]))
+        comps = model.pixel(0, 0).components
+        assert [c.mean for c in comps] == [(0.0,), (200.0,)]

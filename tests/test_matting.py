@@ -208,12 +208,12 @@ class TestFuzzyKnowledge:
     def test_zero_rate_keeps_membership(self):
         k = fuzzy_init(2, 1, lambda_t=0.0)
         m = AlphaMatte(width=2, height=1, alpha=(1.0, 0.3))
-        assert fuzzy_update(k, m).membership == k.membership
+        assert np.array_equal(fuzzy_update(k, m).membership, k.membership)
 
     def test_full_rate_replaces_membership(self):
         k = fuzzy_init(2, 1, lambda_t=1.0)
         m = AlphaMatte(width=2, height=1, alpha=(0.25, 0.75))
-        assert fuzzy_update(k, m).membership == (0.25, 0.75)
+        assert np.array_equal(fuzzy_update(k, m).membership, [0.25, 0.75])
 
     def test_halfway_blend(self):
         k = FuzzyKnowledge(width=1, height=1, membership=(0.2,), lambda_t=0.5)
@@ -223,6 +223,26 @@ class TestFuzzyKnowledge:
     def test_nan_membership_rejected(self):
         with pytest.raises(ValueError):
             FuzzyKnowledge(width=1, height=1, membership=(float("nan"),))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_membership_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FuzzyKnowledge(width=2, height=1, membership=(0.5, bad))
+
+    def test_to_array_is_a_read_only_view(self):
+        m = AlphaMatte(width=2, height=1, alpha=(1.0, 0.5))
+        k = fuzzy_update(fuzzy_init(2, 1, lambda_t=0.5), m)
+        arr = k.to_array()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+        assert np.array_equal(arr, [[0.5, 0.25]])
+
+    def test_source_array_is_copied(self):
+        src = np.array([0.2, 0.4])
+        k = FuzzyKnowledge(width=2, height=1, membership=src)
+        src[0] = 0.9
+        assert np.array_equal(k.membership, [0.2, 0.4])
 
     def test_dimension_mismatch_rejected(self):
         k = fuzzy_init(2, 2)

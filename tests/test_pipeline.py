@@ -1,5 +1,8 @@
+import hashlib
 import subprocess
 import sys
+
+import pytest
 
 from emr import synthetic
 from emr.config import parse_config
@@ -32,6 +35,36 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "emr", *args], capture_output=True, text=True
     )
+
+
+A7_EXTRA = """\
+[encoding]
+policy = balance
+
+[channel]
+loss_prob = 0.02
+
+[store]
+enroll_user = subject
+enroll_frame = 20
+"""
+
+# sha256 of the A7-config composites (name and bytes, in name order) and the
+# metrics CSV without its ms_total column, over 30 synthetic frames
+A7_OUTPUT_SHA256 = "d1168d0bce920db1b99b87a508c81a2f0d95c041e097101c74b13fba1b02410f"
+
+
+def output_sha256(out_dir, metrics_text):
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.glob("out_*.ppm")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    lines = metrics_text.splitlines()
+    drop = lines[0].split(",").index("ms_total")
+    for line in lines:
+        fields = line.split(",")
+        digest.update((",".join(fields[:drop] + fields[drop + 1:]) + "\n").encode())
+    return digest.hexdigest()
 
 
 class TestEmitMetrics:
@@ -111,6 +144,28 @@ class TestRunPipeline:
         }
         assert first.metrics_text == second.metrics_text
         assert images_first == images_second
+
+    def test_a7_outputs_pinned(self, tmp_path):
+        # any change to keying, matting, fusion or the tunnel that moves a
+        # single output byte or metric changes this digest
+        cfg = load(workspace(tmp_path, frames=30, extra=A7_EXTRA))
+        result = run_pipeline(cfg, timings=True)
+        assert result.outputs_written >= 25
+        assert output_sha256(tmp_path / "out", result.metrics_text) == A7_OUTPUT_SHA256
+
+    def test_failed_metrics_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        from test_store import fail_writes_midway
+
+        cfg = load(workspace(tmp_path, frames=3))
+        first = run_pipeline(cfg).metrics_text
+        cfg = load(workspace(tmp_path, frames=4))
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(OSError):
+            run_pipeline(cfg)
+        assert (tmp_path / "metrics.csv").read_text() == first
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "data", "metrics.csv", "out", "pipeline.cfg",
+        ]
 
     def test_enrollment_identifies_later_frames(self, tmp_path):
         extra = "[store]\nenroll_user = subject\nenroll_frame = 4\n"

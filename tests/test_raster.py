@@ -194,6 +194,28 @@ class TestMatteAndTrimap:
         with pytest.raises(ValueError):
             AlphaMatte(width=1, height=1, alpha=(float("nan"),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError):
+            AlphaMatte(width=2, height=1, alpha=(0.5, bad))
+        with pytest.raises(ValueError):
+            AlphaMatte.from_array(np.array([[0.5, bad]]))
+
+    def test_to_array_is_a_read_only_view(self):
+        m = AlphaMatte.from_array(np.array([[0.0, 0.25], [0.5, 1.0]]))
+        arr = m.to_array()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        assert np.shares_memory(arr, m.to_array())
+
+    def test_source_array_is_copied(self):
+        src = np.array([[0.0, 0.25], [0.5, 1.0]])
+        m = AlphaMatte.from_array(src)
+        src[0, 0] = 0.75
+        assert m.to_array()[0, 0] == 0.0
+        assert m == AlphaMatte(width=2, height=2, alpha=(0.0, 0.25, 0.5, 1.0))
+
     def test_matte_quantizes_to_frame(self):
         m = AlphaMatte(width=2, height=1, alpha=(0.0, 0.5))
         assert m.to_frame().data == bytes([0, 128])  # 0.5*255 = 127.5 -> 128

@@ -1,5 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
+
+import emr.store
 
 from emr.errors import DegenerateTemplate, InvalidShardCount, ShardUnavailable
 from emr.raster import Frame
@@ -7,7 +11,34 @@ from emr.store import (
     TEMPLATE_DIM,
     KnowledgeStore,
     extract_template,
+    write_atomic,
 )
+
+
+class HalfWriter:
+    """A file whose write stores half of the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def fail_writes_midway(monkeypatch):
+    def half_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(emr.store, "open", half_open, raising=False)
 
 
 def region(seed=0, side=20, channels=3):
@@ -196,6 +227,26 @@ class TestPersistence:
         for i in range(9):
             store.enroll(f"u{i}", random_template(rng))
         return store, rng
+
+    def test_failed_save_keeps_previous_shards(self, tmp_path, monkeypatch):
+        store, rng = self.make_store()
+        store.save(tmp_path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        for i in range(9):
+            store.enroll(f"u{i}", random_template(rng))
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(OSError):
+            store.save(tmp_path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        loaded = KnowledgeStore.load(tmp_path, store.shard_count)
+        assert sorted(loaded.users()) == sorted(store.users())
+
+    def test_write_atomic_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "f.txt"
+        target.write_text("old contents\n")
+        write_atomic(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["f.txt"]
 
     def test_misplaced_record_rejected(self, tmp_path):
         store, _ = self.make_store()

@@ -223,6 +223,17 @@ class TestEnvelopes:
         with pytest.raises(UnauthorizedAgent):
             decrypt_verify(b, forged, reg)
 
+    def test_envelope_relabelled_as_another_trusted_agent_rejected(self):
+        # the receiver's own fingerprint is in the registry but is not the
+        # sender of this session; the genuine envelope must still decrypt
+        a, b, reg = session_pair()
+        env = encrypt_envelope(a, b"genuine")
+        relabelled = Envelope(b.local_fingerprint, env.seq, env.ciphertext, env.digest)
+        with pytest.raises(UnauthorizedAgent):
+            decrypt_verify(b, relabelled, reg)
+        assert b.recv_seq == 0
+        assert decrypt_verify(b, env, reg) == b"genuine"
+
     def test_alarmed_envelopes_never_advance_state(self):
         a, b, reg = session_pair()
         env = encrypt_envelope(a, b"first")

@@ -1,17 +1,14 @@
 """Deterministic network model: lossy delaying links and adversarial nodes.
 
-Each link owns a seeded PRNG, so identical seeds and event order reproduce
-identical delivery traces.  The event queue orders strictly by (time,
-insertion order), which removes nondeterminism from simultaneous events.
-Adversaries exercise the tunnel's anomaly detection: bit tampering, lag-one
-replay, and fingerprint impersonation.
+Each link owns a seeded PRNG, so identical seeds and call order reproduce
+identical delivery traces.  Adversaries exercise the tunnel's anomaly
+detection: bit tampering, lag-one replay, and fingerprint impersonation.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -108,22 +105,3 @@ def interpose(adversary: Adversary, envelope: Envelope) -> Envelope:
         )
     raise ValueError(f"unknown adversary mode {adversary.mode!r}")
 
-
-class EventQueue:
-    """Single-threaded event list ordered by (time, insertion order)."""
-
-    def __init__(self):
-        self._heap = []
-        self._counter = 0
-
-    def push(self, time: float, item) -> None:
-        heapq.heappush(self._heap, (time, self._counter, item))
-        self._counter += 1
-
-    def pop(self):
-        """Next (time, item) in deterministic order."""
-        time, _, item = heapq.heappop(self._heap)
-        return time, item
-
-    def __len__(self) -> int:
-        return len(self._heap)

@@ -140,6 +140,28 @@ def _binary_matte(mask: Frame) -> AlphaMatte:
     return AlphaMatte.from_array(arr)
 
 
+def _select_level(config: PipelineConfig, width: int, height: int, channels: int):
+    """(level, degraded, score) the policy gives a source of this geometry.
+
+    The channel, policy and levels are fixed for a run, so the answer depends
+    on the geometry alone.
+    """
+    usable = [
+        lvl.resolved(width, height, channels)
+        for lvl in config.levels
+        if width % lvl.scale_factor == 0 and height % lvl.scale_factor == 0
+    ]
+    level, degraded = select_encoding(
+        usable, config.channel, config.fps, config.mos_model,
+        config.policy, config.w, config.constraints,
+    )
+    s = level_score(
+        level, config.channel, config.fps, config.mos_model,
+        Bounds(l_min=config.constraints.l_min, l_max=config.constraints.l_max),
+    )
+    return level, degraded, s
+
+
 def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                  timings: bool = False) -> PipelineResult:
     """Run the staged pipeline over every frame in the configured directory."""
@@ -194,6 +216,8 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     outputs = 0
     enrolled = False
     now = 0.0
+    selected_for = None   # source geometry the current level selection was made for
+    selection = None
 
     for frame_index, path in frames:
         start = time.perf_counter()
@@ -208,21 +232,12 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             continue
 
         try:
-            # 1. QoE/QoS selection and re-encoding
-            usable = [
-                lvl.resolved(source.width, source.height, source.channels)
-                for lvl in config.levels
-                if source.width % lvl.scale_factor == 0
-                and source.height % lvl.scale_factor == 0
-            ]
-            level, degraded = select_encoding(
-                usable, config.channel, config.fps, config.mos_model,
-                config.policy, config.w, config.constraints,
-            )
-            s = level_score(
-                level, config.channel, config.fps, config.mos_model,
-                Bounds(l_min=config.constraints.l_min, l_max=config.constraints.l_max),
-            )
+            # 1. QoE/QoS selection (once per source geometry) and re-encoding
+            geometry = (source.width, source.height, source.channels)
+            if geometry != selected_for:
+                selection = _select_level(config, *geometry)
+                selected_for = geometry
+            level, degraded, s = selection
             rec.level, rec.mos, rec.latency, rec.degraded = level.id, s.mos, s.latency, degraded
             encoded = reencode(source, level)
             trace.append("encode")

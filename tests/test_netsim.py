@@ -9,7 +9,6 @@ from emr.errors import (
 from emr.netsim import (
     Adversary,
     AdversaryMode,
-    EventQueue,
     Link,
     interpose,
     transmit,
@@ -103,13 +102,3 @@ class TestAdversary:
         with pytest.raises(UnauthorizedAgent):
             decrypt_verify(b, env, reg)
 
-
-class TestEventQueue:
-    def test_orders_by_time_then_insertion(self):
-        q = EventQueue()
-        q.push(2.0, "late")
-        q.push(1.0, "first-at-one")
-        q.push(1.0, "second-at-one")
-        q.push(0.5, "earliest")
-        order = [q.pop()[1] for _ in range(len(q))]
-        assert order == ["earliest", "first-at-one", "second-at-one", "late"]

@@ -181,6 +181,33 @@ class TestRunPipeline:
         for line in result.metrics_text.splitlines():
             assert line.count(",") == len(METRICS_COLUMNS) - 1
 
+    def test_level_selected_once_per_geometry(self, tmp_path, monkeypatch):
+        import emr.pipeline
+        from emr.raster import Frame, load_pnm, save_pnm
+
+        cfg_path = workspace(tmp_path, frames=6, extra="[encoding]\nlevels = med:2:8\n")
+        data = tmp_path / "data"
+        # frames 2 and 3 are 63x63, which no level with scale 2 divides;
+        # frame 5 is 32x32, a second usable geometry
+        for index, side in ((2, 63), (3, 63), (5, 32)):
+            path = data / f"frame_{index:06d}.ppm"
+            save_pnm(Frame.from_array(load_pnm(path).to_array()[:side, :side]), path)
+        sizes = []
+        select = emr.pipeline.select_encoding
+
+        def counted(levels, *args):
+            levels = list(levels)
+            sizes.append(tuple(lvl.bits_per_frame for lvl in levels))
+            return select(levels, *args)
+
+        monkeypatch.setattr(emr.pipeline, "select_encoding", counted)
+        result = run_pipeline(load(cfg_path))
+        # a failing geometry is tried again on each of its frames; a frame
+        # after it with the earlier geometry reuses the earlier selection
+        assert sizes == [(32 * 32 * 3 * 5,), (), (), (16 * 16 * 3 * 5,)]
+        assert [r.level for r in result.records] == ["med", "med", "-", "-", "med", "med"]
+        assert result.outputs_written == 4
+
     def test_metrics_agree_with_selection_oracle(self, tmp_path):
         from emr.qoeqos import Bounds, score, select_encoding
 

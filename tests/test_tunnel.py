@@ -1,7 +1,10 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emr.errors import (
     GroupTooSmall,
@@ -12,6 +15,8 @@ from emr.errors import (
     UnauthorizedAgent,
 )
 from emr.tunnel import (
+    _DEGENERATE_TOL,
+    _logistic_orbit,
     DEFAULT_GROUP,
     AgentRole,
     DhGroup,
@@ -30,6 +35,26 @@ from emr.tunnel import (
 )
 
 TOY = DhGroup(p=23, g=5)
+
+
+def reference_orbit(x, r, steps):
+    """The one-step loop with a test per state, as the orbit was first written."""
+    lo = _DEGENERATE_TOL
+    hi = 1.0 - _DEGENERATE_TOL
+    states = [x]
+    for _ in range(steps):
+        x = r * x * (1.0 - x)
+        if x <= lo or x >= hi:
+            raise ReseedRequired(f"chaos state collapsed to {x!r}")
+        states.append(x)
+    return np.array(states)
+
+
+def orbit_or_message(fn, x, r, steps):
+    try:
+        return fn(x, r, steps).tobytes()
+    except ReseedRequired as exc:
+        return str(exc)
 
 
 def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP, burn_in=50):
@@ -115,6 +140,11 @@ class TestHandshake:
             a, b, _ = session_pair(seed * 2 + 1, seed * 2 + 2, burn_in=0)
             assert 0.0 < a.chaos_x < 1.0
 
+    def test_chaos_state_is_a_python_float(self):
+        for burn_in in (0, 13):
+            a, _, _ = session_pair(burn_in=burn_in)
+            assert type(a.chaos_x) is float
+
 
 class TestKeystream:
     def test_single_step_from_half(self):
@@ -134,6 +164,47 @@ class TestKeystream:
         # 4*0.5*0.5 = 1.0 on the first warm-up step, before any byte is drawn
         with pytest.raises(ReseedRequired):
             logistic_keystream(0.5, 4.0, 0, burn_in=10)
+
+    def test_collapse_names_first_failing_state(self):
+        # 4*0.5*0.5 = 1.0, then 0.0 forever: the message names the 1.0
+        with pytest.raises(ReseedRequired) as info:
+            _logistic_orbit(0.5, 4.0, 5)
+        assert str(info.value) == "chaos state collapsed to 1.0"
+
+    @pytest.mark.parametrize("r, steps, first", [
+        (0.01, 20, 6),   # inside the first eight-step pass; every later state fails too
+        (0.2, 20, 17),   # in the remainder after two passes; states 18-20 fail too
+        (4.0, 13, 1),    # the first state of a pass
+        (4e-12, 1, 1),   # a state exactly at the tolerance: 4e-12 * 0.5 * 0.5 == 1e-12
+    ])
+    def test_collapse_reported_like_per_step_loop(self, r, steps, first):
+        with pytest.raises(ReseedRequired) as expected:
+            reference_orbit(0.5, r, steps)
+        with pytest.raises(ReseedRequired) as got:
+            _logistic_orbit(0.5, r, steps)
+        assert str(got.value) == str(expected.value)
+        # the state named is the first one that fails
+        reference_orbit(0.5, r, first - 1)
+        with pytest.raises(ReseedRequired) as at_first:
+            reference_orbit(0.5, r, first)
+        assert str(at_first.value) == str(got.value)
+
+    @given(
+        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        r=st.floats(0.0, 4.0, exclude_min=True),
+        steps=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_orbit_matches_per_step_loop(self, x, r, steps):
+        assert orbit_or_message(_logistic_orbit, x, r, steps) == orbit_or_message(
+            reference_orbit, x, r, steps
+        )
+
+    def test_long_orbit_matches_per_step_loop(self):
+        # one envelope's worth: 12,301 payload bytes after a 1000-step burn-in
+        got = _logistic_orbit(0.4321, 3.99, 13301)
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_orbit(0.4321, 3.99, 13301).tobytes()
 
     def test_pinned_keystream_bytes(self):
         stream = logistic_keystream(0.4321, 3.99, 4096, burn_in=1000)

@@ -19,7 +19,9 @@ from pathlib import Path
 from . import synthetic
 from .config import parse_config
 from .errors import ConfigError, EmrError
+from .netsim import AdversaryMode
 from .pipeline import run_pipeline
+from .qoeqos import Policy
 
 log = logging.getLogger("emr")
 
@@ -36,9 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the pipeline over a frame directory")
     run.add_argument("--config", required=True, help="path to the pipeline config file")
     run.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    run.add_argument("--policy", choices=["qoe", "qos", "balance"], default=None,
+    run.add_argument("--policy", choices=[p.value for p in Policy], default=None,
                      help="override [encoding] policy")
-    run.add_argument("--adversary", choices=["tamper", "replay", "impersonate", "none"],
+    run.add_argument("--adversary", choices=[m.value for m in AdversaryMode] + ["none"],
                      default="none", help="interpose an adversarial node")
     run.add_argument("--out", default=None, help="override [io] out_dir")
     run.add_argument("--metrics", default=None, help="override [io] metrics path")
@@ -73,10 +75,7 @@ def _load_config(path_text: str, args=None):
         if args.seed is not None:
             config.seed = args.seed
         if args.policy is not None:
-            from .qoeqos import Policy
-
-            config.policy = {"qoe": Policy.OPT_QOE, "qos": Policy.OPT_QOS,
-                             "balance": Policy.BALANCE}[args.policy]
+            config.policy = Policy(args.policy)
         if args.out is not None:
             config.out_dir = Path(args.out)
         if args.metrics is not None:

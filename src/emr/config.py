@@ -3,9 +3,11 @@
 Grammar: blank lines and ``#`` comments are ignored (a ``#`` also starts an
 inline comment), section names sit in square brackets, and entries are
 ``key = value``.  A duplicated key keeps its last occurrence and records a
-warning.  Unknown sections or keys are errors, as are values violating any
-module precondition; every check runs up front so a run never aborts
-mid-stream over a bad parameter.
+warning.  Unknown sections or keys are errors, as are non-finite numbers
+and values violating any module precondition; every check runs up front so
+a run never aborts mid-stream over a bad parameter.  Each precondition lives
+in one place: a value type built here checks its own fields (its error
+becomes ``InvalidValue`` naming the section), and ``_check`` covers the rest.
 
 Sections and keys (defaults in parentheses):
 
@@ -30,10 +32,12 @@ Sections and keys (defaults in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidValue, MissingKey, UnknownKey
+from .errors import EmrError, InvalidValue, MissingKey, UnknownKey
+from .fusion import ViewSource
 from .layering import GmmParams
 from .matting import DEFAULT_EPS, DEFAULT_MAX_ITERS, DEFAULT_WINDOW
 from .qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy
@@ -102,9 +106,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_levels(text: str):
@@ -145,16 +152,12 @@ def _parse_views(text: str):
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ValueError(f"{chunk!r} is not id:angle")
-        angle = _parse_float(parts[1])
-        if not 0.0 <= angle < 360.0:
-            raise ValueError(f"view angle {angle} outside [0, 360)")
-        views.append((parts[0], angle))
+        view = ViewSource(id=parts[0], angle_deg=_parse_float(parts[1]))
+        views.append((view.id, view.angle_deg))
     if not views:
         raise ValueError("at least one view is required")
     return tuple(views)
 
-
-_POLICIES = {"qoe": Policy.OPT_QOE, "qos": Policy.OPT_QOS, "balance": Policy.BALANCE}
 
 # (section, key) -> (default text or None=required or ""=optional-unset, parser)
 _SCHEMA = {
@@ -166,7 +169,7 @@ _SCHEMA = {
     ("encoding", "fps"): ("30", _parse_float),
     ("encoding", "b0"): ("1e6", _parse_float),
     ("encoding", "bmax"): ("8e6", _parse_float),
-    ("encoding", "policy"): ("balance", str),
+    ("encoding", "policy"): ("balance", Policy),
     ("encoding", "w"): ("0.5", _parse_float),
     ("encoding", "mos_min"): ("2.0", _parse_float),
     ("encoding", "l_max"): ("0.5", _parse_float),
@@ -240,6 +243,14 @@ def _check(condition: bool, key: str, reason: str) -> None:
         raise InvalidValue(key, reason)
 
 
+def _build(section: str, cls, **fields):
+    """``cls(**fields)``, with the type's precondition errors as InvalidValue."""
+    try:
+        return cls(**fields)
+    except (ValueError, EmrError) as exc:
+        raise InvalidValue(section, str(exc))
+
+
 def parse_config(text: str, base_dir=".", require_paths: bool = True) -> PipelineConfig:
     """Parse and fully validate a pipeline configuration."""
     base = Path(base_dir)
@@ -261,37 +272,10 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
     def val(section, key):
         return values[(section, key)]
 
-    policy_name = val("encoding", "policy")
-    _check(policy_name in _POLICIES, "encoding.policy", f"must be one of {sorted(_POLICIES)}")
     _check(val("encoding", "fps") > 0, "encoding.fps", "must be > 0")
-    _check(val("encoding", "b0") > 0, "encoding.b0", "must be > 0")
-    _check(val("encoding", "bmax") > val("encoding", "b0"), "encoding.bmax", "must exceed b0")
     _check(0.0 <= val("encoding", "w") <= 1.0, "encoding.w", "must lie in [0, 1]")
-    _check(val("encoding", "l_min") >= 0, "encoding.l_min", "must be >= 0")
-    _check(
-        val("encoding", "l_max") > val("encoding", "l_min"),
-        "encoding.l_max",
-        "must exceed l_min",
-    )
-    _check(val("channel", "capacity") > 0, "channel.capacity", "must be > 0")
-    _check(val("channel", "base_delay") >= 0, "channel.base_delay", "must be >= 0")
-    _check(
-        0.0 <= val("channel", "loss_prob") <= 1.0, "channel.loss_prob", "must lie in [0, 1]"
-    )
-    _check(val("tunnel", "p") >= 5, "tunnel.p", "modulus too small")
-    _check(1 < val("tunnel", "g") < val("tunnel", "p"), "tunnel.g", "must satisfy 1 < g < p")
     _check(0.0 < val("tunnel", "r") <= 4.0, "tunnel.r", "must lie in (0, 4]")
     _check(val("tunnel", "burn_in") >= 0, "tunnel.burn_in", "must be >= 0")
-    _check(val("gmm", "k") >= 1, "gmm.k", "must be >= 1")
-    _check(val("gmm", "lambda") > 0, "gmm.lambda", "must be > 0")
-    _check(0.0 <= val("gmm", "alpha_lr") <= 1.0, "gmm.alpha_lr", "must lie in [0, 1]")
-    _check(0.0 < val("gmm", "t") <= 1.0, "gmm.t", "must lie in (0, 1]")
-    _check(val("gmm", "var_min") > 0, "gmm.var_min", "must be > 0")
-    _check(
-        val("gmm", "var_init") >= val("gmm", "var_min"),
-        "gmm.var_init",
-        "must be >= var_min",
-    )
     _check(val("matting", "r_fg") >= 0, "matting.r_fg", "must be >= 0")
     _check(
         val("matting", "r_bg") >= val("matting", "r_fg"), "matting.r_bg", "must be >= r_fg"
@@ -332,23 +316,28 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
         metrics_path=base / val("io", "metrics"),
         levels=val("encoding", "levels"),
         fps=val("encoding", "fps"),
-        mos_model=MosModel(b0=val("encoding", "b0"), bmax=val("encoding", "bmax")),
-        policy=_POLICIES[policy_name],
+        mos_model=_build(
+            "encoding", MosModel, b0=val("encoding", "b0"), bmax=val("encoding", "bmax")
+        ),
+        policy=val("encoding", "policy"),
         w=val("encoding", "w"),
-        constraints=Constraints(
+        constraints=_build(
+            "encoding", Constraints,
             mos_min=val("encoding", "mos_min"),
             l_max=val("encoding", "l_max"),
             l_min=val("encoding", "l_min"),
         ),
-        channel=ChannelModel(
+        channel=_build(
+            "channel", ChannelModel,
             capacity=val("channel", "capacity"),
             base_delay=val("channel", "base_delay"),
             loss_prob=val("channel", "loss_prob"),
         ),
-        group=DhGroup(p=val("tunnel", "p"), g=val("tunnel", "g")),
+        group=_build("tunnel", DhGroup, p=val("tunnel", "p"), g=val("tunnel", "g")),
         chaos_r=val("tunnel", "r"),
         burn_in=val("tunnel", "burn_in"),
-        gmm=GmmParams(
+        gmm=_build(
+            "gmm", GmmParams,
             k=val("gmm", "k"),
             lam=val("gmm", "lambda"),
             alpha_lr=val("gmm", "alpha_lr"),

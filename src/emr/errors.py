@@ -1,9 +1,9 @@
 """Exception types shared across the emr package.
 
-Every operational failure raises a subclass of :class:`EmrError`.  Invariant
-violations at type construction time (bad dataclass fields) raise plain
-``ValueError`` instead, since those indicate programmer error rather than a
-runtime condition the pipeline should handle.
+Every operational failure raises a subclass of :class:`EmrError`.  A value
+type checks its own fields at construction, and functions taking it do not
+check them again; a violation raises the module's class below (e.g.
+``GmmParams`` -> :class:`InvalidParams`) or plain ``ValueError``.
 """
 
 

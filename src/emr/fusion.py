@@ -9,7 +9,7 @@ Resampling is nearest-neighbor so results are integer-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,10 @@ class RvoLayer:
 
 @dataclass(frozen=True)
 class ViewSource:
-    """One camera view: an identifier, its bearing, and its frame sequence."""
+    """One camera view: an identifier and its bearing."""
 
     id: str
     angle_deg: float
-    frames: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not 0.0 <= self.angle_deg < 360.0:

@@ -42,34 +42,16 @@ class GmmParams:
     var_min: float = 4.0
 
     def __post_init__(self):
-        if self.k < 1:
+        if not self.k >= 1:
             raise InvalidParams("k must be >= 1")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise InvalidParams("lam must be > 0")
         if not 0.0 <= self.alpha_lr <= 1.0:
             raise InvalidParams("alpha_lr must lie in [0, 1]")
         if not 0.0 < self.t_bg <= 1.0:
             raise InvalidParams("t_bg must lie in (0, 1]")
-        if self.var_min <= 0 or self.var_init < self.var_min:
+        if not self.var_init >= self.var_min > 0:
             raise InvalidParams("need var_init >= var_min > 0")
-
-
-@dataclass(frozen=True)
-class GmmComponent:
-    weight: float
-    mean: tuple
-    variance: float
-
-
-@dataclass(frozen=True)
-class PixelGmm:
-    """Inspection view of one pixel's mixture."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("a pixel mixture holds at least one component")
 
 
 class LayerModel:
@@ -96,33 +78,10 @@ class LayerModel:
     def shape(self):
         return (self.height, self.width, self.channels)
 
-    def pixel(self, x: int, y: int) -> PixelGmm:
-        """The mixture at column x, row y."""
-        p = y * self.width + x
-        comps = tuple(
-            GmmComponent(
-                weight=float(self._w[j, p]),
-                mean=tuple(float(v) for v in self._mu[j, :, p]),
-                variance=float(self._var[j, p]),
-            )
-            for j in range(int(self._n[p]))
-        )
-        return PixelGmm(components=comps)
-
     def copy(self) -> "LayerModel":
         return LayerModel(
             self.width, self.height, self.channels, self.params,
             self._w.copy(), self._mu.copy(), self._var.copy(), self._n.copy(),
-        )
-
-    def equals(self, other: "LayerModel") -> bool:
-        return (
-            self.shape == other.shape
-            and self.params == other.params
-            and np.array_equal(self._n, other._n)
-            and np.array_equal(self._w, other._w)
-            and np.array_equal(self._mu, other._mu)
-            and np.array_equal(self._var, other._var)
         )
 
 

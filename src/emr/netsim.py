@@ -26,9 +26,9 @@ class Link:
     """Point-to-point link with capacity, fixed delay, and Bernoulli loss."""
 
     def __init__(self, src, dst, capacity, base_delay=0.0, loss_prob=0.0, seed=0):
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError("capacity must be > 0")
-        if base_delay < 0:
+        if not base_delay >= 0:
             raise ValueError("base_delay must be >= 0")
         if not 0.0 <= loss_prob <= 1.0:
             raise ValueError("loss_prob must lie in [0, 1]")

@@ -32,13 +32,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import EmrError, TamperAlarm, ReplayAlarm, UnauthorizedAgent
+from .errors import (
+    DegenerateTemplate,
+    EmrError,
+    InsufficientLabels,
+    ReplayAlarm,
+    TamperAlarm,
+    UnauthorizedAgent,
+)
 from .fusion import RvoLayer, ViewSource, compose, select_view
 from .layering import layer_init, layer_update_classify, mask_postprocess
 from .matting import alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
-from .qoeqos import Bounds, reencode, score as level_score, select_encoding
-from .raster import FG, BG, UNKNOWN, AlphaMatte, Frame, decode_pnm, encode_pnm, load_pnm, save_pnm
+from .qoeqos import reencode, score as level_score, select_encoding
+from .raster import AlphaMatte, Frame, decode_pnm, encode_pnm, load_pnm, save_pnm
 from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template, write_atomic
 from .tunnel import (
     AgentRole,
@@ -109,8 +116,8 @@ def _list_frames(frames_dir: Path):
     return sorted(found)
 
 
-def _subject_region(received: Frame, mask: Frame):
-    """Mask bounding box expanded to the template size, or None if empty."""
+def _subject_template(received: Frame, mask: Frame):
+    """Template of the mask's box grown to template size; None if empty or flat."""
     arr = mask.to_array()[:, :, 0]
     ys, xs = np.nonzero(arr)
     if ys.size == 0:
@@ -122,7 +129,10 @@ def _subject_region(received: Frame, mask: Frame):
     if y1 - y0 < TEMPLATE_SIDE or x1 - x0 < TEMPLATE_SIDE:
         return None  # frame itself smaller than a template
     region = received.to_array()[y0:y1, x0:x1]
-    return Frame.from_array(region, index=received.index)
+    try:
+        return extract_template(Frame.from_array(region, index=received.index))
+    except DegenerateTemplate:
+        return None
 
 
 def _expand_span(lo: int, hi: int, minimum: int, limit: int):
@@ -156,8 +166,7 @@ def _select_level(config: PipelineConfig, width: int, height: int, channels: int
         config.policy, config.w, config.constraints,
     )
     s = level_score(
-        level, config.channel, config.fps, config.mos_model,
-        Bounds(l_min=config.constraints.l_min, l_max=config.constraints.l_max),
+        level, config.channel, config.fps, config.mos_model, config.constraints.bounds
     )
     return level, degraded, s
 
@@ -290,39 +299,32 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
             # 6. matting
             trimap = trimap_from_mask(mask, config.matting.r_fg, config.matting.r_bg)
-            labels = trimap.to_array()
-            has_unknown = bool((labels == UNKNOWN).any())
-            has_fg = bool((labels == FG).any())
-            has_bg = bool((labels == BG).any())
-            if has_unknown and (not has_fg or not has_bg):
-                # band without anchors: fall back to the binary mask as matte
-                matte = _binary_matte(mask)
-            else:
+            try:
                 matte = alpha_solve(
                     received, trimap,
                     max_iters=config.matting.max_iters,
                     eps=config.matting.eps,
                     window=config.matting.window,
                 ).matte
+            except InsufficientLabels:
+                # band without anchors: fall back to the binary mask as matte
+                matte = _binary_matte(mask)
             fuzzy = fuzzy_update(fuzzy, matte)
             trace.append("matte")
 
             # 7. identification
             identity = None
-            region = _subject_region(received, mask)
-            if region is not None:
-                gray = region.to_array()
-                if gray.min() != gray.max():  # constant regions carry no template
-                    template = extract_template(region)
-                    if (
-                        config.store.enroll_user
-                        and not enrolled
-                        and frame_index >= config.store.enroll_frame
-                    ):
-                        store.enroll(config.store.enroll_user, template)
-                        enrolled = True
-                        log.info("frame %06d: enrolled %s", frame_index, config.store.enroll_user)
-                    identity = store.identify(template, config.store.theta)
+            template = _subject_template(received, mask)
+            if template is not None:
+                if (
+                    config.store.enroll_user
+                    and not enrolled
+                    and frame_index >= config.store.enroll_frame
+                ):
+                    store.enroll(config.store.enroll_user, template)
+                    enrolled = True
+                    log.info("frame %06d: enrolled %s", frame_index, config.store.enroll_user)
+                identity = store.identify(template, config.store.theta)
             rec.identity = identity if identity is not None else _UNKNOWN_IDENTITY
             trace.append("identify")
 

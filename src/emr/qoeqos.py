@@ -80,7 +80,9 @@ class ChannelModel:
     loss_prob: float = 0.0
 
     def __post_init__(self):
-        if self.base_delay < 0:
+        if not self.capacity > 0:
+            raise InvalidChannel("capacity must be > 0")
+        if not self.base_delay >= 0:
             raise ValueError("base_delay must be >= 0")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must lie in [0, 1]")
@@ -92,6 +94,10 @@ class MosModel:
 
     b0: float = 1e6
     bmax: float = 8e6
+
+    def __post_init__(self):
+        if not self.bmax > self.b0 > 0:
+            raise InvalidModel("need bmax > b0 > 0")
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,10 @@ class Bounds:
     l_min: float = 0.0
     l_max: float = 0.5
 
+    def __post_init__(self):
+        if not self.l_max > self.l_min >= 0:
+            raise InvalidBounds("need l_max > l_min >= 0")
+
 
 class Policy(enum.Enum):
     OPT_QOE = "qoe"
@@ -124,12 +134,17 @@ class Constraints:
     l_max: float = 0.5
     l_min: float = 0.0
 
+    def __post_init__(self):
+        self.bounds  # checks l_max > l_min >= 0
+
+    @property
+    def bounds(self) -> Bounds:
+        return Bounds(l_min=self.l_min, l_max=self.l_max)
+
 
 def mos_of(bits_per_frame: float, fps: float, model: MosModel) -> float:
     """Mean-opinion score of the bitrate bits_per_frame * fps."""
-    if model.b0 <= 0 or model.bmax <= model.b0:
-        raise InvalidModel("need bmax > b0 > 0")
-    if fps <= 0:
+    if not fps > 0:
         raise InvalidModel("fps must be > 0")
     b = bits_per_frame * fps
     raw = 1.0 + 4.0 * math.log(1.0 + b / model.b0) / math.log(1.0 + model.bmax / model.b0)
@@ -138,8 +153,6 @@ def mos_of(bits_per_frame: float, fps: float, model: MosModel) -> float:
 
 def latency_of(level: EncodingLevel, channel: ChannelModel) -> float:
     """One-frame delivery latency: base delay plus serialization time."""
-    if channel.capacity <= 0:
-        raise InvalidChannel("capacity must be > 0")
     if level.bits_per_frame is None:
         raise ValueError("level bits_per_frame unresolved; call resolved() first")
     return channel.base_delay + level.bits_per_frame / channel.capacity
@@ -153,8 +166,6 @@ def score(
     bounds: Bounds,
 ) -> QoeQosScore:
     """Quantified, normalized experience/service score of one level."""
-    if bounds.l_min < 0 or bounds.l_max <= bounds.l_min:
-        raise InvalidBounds("need l_max > l_min >= 0")
     mos = mos_of(level.bits_per_frame, fps, model)
     latency = latency_of(level, channel)
     qoe_norm = (mos - 1.0) / 4.0
@@ -181,7 +192,7 @@ def select_encoding(
         raise NoLevels("candidate level set is empty")
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0, 1]")
-    bounds = Bounds(l_min=constraints.l_min, l_max=constraints.l_max)
+    bounds = constraints.bounds
     scored = [
         (i, lvl, score(lvl, channel, fps, model, bounds)) for i, lvl in enumerate(levels)
     ]

@@ -69,6 +69,8 @@ class DhGroup:
     g: int
 
     def __post_init__(self):
+        if not self.p >= 5:
+            raise GroupTooSmall(f"modulus {self.p} leaves no usable exponent range")
         if not 1 < self.g < self.p:
             raise ValueError("generator must satisfy 1 < g < p")
 
@@ -105,8 +107,6 @@ def _hash(data: bytes) -> bytes:
 
 def keypair_gen(seed: int, group: DhGroup = DEFAULT_GROUP):
     """Deterministic keypair from a seed: x in [2, p-2], y = g^x mod p."""
-    if group.p < 5:
-        raise GroupTooSmall(f"modulus {group.p} leaves no usable exponent range")
     rng = random.Random(seed)
     private = rng.randrange(2, group.p - 1)
     public = pow(group.g, private, group.p)
@@ -230,11 +230,10 @@ def handshake(
     """Authenticate the peer against the registry and derive session state.
 
     Both directions of a session derive the same shared secret and the same
-    base chaos state.  An unknown peer fingerprint raises UnauthorizedAgent;
-    that alarm is the anomalous-node signal.
+    base chaos state.  A peer key outside [1, p-1] raises InvalidKey (from
+    :func:`fingerprint`).  An unknown peer fingerprint raises
+    UnauthorizedAgent; that alarm is the anomalous-node signal.
     """
-    if not 1 <= peer_public <= group.p - 1:
-        raise InvalidKey(f"peer public key {peer_public} outside [1, p-1]")
     peer_fp = fingerprint(peer_public, group)
     if peer_fp not in registry:
         raise UnauthorizedAgent(f"peer fingerprint {peer_fp.hex()[:16]}... not trusted")

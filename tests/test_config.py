@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emr.config import MINIMAL_TEMPLATE, parse_config
-from emr.errors import InvalidValue, MissingKey, UnknownKey
+from emr.config import _SCHEMA, MINIMAL_TEMPLATE, PipelineConfig, parse_config
+from emr.errors import ConfigError, InvalidValue, MissingKey, UnknownKey
 from emr.qoeqos import Policy
 
 
@@ -77,6 +79,13 @@ class TestValidation:
             "[tunnel]\ng = 1\n",
             "[fusion]\nview_angle = 400\n",
             "[run]\nseed = ten\n",
+            "[fusion]\nscale = inf\n",
+            "[encoding]\nmos_min = nan\n",
+            "[encoding]\nfps = inf\n",
+            "[tunnel]\np = 3\ng = 2\n",
+            "[channel]\ncapacity = 0\n",
+            "[gmm]\nlambda = 0\n",
+            "[encoding]\nl_min = 0.6\n",  # not below the default l_max
         ],
     )
     def test_bad_values_rejected(self, workspace, snippet):
@@ -105,3 +114,31 @@ class TestValidation:
         )
         assert cfg.fusion.views == (("cam0", 12.5), ("cam1", 270.0))
         assert cfg.fusion.view_angle == 300.0
+
+
+# small numbers land on both sides of most bounds
+VALUES = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.floats(-2.0, 8.0).map(repr),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=20),
+    st.sampled_from(["1e400", "qoe", "a:1:1", "a:2:8:0", "v:359.9", "v:400"]),
+)
+KEYS = st.one_of(
+    st.sampled_from(sorted(_SCHEMA)), st.tuples(st.text(max_size=8), st.text(max_size=8))
+)
+ENTRIES = st.lists(st.tuples(KEYS, VALUES), max_size=6)
+
+
+class TestRobustness:
+    @given(st.booleans(), ENTRIES, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_only_config_errors_escape(self, minimal, entries, require_paths):
+        text = MINIMAL_TEMPLATE if minimal else ""
+        text += "".join(f"[{section}]\n{key} = {value}\n" for (section, key), value in entries)
+        try:
+            cfg = parse_config(text, base_dir=".", require_paths=require_paths)
+        except ConfigError:
+            return
+        assert isinstance(cfg, PipelineConfig)

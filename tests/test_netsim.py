@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from emr.errors import (
@@ -56,6 +58,13 @@ class TestTransmit:
             Link("a", "b", capacity=0.0)
         with pytest.raises(ValueError):
             Link("a", "b", capacity=1.0, loss_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(capacity=math.nan), dict(capacity=1.0, base_delay=math.nan)]
+    )
+    def test_nan_link_parameters_rejected(self, kw):
+        with pytest.raises(ValueError):
+            Link("a", "b", **kw)
 
 
 class TestAdversary:

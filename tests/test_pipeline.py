@@ -208,6 +208,28 @@ class TestRunPipeline:
         assert [r.level for r in result.records] == ["med", "med", "-", "-", "med", "med"]
         assert result.outputs_written == 4
 
+    def test_flat_luma_subject_is_unknown_not_skipped(self, tmp_path):
+        import numpy as np
+        from emr.raster import Frame, save_pnm
+
+        # the square's luma rounds to the gray scene's 100, so its template
+        # region is flat although its RGB is not; the lossless level keeps
+        # the pixels as drawn
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(8):
+            img = np.full((64, 64, 3), 100, dtype=np.uint8)
+            img[28:36, 10 + 4 * i:18 + 4 * i] = (160, 70, 100)
+            save_pnm(Frame.from_array(img, index=i), data / f"frame_{i:06d}.ppm")
+        save_pnm(Frame.from_array(np.full((64, 64, 3), 30, dtype=np.uint8)),
+                 data / "scene.ppm")
+        cfg_path = tmp_path / "pipeline.cfg"
+        cfg_path.write_text(BASE_CFG + "[encoding]\nlevels = high:1:1\n")
+        result = run_pipeline(load(cfg_path))
+        assert all(r.fg_pixels >= 64 for r in result.records[1:])
+        assert [r.identity for r in result.records] == ["UNKNOWN"] * 8
+        assert result.outputs_written == 8
+
     def test_metrics_agree_with_selection_oracle(self, tmp_path):
         from emr.qoeqos import Bounds, score, select_encoding
 

@@ -100,7 +100,15 @@ class TestMos:
             lo, hi = min(a, b), max(a, b)
             assert mos_of(lo, 1.0, MODEL) <= mos_of(hi, 1.0, MODEL) + 1e-12
 
-    @pytest.mark.parametrize("kw", [dict(b0=0.0, bmax=1e6), dict(b0=1e6, bmax=1e6)])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(b0=0.0, bmax=1e6),
+            dict(b0=1e6, bmax=1e6),
+            dict(b0=math.nan, bmax=8e6),
+            dict(b0=1e6, bmax=math.nan),
+        ],
+    )
     def test_invalid_model_rejected(self, kw):
         with pytest.raises(InvalidModel):
             mos_of(1e6, 1.0, MosModel(**kw))
@@ -122,6 +130,18 @@ class TestLatency:
         lvl = EncodingLevel(id="x", bits_per_frame=1)
         with pytest.raises(InvalidChannel):
             latency_of(lvl, ChannelModel(capacity=0.0))
+
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(capacity=math.nan), InvalidChannel),
+            (dict(capacity=1e7, base_delay=math.nan), ValueError),
+            (dict(capacity=1e7, loss_prob=math.nan), ValueError),
+        ],
+    )
+    def test_nan_channel_rejected(self, kw, error):
+        with pytest.raises(error):
+            ChannelModel(**kw)
 
     def test_monotone_in_bits(self):
         ch = self.channel()
@@ -153,6 +173,13 @@ class TestScore:
         with pytest.raises(InvalidBounds):
             score(EncodingLevel(id="a", bits_per_frame=1), ch, 1.0, MODEL,
                   Bounds(l_min=0.5, l_max=0.5))
+
+    @pytest.mark.parametrize("kw", [dict(l_min=math.nan), dict(l_max=math.nan)])
+    def test_nan_bounds_rejected(self, kw):
+        with pytest.raises(InvalidBounds):
+            Bounds(**kw)
+        with pytest.raises(InvalidBounds):
+            Constraints(**kw)
 
 
 class TestLevelBits:

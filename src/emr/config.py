@@ -6,8 +6,10 @@ inline comment), section names sit in square brackets, and entries are
 warning.  Unknown sections or keys are errors, as are non-finite numbers
 and values violating any module precondition; every check runs up front so
 a run never aborts mid-stream over a bad parameter.  Each precondition lives
-in one place: a value type built here checks its own fields (its error
-becomes ``InvalidValue`` naming the section), and ``_check`` covers the rest.
+in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
+the type checks its own fields, and its error becomes ``InvalidValue`` naming
+the config key.  ``_check`` covers the six keys no type carries: encoding.fps,
+encoding.w, tunnel.r, tunnel.burn_in, io.frames_dir and io.background.
 
 Sections and keys (defaults in parentheses):
 
@@ -33,44 +35,17 @@ Sections and keys (defaults in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import EmrError, InvalidValue, MissingKey, UnknownKey
-from .fusion import ViewSource
+from .fusion import FusionParams, ViewSource
 from .layering import GmmParams
-from .matting import DEFAULT_EPS, DEFAULT_MAX_ITERS, DEFAULT_WINDOW
+from .matting import DEFAULT_EPS, MattingParams
 from .qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy
+from .store import StoreParams
 from .tunnel import BURN_IN, DEFAULT_GROUP, LOGISTIC_R, DhGroup
-
-
-@dataclass(frozen=True)
-class MattingParams:
-    r_fg: int = 2
-    r_bg: int = 4
-    window: int = DEFAULT_WINDOW
-    max_iters: int = DEFAULT_MAX_ITERS
-    eps: float = DEFAULT_EPS
-    lambda_t: float = 0.1
-
-
-@dataclass(frozen=True)
-class StoreParams:
-    shards: int = 4
-    theta: float = 0.35
-    directory: Path | None = None
-    enroll_user: str | None = None
-    enroll_frame: int = 0
-
-
-@dataclass(frozen=True)
-class FusionParams:
-    scale: float = 1.0
-    tx: int = 0
-    ty: int = 0
-    depth: float = 0.0
-    view_angle: float = 0.0
-    views: tuple = (("front", 0.0), ("profile", 90.0))
 
 
 @dataclass
@@ -152,14 +127,18 @@ def _parse_views(text: str):
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ValueError(f"{chunk!r} is not id:angle")
-        view = ViewSource(id=parts[0], angle_deg=_parse_float(parts[1]))
-        views.append((view.id, view.angle_deg))
+        views.append(ViewSource(id=parts[0], angle_deg=_parse_float(parts[1])))
     if not views:
         raise ValueError("at least one view is required")
     return tuple(views)
 
 
-# (section, key) -> (default text or None=required or ""=optional-unset, parser)
+def _parse_optional(text: str):
+    return text or None
+
+
+# (section, key) -> (default text or None=required, parser[, field]); a row
+# names the field of its typed section when that differs from the key
 _SCHEMA = {
     ("io", "frames_dir"): (None, str),
     ("io", "background"): (None, str),
@@ -182,9 +161,9 @@ _SCHEMA = {
     ("tunnel", "r"): (str(LOGISTIC_R), _parse_float),
     ("tunnel", "burn_in"): (str(BURN_IN), _parse_int),
     ("gmm", "k"): ("3", _parse_int),
-    ("gmm", "lambda"): ("2.5", _parse_float),
+    ("gmm", "lambda"): ("2.5", _parse_float, "lam"),
     ("gmm", "alpha_lr"): ("0.02", _parse_float),
-    ("gmm", "t"): ("0.7", _parse_float),
+    ("gmm", "t"): ("0.7", _parse_float, "t_bg"),
     ("gmm", "var_init"): ("225", _parse_float),
     ("gmm", "var_min"): ("4", _parse_float),
     ("matting", "r_fg"): ("2", _parse_int),
@@ -195,8 +174,8 @@ _SCHEMA = {
     ("matting", "lambda_t"): ("0.1", _parse_float),
     ("store", "shards"): ("4", _parse_int),
     ("store", "theta"): ("0.35", _parse_float),
-    ("store", "dir"): ("", str),
-    ("store", "enroll_user"): ("", str),
+    ("store", "dir"): ("", _parse_optional, "directory"),
+    ("store", "enroll_user"): ("", _parse_optional),
     ("store", "enroll_frame"): ("0", _parse_int),
     ("fusion", "scale"): ("1.0", _parse_float),
     ("fusion", "tx"): ("0", _parse_int),
@@ -243,12 +222,23 @@ def _check(condition: bool, key: str, reason: str) -> None:
         raise InvalidValue(key, reason)
 
 
-def _build(section: str, cls, **fields):
-    """``cls(**fields)``, with the type's precondition errors as InvalidValue."""
+def _build(cls, section: str, values: dict):
+    """``cls`` from the parsed values of the section's rows that name its fields.
+
+    A precondition error of the type becomes ``InvalidValue`` for the config
+    key of the first field its message names, or for the section if none.
+    """
+    names = {f.name for f in fields(cls)}
+    keys = {}
+    for (row_section, key), row in _SCHEMA.items():
+        name = row[2] if len(row) > 2 else key
+        if row_section == section and name in names:
+            keys[name] = key
     try:
-        return cls(**fields)
+        return cls(**{name: values[(section, key)] for name, key in keys.items()})
     except (ValueError, EmrError) as exc:
-        raise InvalidValue(section, str(exc))
+        named = [keys[word] for word in re.findall(r"\w+", str(exc)) if word in keys]
+        raise InvalidValue(f"{section}.{named[0]}" if named else section, str(exc))
 
 
 def parse_config(text: str, base_dir=".", require_paths: bool = True) -> PipelineConfig:
@@ -257,7 +247,7 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
     entries, warnings = _read_entries(text)
 
     values = {}
-    for (section, key), (default, parser) in _SCHEMA.items():
+    for (section, key), (default, parser, *_) in _SCHEMA.items():
         if (section, key) in entries:
             raw = entries[(section, key)]
         elif default is None:
@@ -269,106 +259,39 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
         except ValueError as exc:
             raise InvalidValue(f"{section}.{key}", str(exc))
 
-    def val(section, key):
-        return values[(section, key)]
+    _check(values["encoding", "fps"] > 0, "encoding.fps", "must be > 0")
+    _check(0.0 <= values["encoding", "w"] <= 1.0, "encoding.w", "must lie in [0, 1]")
+    _check(0.0 < values["tunnel", "r"] <= 4.0, "tunnel.r", "must lie in (0, 4]")
+    _check(values["tunnel", "burn_in"] >= 0, "tunnel.burn_in", "must be >= 0")
 
-    _check(val("encoding", "fps") > 0, "encoding.fps", "must be > 0")
-    _check(0.0 <= val("encoding", "w") <= 1.0, "encoding.w", "must lie in [0, 1]")
-    _check(0.0 < val("tunnel", "r") <= 4.0, "tunnel.r", "must lie in (0, 4]")
-    _check(val("tunnel", "burn_in") >= 0, "tunnel.burn_in", "must be >= 0")
-    _check(val("matting", "r_fg") >= 0, "matting.r_fg", "must be >= 0")
-    _check(
-        val("matting", "r_bg") >= val("matting", "r_fg"), "matting.r_bg", "must be >= r_fg"
-    )
-    _check(val("matting", "window") >= 1, "matting.window", "must be >= 1")
-    _check(val("matting", "max_iters") >= 1, "matting.max_iters", "must be >= 1")
-    _check(val("matting", "eps") > 0, "matting.eps", "must be > 0")
-    _check(0.0 <= val("matting", "lambda_t") <= 1.0, "matting.lambda_t", "must lie in [0, 1]")
-    _check(val("store", "shards") >= 1, "store.shards", "must be >= 1")
-    _check(0.0 < val("store", "theta") < 2.0, "store.theta", "must lie in (0, 2)")
-    _check(val("store", "enroll_frame") >= 0, "store.enroll_frame", "must be >= 0")
-    _check(
-        "," not in val("store", "enroll_user") and "\n" not in val("store", "enroll_user"),
-        "store.enroll_user",
-        "must not contain commas or newlines",
-    )
-    _check(val("fusion", "scale") > 0, "fusion.scale", "must be > 0")
-    _check(
-        0.0 <= val("fusion", "view_angle") < 360.0,
-        "fusion.view_angle",
-        "must lie in [0, 360)",
-    )
-
-    frames_dir = base / val("io", "frames_dir")
-    background = base / val("io", "background")
-    store_dir_text = val("store", "dir")
-    store_dir = (base / store_dir_text) if store_dir_text else None
+    frames_dir = base / values["io", "frames_dir"]
+    background = base / values["io", "background"]
     if require_paths:
         _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
         _check(background.is_file(), "io.background", f"file {background} does not exist")
-
-    enroll_user = val("store", "enroll_user") or None
+    if values["store", "dir"] is not None:
+        values["store", "dir"] = base / values["store", "dir"]
 
     return PipelineConfig(
         frames_dir=frames_dir,
         background=background,
-        out_dir=base / val("io", "out_dir"),
-        metrics_path=base / val("io", "metrics"),
-        levels=val("encoding", "levels"),
-        fps=val("encoding", "fps"),
-        mos_model=_build(
-            "encoding", MosModel, b0=val("encoding", "b0"), bmax=val("encoding", "bmax")
-        ),
-        policy=val("encoding", "policy"),
-        w=val("encoding", "w"),
-        constraints=_build(
-            "encoding", Constraints,
-            mos_min=val("encoding", "mos_min"),
-            l_max=val("encoding", "l_max"),
-            l_min=val("encoding", "l_min"),
-        ),
-        channel=_build(
-            "channel", ChannelModel,
-            capacity=val("channel", "capacity"),
-            base_delay=val("channel", "base_delay"),
-            loss_prob=val("channel", "loss_prob"),
-        ),
-        group=_build("tunnel", DhGroup, p=val("tunnel", "p"), g=val("tunnel", "g")),
-        chaos_r=val("tunnel", "r"),
-        burn_in=val("tunnel", "burn_in"),
-        gmm=_build(
-            "gmm", GmmParams,
-            k=val("gmm", "k"),
-            lam=val("gmm", "lambda"),
-            alpha_lr=val("gmm", "alpha_lr"),
-            t_bg=val("gmm", "t"),
-            var_init=val("gmm", "var_init"),
-            var_min=val("gmm", "var_min"),
-        ),
-        matting=MattingParams(
-            r_fg=val("matting", "r_fg"),
-            r_bg=val("matting", "r_bg"),
-            window=val("matting", "window"),
-            max_iters=val("matting", "max_iters"),
-            eps=val("matting", "eps"),
-            lambda_t=val("matting", "lambda_t"),
-        ),
-        store=StoreParams(
-            shards=val("store", "shards"),
-            theta=val("store", "theta"),
-            directory=store_dir,
-            enroll_user=enroll_user,
-            enroll_frame=val("store", "enroll_frame"),
-        ),
-        fusion=FusionParams(
-            scale=val("fusion", "scale"),
-            tx=val("fusion", "tx"),
-            ty=val("fusion", "ty"),
-            depth=val("fusion", "depth"),
-            view_angle=val("fusion", "view_angle"),
-            views=val("fusion", "views"),
-        ),
-        seed=val("run", "seed"),
+        out_dir=base / values["io", "out_dir"],
+        metrics_path=base / values["io", "metrics"],
+        levels=values["encoding", "levels"],
+        fps=values["encoding", "fps"],
+        mos_model=_build(MosModel, "encoding", values),
+        policy=values["encoding", "policy"],
+        w=values["encoding", "w"],
+        constraints=_build(Constraints, "encoding", values),
+        channel=_build(ChannelModel, "channel", values),
+        group=_build(DhGroup, "tunnel", values),
+        chaos_r=values["tunnel", "r"],
+        burn_in=values["tunnel", "burn_in"],
+        gmm=_build(GmmParams, "gmm", values),
+        matting=_build(MattingParams, "matting", values),
+        store=_build(StoreParams, "store", values),
+        fusion=_build(FusionParams, "fusion", values),
+        seed=values["run", "seed"],
         warnings=warnings,
     )
 

@@ -33,6 +33,16 @@ class RvoLayer:
             raise ValueError("layer pixels and matte dimensions differ")
 
 
+def _check_angle(name: str, degrees: float) -> None:
+    if not 0.0 <= degrees < 360.0:
+        raise ValueError(f"{name} must lie in [0, 360)")
+
+
+def _check_scale(scale: float) -> None:
+    if not scale > 0:
+        raise InvalidTransform(f"scale must be > 0, got {scale}")
+
+
 @dataclass(frozen=True)
 class ViewSource:
     """One camera view: an identifier and its bearing."""
@@ -41,8 +51,23 @@ class ViewSource:
     angle_deg: float
 
     def __post_init__(self):
-        if not 0.0 <= self.angle_deg < 360.0:
-            raise ValueError("angle_deg must lie in [0, 360)")
+        _check_angle("angle_deg", self.angle_deg)
+
+
+@dataclass(frozen=True)
+class FusionParams:
+    """Placement of the keyed layer, the target bearing and the candidate views."""
+
+    scale: float = 1.0
+    tx: int = 0
+    ty: int = 0
+    depth: float = 0.0
+    view_angle: float = 0.0
+    views: tuple = (ViewSource("front", 0.0), ViewSource("profile", 90.0))
+
+    def __post_init__(self):
+        _check_scale(self.scale)
+        _check_angle("view_angle", self.view_angle)
 
 
 def _round_half_away(v: float) -> int:
@@ -56,8 +81,7 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
     and the layer's uint8 pixels and float alpha resampled onto it, or None
     when the layer falls entirely outside the canvas.
     """
-    if layer.scale <= 0:
-        raise InvalidTransform(f"scale must be > 0, got {layer.scale}")
+    _check_scale(layer.scale)
     sw = _round_half_away(layer.pixels.width * layer.scale)
     sh = _round_half_away(layer.pixels.height * layer.scale)
     x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
@@ -122,5 +146,4 @@ def select_view(views, target_angle_deg: float) -> ViewSource:
         d = abs(view.angle_deg - target_angle_deg) % 360.0
         return min(d, 360.0 - d)
 
-    best_i = min(range(len(views)), key=lambda i: (circ_dist(views[i]), i))
-    return views[best_i]
+    return min(views, key=circ_dist)  # min keeps the first of equal keys

@@ -33,17 +33,50 @@ _BG_CONF = 0.05
 _DEGENERATE_SEP = 1.0
 
 
-def trimap_from_mask(mask: Frame, r_fg: int = 2, r_bg: int = 4) -> Trimap:
+def _check_window(window: int) -> None:
+    if not window >= 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+
+
+def _check_lambda_t(lambda_t: float) -> None:
+    if not 0.0 <= lambda_t <= 1.0:
+        raise ValueError("lambda_t must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class MattingParams:
+    """Trimap radii, solver window and stopping rule, and the fuzzy blend rate."""
+
+    r_fg: int = 2
+    r_bg: int = 4
+    window: int = DEFAULT_WINDOW
+    max_iters: int = DEFAULT_MAX_ITERS
+    eps: float = DEFAULT_EPS
+    lambda_t: float = 0.1
+
+    def __post_init__(self):
+        if not self.r_fg >= 0:
+            raise InvalidRadii(f"r_fg must be >= 0, got {self.r_fg}")
+        if not self.r_bg >= self.r_fg:
+            raise InvalidRadii(f"r_bg must be >= r_fg, got r_fg={self.r_fg} r_bg={self.r_bg}")
+        _check_window(self.window)
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
+        _check_lambda_t(self.lambda_t)
+
+
+def trimap_from_mask(mask: Frame, params: MattingParams) -> Trimap:
     """Erode the mask into sure-FG, dilate into sure-BG, leave a band UNKNOWN.
 
-    Morphology uses square structuring elements of the given radii with
-    edge-replication padding, so a full-frame mask stays all-FG.
+    Morphology uses square structuring elements of radii ``params.r_fg`` and
+    ``params.r_bg`` with edge-replication padding, so a full-frame mask stays
+    all-FG.
     """
-    if r_fg < 0 or r_bg < r_fg:
-        raise InvalidRadii(f"need r_bg >= r_fg >= 0, got r_fg={r_fg} r_bg={r_bg}")
     m = _binary(mask)
-    fg = _erode(m, r_fg, "edge")
-    bg = ~_dilate(m, r_bg, "edge")
+    fg = _erode(m, params.r_fg, "edge")
+    bg = ~_dilate(m, params.r_bg, "edge")
     labels = np.full(m.shape, UNKNOWN, dtype=np.uint8)
     labels[fg] = FG
     labels[bg] = BG
@@ -138,6 +171,7 @@ def alpha_solve(
     tables were, so the matte, iteration count, ``converged``,
     ``degenerate`` and ``changes`` are bit-identical to theirs.
     """
+    _check_window(window)
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
     h, w = frame.height, frame.width
@@ -149,9 +183,8 @@ def alpha_solve(
     alpha = np.zeros((h, w))
     alpha[fg_lab] = 1.0
     if not unk.any():
-        matte = AlphaMatte.from_array(alpha)
         return AlphaSolveResult(
-            matte=matte, iterations=0, converged=True, degenerate=frozenset(), changes=()
+            matte=AlphaMatte.from_array(alpha), iterations=0, converged=True, degenerate=frozenset()
         )
     if not fg_lab.any() or not bg_lab.any():
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
@@ -252,8 +285,7 @@ class FuzzyKnowledge:
     def __post_init__(self):
         membership = _readonly_unit(self.membership, self.width * self.height, "membership")
         object.__setattr__(self, "membership", membership)
-        if not 0.0 <= self.lambda_t <= 1.0:
-            raise ValueError("lambda_t must lie in [0, 1]")
+        _check_lambda_t(self.lambda_t)
 
     def __eq__(self, other):
         if not isinstance(other, FuzzyKnowledge):

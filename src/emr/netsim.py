@@ -1,7 +1,8 @@
 """Deterministic network model: lossy delaying links and adversarial nodes.
 
-Each link owns a seeded PRNG, so identical seeds and call order reproduce
-identical delivery traces.  Adversaries exercise the tunnel's anomaly
+Each ``Link(channel, seed)`` takes capacity, delay and loss from a checked
+``ChannelModel`` and owns a PRNG seeded with ``seed``, so identical seeds and
+call order reproduce identical delivery traces.  Adversaries exercise the tunnel's anomaly
 detection: bit tampering, lag-one replay, and fingerprint impersonation.
 """
 
@@ -13,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidPayload
+from .qoeqos import ChannelModel
 from .tunnel import Envelope
 
 
@@ -23,21 +25,10 @@ class TransmitResult:
 
 
 class Link:
-    """Point-to-point link with capacity, fixed delay, and Bernoulli loss."""
+    """Point-to-point link: a channel's capacity, fixed delay and Bernoulli loss."""
 
-    def __init__(self, src, dst, capacity, base_delay=0.0, loss_prob=0.0, seed=0):
-        if not capacity > 0:
-            raise ValueError("capacity must be > 0")
-        if not base_delay >= 0:
-            raise ValueError("base_delay must be >= 0")
-        if not 0.0 <= loss_prob <= 1.0:
-            raise ValueError("loss_prob must lie in [0, 1]")
-        self.src = src
-        self.dst = dst
-        self.capacity = capacity
-        self.base_delay = base_delay
-        self.loss_prob = loss_prob
-        self.seed = seed
+    def __init__(self, channel: ChannelModel, seed: int = 0):
+        self.channel = channel
         self.rng = random.Random(seed)
 
 
@@ -46,9 +37,9 @@ def transmit(link: Link, payload_bits: float, now: float = 0.0) -> TransmitResul
     if payload_bits < 0:
         raise InvalidPayload(f"payload_bits must be >= 0, got {payload_bits}")
     u = link.rng.random()  # always draw, keeping traces aligned across configs
-    if u < link.loss_prob:
+    if u < link.channel.loss_prob:
         return TransmitResult(delivered=False)
-    arrival = now + link.base_delay + payload_bits / link.capacity
+    arrival = now + link.channel.base_delay + payload_bits / link.channel.capacity
     return TransmitResult(delivered=True, arrival=arrival)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     TamperAlarm,
     UnauthorizedAgent,
 )
-from .fusion import RvoLayer, ViewSource, compose, select_view
+from .fusion import RvoLayer, compose, select_view
 from .layering import layer_init, layer_update_classify, mask_postprocess
 from .matting import alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
@@ -193,23 +193,14 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
         config.group, config.chaos_r, config.burn_in,
     )
 
-    link = Link(
-        "camera", "hub",
-        capacity=config.channel.capacity,
-        base_delay=config.channel.base_delay,
-        loss_prob=config.channel.loss_prob,
-        seed=seed_link,
-    )
+    link = Link(config.channel, seed=seed_link)
     adversary = None
     if adversary_mode != "none":
         adversary = Adversary("mallory", AdversaryMode(adversary_mode), seed=seed_adversary)
 
     frames = _list_frames(config.frames_dir)
     background = load_pnm(config.background)
-    view = select_view(
-        [ViewSource(id=v, angle_deg=a) for v, a in config.fusion.views],
-        config.fusion.view_angle,
-    )
+    view = select_view(config.fusion.views, config.fusion.view_angle)
     log.info("active view: %s (%.1f deg)", view.id, view.angle_deg)
 
     store = KnowledgeStore(config.store.shards)
@@ -298,7 +289,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             trace.append("layer")
 
             # 6. matting
-            trimap = trimap_from_mask(mask, config.matting.r_fg, config.matting.r_bg)
+            trimap = trimap_from_mask(mask, config.matting)
             try:
                 matte = alpha_solve(
                     received, trimap,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     InvalidBounds,
@@ -56,12 +56,7 @@ class EncodingLevel:
         """This level with bits_per_frame filled in for the given frame shape."""
         if self.bits_per_frame is not None:
             return self
-        return EncodingLevel(
-            id=self.id,
-            scale_factor=self.scale_factor,
-            quant_step=self.quant_step,
-            bits_per_frame=level_bits(self, width, height, channels),
-        )
+        return replace(self, bits_per_frame=level_bits(self, width, height, channels))
 
 
 def level_bits(level: EncodingLevel, width: int, height: int, channels: int) -> int:

@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateTemplate,
-    InvalidShardCount,
-    ShardUnavailable,
-)
+from .errors import DegenerateTemplate, InvalidShardCount, ShardUnavailable
 from .raster import Frame, to_grayscale
 
 TEMPLATE_SIDE = 16
@@ -56,6 +52,46 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _check_shards(count: int) -> None:
+    if not count >= 1:
+        raise InvalidShardCount(f"shards must be >= 1, got {count}")
+
+
+def _check_user_id(user_id: str, name: str = "user_id") -> None:
+    if not user_id or "," in user_id or "\n" in user_id:
+        raise ValueError(f"{name} must be non-empty without commas or newlines")
+
+
+def _template_vector(values, name: str) -> np.ndarray:
+    """values as a float64 vector of TEMPLATE_DIM finite numbers."""
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.shape != (TEMPLATE_DIM,):
+        raise ValueError(f"{name} must have dimension {TEMPLATE_DIM}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
+    return vec
+
+
+@dataclass(frozen=True)
+class StoreParams:
+    """Shard count, match threshold, persistence directory and enrolment of a run."""
+
+    shards: int = 4
+    theta: float = 0.35  # cosine-distance threshold of ``identify``
+    directory: Path | None = None
+    enroll_user: str | None = None
+    enroll_frame: int = 0
+
+    def __post_init__(self):
+        _check_shards(self.shards)
+        if not 0.0 < self.theta < 2.0:
+            raise ValueError("theta must lie in (0, 2)")
+        if self.enroll_user is not None:
+            _check_user_id(self.enroll_user, "enroll_user")
+        if not self.enroll_frame >= 0:
+            raise ValueError("enroll_frame must be >= 0")
 
 
 def extract_template(region: Frame) -> np.ndarray:
@@ -87,9 +123,7 @@ class IdentityTemplate:
     sample_count: int
 
     def __post_init__(self):
-        self.centroid = np.asarray(self.centroid, dtype=np.float64)
-        if self.centroid.shape != (TEMPLATE_DIM,):
-            raise ValueError(f"centroid must have dimension {TEMPLATE_DIM}")
+        self.centroid = _template_vector(self.centroid, "centroid")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 
@@ -110,8 +144,7 @@ class KnowledgeStore:
     """A dispersed set of shards holding identity templates."""
 
     def __init__(self, shard_count: int):
-        if shard_count < 1:
-            raise InvalidShardCount("shard count must be >= 1")
+        _check_shards(shard_count)
         self.shards = [KnowledgeShard(node_id=i) for i in range(shard_count)]
 
     @property
@@ -127,11 +160,8 @@ class KnowledgeStore:
 
     def enroll(self, user_id: str, template: np.ndarray) -> None:
         """Fold a template into the user's centroid on their home shard."""
-        if "," in user_id or "\n" in user_id or not user_id:
-            raise ValueError("user_id must be non-empty without commas or newlines")
-        template = np.asarray(template, dtype=np.float64)
-        if template.shape != (TEMPLATE_DIM,):
-            raise ValueError(f"template must have dimension {TEMPLATE_DIM}")
+        _check_user_id(user_id)
+        template = _template_vector(template, "template")
         shard = self.shard_for(user_id)
         if not shard.online:
             raise ShardUnavailable(f"shard {shard.node_id} is offline")
@@ -150,10 +180,8 @@ class KnowledgeStore:
 
         Ties on distance resolve to the lexicographically smallest user id.
         Offline shards make the scatter-gather fail rather than answer from
-        partial data.
+        partial data.  ``StoreParams`` holds a run's theta and owns its domain.
         """
-        if not 0.0 < theta < 2.0:
-            raise ValueError("theta must lie in (0, 2)")
         template = np.asarray(template, dtype=np.float64)
         qnorm = np.linalg.norm(template)
         if qnorm == 0.0:
@@ -175,15 +203,11 @@ class KnowledgeStore:
 
     def rebalance(self, new_shard_count: int) -> "KnowledgeStore":
         """Redistribute every template over a new shard count; nothing is lost."""
-        if new_shard_count < 1:
-            raise InvalidShardCount("shard count must be >= 1")
         out = KnowledgeStore(new_shard_count)
         for shard in self.shards:
             for user_id, entry in shard.templates.items():
-                out.shard_for(user_id).templates[user_id] = IdentityTemplate(
-                    user_id=user_id,
-                    centroid=entry.centroid.copy(),
-                    sample_count=entry.sample_count,
+                out.shard_for(user_id).templates[user_id] = replace(
+                    entry, centroid=entry.centroid.copy()
                 )
         return out
 

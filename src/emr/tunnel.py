@@ -70,7 +70,7 @@ class DhGroup:
 
     def __post_init__(self):
         if not self.p >= 5:
-            raise GroupTooSmall(f"modulus {self.p} leaves no usable exponent range")
+            raise GroupTooSmall(f"modulus p = {self.p} leaves no usable exponent range")
         if not 1 < self.g < self.p:
             raise ValueError("generator must satisfy 1 < g < p")
 

@@ -333,7 +333,7 @@ seed = 17
 
 
 def test_a8_netsim_drop_rate():
-    link = Link("a", "b", capacity=1e7, base_delay=0.01, loss_prob=0.1, seed=2024)
+    link = Link(ChannelModel(capacity=1e7, base_delay=0.01, loss_prob=0.1), seed=2024)
     drops = sum(not transmit(link, 1000, 0.0).delivered for _ in range(10_000))
     rate = drops / 10_000
     ok = abs(rate - 0.1) <= 0.02

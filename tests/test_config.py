@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from emr.config import _SCHEMA, MINIMAL_TEMPLATE, PipelineConfig, parse_config
 from emr.errors import ConfigError, InvalidValue, MissingKey, UnknownKey
+from emr.fusion import ViewSource
 from emr.qoeqos import Policy
 
 
@@ -92,6 +93,28 @@ class TestValidation:
         with pytest.raises(InvalidValue):
             parse(MINIMAL_TEMPLATE + snippet, workspace)
 
+    @pytest.mark.parametrize(
+        "snippet, key",
+        [
+            ("[gmm]\nlambda = 0\n", "gmm.lambda"),
+            ("[gmm]\nt = 0\n", "gmm.t"),
+            ("[store]\ntheta = 2.0\n", "store.theta"),
+            ("[store]\nenroll_user = a,b\n", "store.enroll_user"),
+            ("[matting]\nwindow = 0\n", "matting.window"),
+            ("[tunnel]\np = 3\ng = 2\n", "tunnel.p"),
+        ],
+    )
+    def test_error_names_the_config_key(self, workspace, snippet, key):
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + snippet, workspace)
+        assert info.value.key == key
+        assert str(info.value).startswith(f"invalid value for {key}:")
+
+    def test_cross_field_error_names_one_of_its_keys(self, workspace):
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + "[matting]\nr_fg = 5\nr_bg = 2\n", workspace)
+        assert info.value.key in ("matting.r_fg", "matting.r_bg")
+
     def test_missing_paths_rejected_when_required(self, tmp_path):
         with pytest.raises(InvalidValue):
             parse(MINIMAL_TEMPLATE, tmp_path)
@@ -112,7 +135,7 @@ class TestValidation:
             MINIMAL_TEMPLATE + "[fusion]\nviews = cam0:12.5,cam1:270\nview_angle = 300\n",
             workspace,
         )
-        assert cfg.fusion.views == (("cam0", 12.5), ("cam1", 270.0))
+        assert cfg.fusion.views == (ViewSource("cam0", 12.5), ViewSource("cam1", 270.0))
         assert cfg.fusion.view_angle == 300.0
 
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from emr.errors import InvalidTransform, NoViews
-from emr.fusion import RvoLayer, ViewSource, compose, place_layer, select_view
+from emr.fusion import FusionParams, RvoLayer, ViewSource, compose, place_layer, select_view
 from emr.raster import AlphaMatte, Frame, round_u8
 
 
@@ -175,3 +177,18 @@ class TestSelectView:
     def test_angle_range_enforced(self):
         with pytest.raises(ValueError):
             ViewSource(id="x", angle_deg=360.0)
+
+
+class TestFusionParams:
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(scale=0.0), InvalidTransform),
+            (dict(scale=math.nan), InvalidTransform),
+            (dict(view_angle=360.0), ValueError),
+            (dict(view_angle=math.nan), ValueError),
+        ],
+    )
+    def test_invalid_params_rejected(self, kw, error):
+        with pytest.raises(error):
+            FusionParams(**kw)

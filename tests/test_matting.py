@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from emr.errors import DimensionMismatch, InsufficientLabels, InvalidRadii
 from emr.matting import (
     FuzzyKnowledge,
+    MattingParams,
     alpha_solve,
     fuzzy_init,
     fuzzy_update,
@@ -41,17 +43,19 @@ def brute_force_morph(mask, radius, erode):
 
 class TestTrimap:
     def test_empty_mask_is_all_background(self):
-        t = trimap_from_mask(mask_frame(np.zeros((8, 8), dtype=bool)), 2, 4)
+        mask = mask_frame(np.zeros((8, 8), dtype=bool))
+        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4))
         assert np.all(t.to_array() == BG)
 
     def test_full_mask_is_all_foreground(self):
-        t = trimap_from_mask(mask_frame(np.ones((8, 8), dtype=bool)), 2, 4)
+        mask = mask_frame(np.ones((8, 8), dtype=bool))
+        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4))
         assert np.all(t.to_array() == FG)
 
     def test_square_produces_core_band_background(self):
         m = np.zeros((32, 32), dtype=bool)
         m[12:20, 12:20] = True
-        t = trimap_from_mask(mask_frame(m), 2, 4).to_array()
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=2, r_bg=4)).to_array()
         expected_fg = brute_force_morph(m, 2, erode=True)
         expected_bg = ~brute_force_morph(m, 4, erode=False)
         assert np.array_equal(t == FG, expected_fg)
@@ -64,7 +68,7 @@ class TestTrimap:
     def test_radius_zero_keeps_mask(self):
         m = np.zeros((6, 6), dtype=bool)
         m[2:4, 2:4] = True
-        t = trimap_from_mask(mask_frame(m), 0, 0).to_array()
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=0, r_bg=0)).to_array()
         assert np.array_equal(t == FG, m)
         assert np.array_equal(t == BG, ~m)
 
@@ -72,13 +76,32 @@ class TestTrimap:
         rng = np.random.RandomState(11)
         for _ in range(5):
             m = rng.rand(10, 10) < 0.5
-            t = trimap_from_mask(mask_frame(m), 1, 2).to_array()
+            t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=1, r_bg=2)).to_array()
             assert np.array_equal(t == FG, brute_force_morph(m, 1, erode=True))
             assert np.array_equal(t == BG, ~brute_force_morph(m, 2, erode=False))
 
     def test_reversed_radii_rejected(self):
         with pytest.raises(InvalidRadii):
-            trimap_from_mask(mask_frame(np.zeros((4, 4), dtype=bool)), 3, 2)
+            MattingParams(r_fg=3, r_bg=2)
+
+
+class TestMattingParams:
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(r_fg=-1), InvalidRadii),
+            (dict(r_fg=5, r_bg=4), InvalidRadii),
+            (dict(window=0), ValueError),
+            (dict(max_iters=0), ValueError),
+            (dict(eps=0.0), ValueError),
+            (dict(eps=math.nan), ValueError),
+            (dict(lambda_t=1.5), ValueError),
+            (dict(lambda_t=math.nan), ValueError),
+        ],
+    )
+    def test_invalid_params_rejected(self, kw, error):
+        with pytest.raises(error):
+            MattingParams(**kw)
 
 
 def ramp_scene(h=32, w=64, bg_end=16, fg_start=48):
@@ -164,6 +187,16 @@ class TestAlphaSolve:
         trimap = Trimap.from_array(np.full((3, 4), BG, dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             alpha_solve(frame, trimap)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        # unguarded, window 0 never grows (radius *= 2 stays 0) and -1 indexes past the table
+        m = np.zeros((32, 32), dtype=bool)
+        m[11:21, 11:21] = True
+        mask = mask_frame(m)
+        trimap = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4))
+        with pytest.raises(ValueError):
+            alpha_solve(mask, trimap, window=window)
 
 
 def pinned_solve(labels):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from emr.errors import (
+    InvalidChannel,
     InvalidPayload,
     ReplayAlarm,
     TamperAlarm,
@@ -15,13 +16,14 @@ from emr.netsim import (
     interpose,
     transmit,
 )
+from emr.qoeqos import ChannelModel
 from emr.tunnel import decrypt_verify, encrypt_envelope
 
 from test_tunnel import session_pair
 
 
 def make_link(loss=0.0, seed=0, capacity=1e7, base_delay=0.01):
-    return Link("a", "b", capacity=capacity, base_delay=base_delay, loss_prob=loss, seed=seed)
+    return Link(ChannelModel(capacity=capacity, base_delay=base_delay, loss_prob=loss), seed=seed)
 
 
 class TestTransmit:
@@ -54,17 +56,21 @@ class TestTransmit:
         assert abs(drops / 10_000 - 0.1) <= 0.02
 
     def test_invalid_link_parameters_rejected(self):
+        with pytest.raises(InvalidChannel):
+            Link(ChannelModel(capacity=0.0))
         with pytest.raises(ValueError):
-            Link("a", "b", capacity=0.0)
-        with pytest.raises(ValueError):
-            Link("a", "b", capacity=1.0, loss_prob=1.5)
+            Link(ChannelModel(capacity=1.0, loss_prob=1.5))
 
     @pytest.mark.parametrize(
-        "kw", [dict(capacity=math.nan), dict(capacity=1.0, base_delay=math.nan)]
+        "kw, error",
+        [
+            pytest.param(dict(capacity=math.nan), InvalidChannel, id="kw0"),
+            pytest.param(dict(capacity=1.0, base_delay=math.nan), ValueError, id="kw1"),
+        ],
     )
-    def test_nan_link_parameters_rejected(self, kw):
-        with pytest.raises(ValueError):
-            Link("a", "b", **kw)
+    def test_nan_link_parameters_rejected(self, kw, error):
+        with pytest.raises(error):
+            Link(ChannelModel(**kw))
 
 
 class TestAdversary:

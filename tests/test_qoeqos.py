@@ -137,6 +137,8 @@ class TestLatency:
             (dict(capacity=math.nan), InvalidChannel),
             (dict(capacity=1e7, base_delay=math.nan), ValueError),
             (dict(capacity=1e7, loss_prob=math.nan), ValueError),
+            (dict(capacity=0.0), InvalidChannel),
+            (dict(capacity=1.0, loss_prob=1.5), ValueError),
         ],
     )
     def test_nan_channel_rejected(self, kw, error):

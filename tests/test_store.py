@@ -1,4 +1,5 @@
 import builtins
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from emr.errors import DegenerateTemplate, InvalidShardCount, ShardUnavailable
 from emr.raster import Frame
 from emr.store import (
     TEMPLATE_DIM,
+    IdentityTemplate,
     KnowledgeStore,
+    StoreParams,
     extract_template,
     write_atomic,
 )
@@ -119,6 +122,15 @@ class TestEnroll:
         with pytest.raises(ShardUnavailable):
             store.enroll("dave", random_template(np.random.RandomState(0)))
 
+    def test_non_finite_template_rejected(self):
+        store = KnowledgeStore(1)
+        store.enroll("bob", random_template(np.random.RandomState(1)))
+        bad = np.full(TEMPLATE_DIM, np.nan)
+        with pytest.raises(ValueError):
+            store.enroll("bob", bad)  # would turn the running mean into NaN
+        with pytest.raises(ValueError):
+            IdentityTemplate(user_id="eve", centroid=bad, sample_count=1)
+
     def test_user_id_with_comma_rejected(self):
         store = KnowledgeStore(1)
         with pytest.raises(ValueError):
@@ -152,9 +164,8 @@ class TestIdentify:
         assert store.identify(t, theta=0.5) == "ann"
 
     def test_theta_domain_enforced(self):
-        store = KnowledgeStore(1)
         with pytest.raises(ValueError):
-            store.identify(random_template(np.random.RandomState(0)), theta=2.0)
+            StoreParams(theta=2.0)
 
     def test_offline_shard_fails_scatter_gather(self):
         store = KnowledgeStore(2)
@@ -162,6 +173,26 @@ class TestIdentify:
         store.shards[1].online = False
         with pytest.raises(ShardUnavailable):
             store.identify(random_template(np.random.RandomState(6)))
+
+
+class TestStoreParams:
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(shards=0), InvalidShardCount),
+            (dict(theta=0.0), ValueError),
+            (dict(theta=math.nan), ValueError),
+            (dict(enroll_user="a\nb"), ValueError),
+            (dict(enroll_frame=-1), ValueError),
+        ],
+    )
+    def test_invalid_params_rejected(self, kw, error):
+        with pytest.raises(error):
+            StoreParams(**kw)
+
+    def test_enroll_user_error_names_the_field(self):
+        with pytest.raises(ValueError, match="enroll_user"):
+            StoreParams(enroll_user="a,b")
 
 
 class TestRebalance:
@@ -247,6 +278,17 @@ class TestPersistence:
         write_atomic(target, "new\n")
         assert target.read_text() == "new\n"
         assert [f.name for f in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_non_finite_centroid_rejected_on_load(self, tmp_path):
+        # a NaN distance compared first would stay "best" and hide every match
+        store = KnowledgeStore(1)
+        store.enroll("bob", random_template(np.random.RandomState(2)))
+        store.save(tmp_path)
+        shard = tmp_path / "shard_000.csv"
+        bad = "aaa,1," + ",".join(["nan"] * TEMPLATE_DIM) + "\n"
+        shard.write_text(bad + shard.read_text())
+        with pytest.raises(ValueError):
+            KnowledgeStore.load(tmp_path, 1)
 
     def test_misplaced_record_rejected(self, tmp_path):
         store, _ = self.make_store()

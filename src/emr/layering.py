@@ -101,8 +101,7 @@ def layer_init(frame: Frame, params: GmmParams = GmmParams()) -> LayerModel:
 
 def _planes(frame: Frame) -> np.ndarray:
     """A frame's samples as a contiguous (C, P) float64 array, one plane per channel."""
-    arr = frame.to_array()
-    return np.moveaxis(arr, 2, 0).reshape(frame.channels, -1).astype(np.float64)
+    return np.moveaxis(frame.data, 2, 0).reshape(frame.channels, -1).astype(np.float64)
 
 
 def _sum_planes(planes) -> np.ndarray:
@@ -213,10 +212,11 @@ def layer_update_classify(model: LayerModel, frame: Frame):
 def _binary(frame: Frame) -> np.ndarray:
     if frame.channels != 1:
         raise InvalidMask("mask must have a single channel")
-    arr = frame.to_array()[:, :, 0]
-    if not set(np.unique(arr).tolist()) <= {0, 255}:
+    arr = frame.data[:, :, 0]
+    fg = arr == 255
+    if not (fg | (arr == 0)).all():
         raise InvalidMask("mask values must be 0 or 255")
-    return arr == 255
+    return fg
 
 
 def _window_any(padded: np.ndarray, radius: int) -> np.ndarray:

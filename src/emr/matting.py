@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientLabels, InvalidRadii
 from .layering import _binary, _dilate, _erode
-from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _readonly_unit
+from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _frozen, _Raster
 
 DEFAULT_WINDOW = 3
 DEFAULT_MAX_ITERS = 20
@@ -175,7 +175,7 @@ def alpha_solve(
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
     h, w = frame.height, frame.width
-    labels = trimap.to_array()
+    labels = trimap.labels
     fg_lab = labels == FG
     bg_lab = labels == BG
     unk = labels == UNKNOWN
@@ -189,7 +189,7 @@ def alpha_solve(
     if not fg_lab.any() or not bg_lab.any():
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
 
-    colors = frame.to_array().astype(np.float64)
+    colors = frame.data.astype(np.float64)
     c = frame.channels
     ys, xs = np.nonzero(unk)
     n = ys.size
@@ -270,7 +270,7 @@ def alpha_solve(
 
 
 @dataclass(frozen=True, eq=False)
-class FuzzyKnowledge:
+class FuzzyKnowledge(_Raster):
     """Temporal foreground membership, blended from mattes at rate lambda_t.
 
     ``membership`` accepts any sequence of width*height values in [0, 1] and
@@ -283,26 +283,20 @@ class FuzzyKnowledge:
     lambda_t: float = 0.1
 
     def __post_init__(self):
-        membership = _readonly_unit(self.membership, self.width * self.height, "membership")
+        membership = _frozen(
+            self.membership, (self.width * self.height,), np.float64, "membership", 1.0
+        )
         object.__setattr__(self, "membership", membership)
         _check_lambda_t(self.lambda_t)
-
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyKnowledge):
-            return NotImplemented
-        return (
-            (self.width, self.height, self.lambda_t) == (other.width, other.height, other.lambda_t)
-            and np.array_equal(self.membership, other.membership)
-        )
 
     def to_array(self) -> np.ndarray:
         """The membership grid as a read-only (height, width) view."""
         return self.membership.reshape(self.height, self.width)
 
 
-def fuzzy_init(width: int, height: int, lambda_t: float = 0.1, value: float = 0.0) -> FuzzyKnowledge:
+def fuzzy_init(width: int, height: int, lambda_t: float = 0.1) -> FuzzyKnowledge:
     return FuzzyKnowledge(
-        width=width, height=height, membership=np.full(width * height, value), lambda_t=lambda_t
+        width=width, height=height, membership=np.zeros(width * height), lambda_t=lambda_t
     )
 
 

@@ -118,7 +118,7 @@ def _list_frames(frames_dir: Path):
 
 def _subject_template(received: Frame, mask: Frame):
     """Template of the mask's box grown to template size; None if empty or flat."""
-    arr = mask.to_array()[:, :, 0]
+    arr = mask.data[:, :, 0]
     ys, xs = np.nonzero(arr)
     if ys.size == 0:
         return None
@@ -128,7 +128,7 @@ def _subject_template(received: Frame, mask: Frame):
     x0, x1 = _expand_span(x0, x1, TEMPLATE_SIDE, received.width)
     if y1 - y0 < TEMPLATE_SIDE or x1 - x0 < TEMPLATE_SIDE:
         return None  # frame itself smaller than a template
-    region = received.to_array()[y0:y1, x0:x1]
+    region = received.data[y0:y1, x0:x1]
     try:
         return extract_template(Frame.from_array(region, index=received.index))
     except DegenerateTemplate:
@@ -146,7 +146,7 @@ def _expand_span(lo: int, hi: int, minimum: int, limit: int):
 
 
 def _binary_matte(mask: Frame) -> AlphaMatte:
-    arr = mask.to_array()[:, :, 0].astype(np.float64) / 255.0
+    arr = mask.data[:, :, 0].astype(np.float64) / 255.0
     return AlphaMatte.from_array(arr)
 
 
@@ -285,7 +285,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                 fuzzy = fuzzy_init(received.width, received.height, config.matting.lambda_t)
             mask, model = layer_update_classify(model, received)
             mask = mask_postprocess(mask)
-            rec.fg_pixels = int(np.count_nonzero(mask.to_array()))
+            rec.fg_pixels = int(np.count_nonzero(mask.data))
             trace.append("layer")
 
             # 6. matting

@@ -45,11 +45,11 @@ class EncodingLevel:
     bits_per_frame: int | None = None
 
     def __post_init__(self):
-        if self.scale_factor < 1:
+        if not self.scale_factor >= 1:
             raise ValueError("scale_factor must be >= 1")
         if not 1 <= self.quant_step <= 128:
             raise ValueError("quant_step must lie in [1, 128]")
-        if self.bits_per_frame is not None and self.bits_per_frame <= 0:
+        if self.bits_per_frame is not None and not self.bits_per_frame > 0:
             raise ValueError("bits_per_frame must be > 0")
 
     def resolved(self, width: int, height: int, channels: int) -> "EncodingLevel":

@@ -6,15 +6,17 @@ Conventions used throughout the package:
 * whenever a real value is stored back to 8 bits it is rounded half away
   from zero (for non-negative values: ``floor(x + 0.5)``), then clamped;
 * grayscale conversion uses the 0.299 / 0.587 / 0.114 luma weights;
-* all raster types are immutable values and safe to share between threads.
+* every raster type holds its samples in one read-only numpy array, so it is
+  an immutable value, safe to share between threads and to read uncopied.
 
-File I/O is binary PPM (``P6``, 3 channels) and PGM (``P5``, 1 channel),
-bit-exact: ``decode(encode(frame)) == frame``.
+``bytes`` appear only at the file codec, binary PPM (``P6``, 3 channels) and
+PGM (``P5``, 1 channel), bit-exact: ``decode(encode(frame)) == frame``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -40,14 +42,44 @@ def round_u8(values) -> np.ndarray:
     return np.minimum(np.floor(arr + 0.5), 255.0).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A row-major 8-bit raster with 1 (gray) or 3 (RGB) channels."""
+def _frozen(values, shape, dtype, what: str, upper=None) -> np.ndarray:
+    """``values`` as a read-only array of ``shape``; each must lie in [0, upper] if given.
+
+    ``bytes`` cannot change, so they are viewed in place.  Anything else is
+    copied, which keeps later writes to the source from reaching the value
+    that holds it.  NaN and ±inf fail the range check.
+    """
+    a = np.frombuffer(values, dtype) if isinstance(values, bytes) else np.array(values, dtype)
+    if a.size != prod(shape):
+        raise ValueError(f"{what} has {a.size} values, expected shape {shape}")
+    if upper is not None and not ((a >= 0) & (a <= upper)).all():
+        raise ValueError(f"{what} values must lie in [0, {upper}]")
+    a = a.reshape(shape)
+    a.flags.writeable = False
+    return a
+
+
+class _Raster:
+    """Equal if of one type with equal fields, arrays by value; ``__eq__`` makes it unhashable."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(v, vars(other)[k]) for k, v in vars(self).items())
+
+
+@dataclass(frozen=True, eq=False)
+class Frame(_Raster):
+    """A row-major 8-bit raster with 1 (gray) or 3 (RGB) channels.
+
+    ``data`` accepts width*height*channels samples, as ``bytes`` or any
+    sequence, and is held as a read-only (height, width, channels) uint8 array.
+    """
 
     width: int
     height: int
     channels: int
-    data: bytes
+    data: np.ndarray
     index: int = 0
 
     def __post_init__(self):
@@ -55,48 +87,29 @@ class Frame:
             raise ValueError("frame dimensions must be >= 1")
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        expected = self.width * self.height * self.channels
-        if len(self.data) != expected:
-            raise ValueError(
-                f"data length {len(self.data)} != width*height*channels = {expected}"
-            )
         if self.index < 0:
             raise ValueError("frame index must be >= 0")
+        shape = (self.height, self.width, self.channels)
+        object.__setattr__(self, "data", _frozen(self.data, shape, np.uint8, "data"))
 
     def to_array(self) -> np.ndarray:
-        """Pixel data as a (height, width, channels) uint8 array (a copy)."""
-        arr = np.frombuffer(self.data, dtype=np.uint8)
-        return arr.reshape(self.height, self.width, self.channels).copy()
+        """Pixel data as a writable (height, width, channels) uint8 copy."""
+        return self.data.copy()
 
     @classmethod
     def from_array(cls, arr: np.ndarray, index: int = 0) -> "Frame":
-        """Build a frame from a (h, w) or (h, w, c) uint8 array."""
+        """Build a frame from a copy of a (h, w) or (h, w, c) uint8 array."""
         a = np.asarray(arr, dtype=np.uint8)
         if a.ndim == 2:
             a = a[:, :, None]
         if a.ndim != 3:
             raise ValueError("expected a 2-d or 3-d array")
         h, w, c = a.shape
-        return cls(width=w, height=h, channels=c, data=a.tobytes(), index=index)
-
-
-def _readonly_unit(values, size: int, what: str) -> np.ndarray:
-    """A read-only float64 copy of ``values`` flattened; each must lie in [0, 1].
-
-    NaN and ±inf fail the range check.  The copy keeps later writes to the source
-    array from reaching the value that holds it.
-    """
-    a = np.array(values, dtype=np.float64).reshape(-1)
-    if a.size != size:
-        raise ValueError(f"{what} length != width*height")
-    if not ((a >= 0.0) & (a <= 1.0)).all():
-        raise ValueError(f"{what} values must lie in [0, 1]")
-    a.flags.writeable = False
-    return a
+        return cls(width=w, height=h, channels=c, data=a, index=index)
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaMatte:
+class AlphaMatte(_Raster):
     """Per-pixel opacity in [0, 1], row-major, held as a read-only float64 array.
 
     ``alpha`` accepts any sequence of width*height values and is stored flat.
@@ -109,15 +122,8 @@ class AlphaMatte:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("matte dimensions must be >= 1")
-        alpha = _readonly_unit(self.alpha, self.width * self.height, "alpha")
+        alpha = _frozen(self.alpha, (self.width * self.height,), np.float64, "alpha", 1.0)
         object.__setattr__(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlphaMatte):
-            return NotImplemented
-        return (self.width, self.height) == (other.width, other.height) and np.array_equal(
-            self.alpha, other.alpha
-        )
 
     def to_array(self) -> np.ndarray:
         """The opacities as a read-only (height, width) view."""
@@ -135,39 +141,38 @@ class AlphaMatte:
         return Frame.from_array(round_u8(self.to_array() * 255.0), index=index)
 
 
-@dataclass(frozen=True)
-class Trimap:
-    """Per-pixel FG / BG / UNKNOWN labeling, row-major."""
+@dataclass(frozen=True, eq=False)
+class Trimap(_Raster):
+    """Per-pixel FG / BG / UNKNOWN labeling as a read-only (height, width) uint8 array."""
 
     width: int
     height: int
-    labels: bytes
+    labels: np.ndarray
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("trimap dimensions must be >= 1")
-        if len(self.labels) != self.width * self.height:
-            raise ValueError("labels length != width*height")
-        if not set(self.labels) <= {BG, UNKNOWN, FG}:
-            raise ValueError("labels must be BG, UNKNOWN or FG")
+        # BG, UNKNOWN and FG are 0, 1 and 2
+        labels = _frozen(self.labels, (self.height, self.width), np.uint8, "labels", FG)
+        object.__setattr__(self, "labels", labels)
 
     def to_array(self) -> np.ndarray:
-        return np.frombuffer(self.labels, dtype=np.uint8).reshape(self.height, self.width).copy()
+        """The labels as a writable (height, width) uint8 copy."""
+        return self.labels.copy()
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Trimap":
         a = np.asarray(arr, dtype=np.uint8)
-        return cls(width=a.shape[1], height=a.shape[0], labels=a.tobytes())
+        return cls(width=a.shape[1], height=a.shape[0], labels=a)
 
 
 def to_grayscale(frame: Frame) -> Frame:
     """Convert a 3-channel frame to grayscale by the fixed luma weights."""
     if frame.channels != 3:
         raise InvalidChannels("to_grayscale requires a 3-channel frame")
-    arr = frame.to_array().astype(np.float64)
+    arr = frame.data.astype(np.float64)
     gray = arr[:, :, 0] * _GRAY_WEIGHTS[0] + arr[:, :, 1] * _GRAY_WEIGHTS[1] + arr[:, :, 2] * _GRAY_WEIGHTS[2]
-    out = Frame.from_array(round_u8(gray), index=frame.index)
-    return out
+    return Frame.from_array(round_u8(gray), index=frame.index)
 
 
 def downsample(frame: Frame, factor: int) -> Frame:
@@ -180,7 +185,7 @@ def downsample(frame: Frame, factor: int) -> Frame:
         raise DimensionMismatch(
             f"{frame.width}x{frame.height} not divisible by factor {factor}"
         )
-    arr = frame.to_array().astype(np.uint64)
+    arr = frame.data.astype(np.uint64)
     h, w = frame.height // factor, frame.width // factor
     blocks = arr.reshape(h, factor, w, factor, frame.channels)
     sums = blocks.sum(axis=(1, 3))
@@ -197,7 +202,7 @@ def quantize(frame: Frame, step: int) -> Frame:
     if step == 1:
         return frame
     lut = np.minimum(((2 * np.arange(256, dtype=np.uint32) + step) // (2 * step)) * step, 255)
-    arr = lut.astype(np.uint8)[frame.to_array()]
+    arr = lut.astype(np.uint8)[frame.data]
     return Frame.from_array(arr, index=frame.index)
 
 
@@ -215,7 +220,7 @@ def encode_pnm(frame: Frame) -> bytes:
     """Serialize a frame as binary PPM (3-channel) or PGM (1-channel)."""
     magic = b"P6" if frame.channels == 3 else b"P5"
     header = magic + b"\n%d %d\n255\n" % (frame.width, frame.height)
-    return header + frame.data
+    return header + frame.data.tobytes()
 
 
 def decode_pnm(data: bytes, index: int = 0) -> Frame:

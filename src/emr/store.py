@@ -102,7 +102,7 @@ def extract_template(region: Frame) -> np.ndarray:
             f"{TEMPLATE_SIDE}x{TEMPLATE_SIDE}"
         )
     gray = to_grayscale(region) if region.channels == 3 else region
-    arr = gray.to_array()[:, :, 0]
+    arr = gray.data[:, :, 0]
     rows = (np.arange(TEMPLATE_SIDE) * gray.height) // TEMPLATE_SIDE
     cols = (np.arange(TEMPLATE_SIDE) * gray.width) // TEMPLATE_SIDE
     small = arr[rows[:, None], cols[None, :]].astype(np.float64)

@@ -234,7 +234,8 @@ class TestMaskPostprocess:
             assert np.array_equal(out, brute_force_opening(m))
 
     def test_non_binary_rejected(self):
-        f = Frame.from_array(np.array([[3]], dtype=np.uint8))
+        # only the last value is neither 0 nor 255
+        f = Frame.from_array(np.array([[0, 255, 254]], dtype=np.uint8))
         with pytest.raises(InvalidMask):
             mask_postprocess(f)
 

@@ -63,16 +63,16 @@ class TestFrame:
 class TestGrayscale:
     def test_black_maps_to_zero(self):
         f = rgb((0, 0, 0))
-        assert to_grayscale(f).data == b"\x00"
+        assert to_grayscale(f).data.tobytes() == b"\x00"
 
     def test_white_maps_to_max(self):
         f = rgb((255, 255, 255))
-        assert to_grayscale(f).data == b"\xff"
+        assert to_grayscale(f).data.tobytes() == b"\xff"
 
     def test_pure_red(self):
         # 0.299 * 255 = 76.245 -> 76
         f = rgb((255, 0, 0))
-        assert to_grayscale(f).data == bytes([76])
+        assert to_grayscale(f).data.tobytes() == bytes([76])
 
     def test_single_channel_rejected(self):
         f = Frame(width=1, height=1, channels=1, data=b"\x10")
@@ -103,11 +103,11 @@ class TestDownsample:
         f = Frame.from_array(np.array([[10, 20], [30, 40]], dtype=np.uint8))
         out = downsample(f, 2)
         assert out.width == out.height == 1
-        assert out.data == bytes([25])
+        assert out.data.tobytes() == bytes([25])
 
     def test_half_rounds_away_from_zero(self):
         f = Frame.from_array(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-        assert downsample(f, 2).data == bytes([3])  # mean 2.5 -> 3
+        assert downsample(f, 2).data.tobytes() == bytes([3])  # mean 2.5 -> 3
 
     def test_non_divisible_rejected(self):
         f = Frame.from_array(np.zeros((3, 3), dtype=np.uint8))
@@ -128,12 +128,12 @@ class TestQuantize:
     def test_snaps_to_multiples(self):
         # round(100/32) = 3 -> 96
         f = Frame.from_array(np.array([[100]], dtype=np.uint8))
-        assert quantize(f, 32).data == bytes([96])
+        assert quantize(f, 32).data.tobytes() == bytes([96])
 
     def test_clamps_overshoot(self):
         # round(255/2)*2 = 256, clamped
         f = Frame.from_array(np.array([[255]], dtype=np.uint8))
-        assert quantize(f, 2).data == bytes([255])
+        assert quantize(f, 2).data.tobytes() == bytes([255])
 
     @pytest.mark.parametrize("step", [0, 129, -3])
     def test_step_range_enforced(self, step):
@@ -153,7 +153,8 @@ class TestPnmCodec:
         data = b"P6 2 1 255\n" + bytes([1, 2, 3, 4, 5, 6])
         f = decode_pnm(data)
         assert (f.width, f.height, f.channels) == (2, 1, 3)
-        assert f.data == bytes([1, 2, 3, 4, 5, 6])
+        assert f.data.tobytes() == bytes([1, 2, 3, 4, 5, 6])
+        assert not f.data.flags.writeable  # a view of the immutable payload
 
     def test_pgm_decodes(self):
         f = decode_pnm(b"P5 1 2 255\n" + bytes([9, 8]))
@@ -218,11 +219,32 @@ class TestMatteAndTrimap:
 
     def test_matte_quantizes_to_frame(self):
         m = AlphaMatte(width=2, height=1, alpha=(0.0, 0.5))
-        assert m.to_frame().data == bytes([0, 128])  # 0.5*255 = 127.5 -> 128
+        assert m.to_frame().data.tobytes() == bytes([0, 128])  # 0.5*255 = 127.5 -> 128
 
     def test_trimap_label_domain_enforced(self):
-        with pytest.raises(ValueError):
-            Trimap(width=1, height=1, labels=bytes([7]))
+        # only the last label is out of range
+        for bad in (3, 255):
+            with pytest.raises(ValueError):
+                Trimap(width=4, height=1, labels=bytes([0, 1, 2, bad]))
+            with pytest.raises(ValueError):
+                Trimap.from_array(np.array([[0, 1], [2, bad]]))
+
+
+@pytest.mark.parametrize("cls, field", [(Frame, "data"), (Trimap, "labels")])
+def test_from_array_copies_into_a_read_only_array(cls, field):
+    src = np.array([[0, 1], [2, 1]], dtype=np.uint8)
+    value = cls.from_array(src)
+    src[0, 0] = 2
+    held = getattr(value, field)
+    assert held.reshape(-1).tolist() == [0, 1, 2, 1]
+    assert value == cls.from_array([[0, 1], [2, 1]]) and value != cls.from_array(src)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0] = 1
+    # to_array hands out a writable copy
+    arr = value.to_array()
+    arr[0, 0] = 2
+    assert held.reshape(-1).tolist() == [0, 1, 2, 1]
 
 
 def test_round_u8_half_away():

@@ -70,8 +70,10 @@ class FusionParams:
         _check_angle("view_angle", self.view_angle)
 
 
-def _round_half_away(v: float) -> int:
-    return int(math.floor(v + 0.5)) if v >= 0 else -int(math.floor(-v + 0.5))
+def _extent(size: int, scale: float, room: int) -> int:
+    """size * scale rounded half up, clipped first to the room left on the canvas
+    (so a huge finite scale cannot overflow; what lies past it is clipped anyway)."""
+    return int(math.floor(min(size * scale, room) + 0.5))
 
 
 def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
@@ -82,8 +84,8 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
     when the layer falls entirely outside the canvas.
     """
     _check_scale(layer.scale)
-    sw = _round_half_away(layer.pixels.width * layer.scale)
-    sh = _round_half_away(layer.pixels.height * layer.scale)
+    sw = _extent(layer.pixels.width, layer.scale, canvas_w - layer.tx)
+    sh = _extent(layer.pixels.height, layer.scale, canvas_h - layer.ty)
     x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
     y0, y1 = max(0, layer.ty), min(canvas_h, layer.ty + sh)
     if x0 >= x1 or y0 >= y1:

@@ -4,20 +4,24 @@ Per frame, in order:
 
 1. pick an encoding level and re-encode;
 2. cipher the payload into an authenticated envelope;
-3. transmit over the simulated link (an adversary may interpose);
-4. verify and decipher -- alarmed frames are logged and go no further;
+3. transmit the wire bytes over the simulated link and decode them (an
+   adversary may interpose);
+4. verify and decipher;
 5. key the moving subject (mixture update + mask cleanup);
 6. build a trimap, solve the matte, fold it into the fuzzy knowledge;
 7. extract an identity template from the subject region and query the store;
 8. place the keyed layer into the target scene and blend;
 9. write the composite and append one metrics record.
 
-Transport drops produce a metrics record marked ``drop`` with no output
-image.  Any module error on a frame is logged and the frame skipped; the
-pipeline itself never aborts mid-run.  With the same configuration and seed,
-output images and the metrics file are byte-identical across runs (stage
-timings are measured only when requested, since real timings would break
-that reproducibility; the ms_total column reads 0 otherwise).
+Every frame appends one record, and only a frame that reaches step 9 writes a
+composite.  The others stop at a transport drop (``drop`` set), a security
+alarm at step 4 (its ``tamper``, ``replay`` or ``unauth`` column set), or a
+module or I/O error at any step, reading the frame included (logged with the
+exception's class and message); none aborts the run.  With the same
+configuration and seed, output images and the metrics file are byte-identical
+across runs (stage timings are measured only when requested, since real
+timings would break that reproducibility; the ms_total column reads 0
+otherwise).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import logging
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,18 +41,20 @@ from .errors import (
     EmrError,
     InsufficientLabels,
     ReplayAlarm,
+    SecurityAlarm,
     TamperAlarm,
     UnauthorizedAgent,
 )
 from .fusion import RvoLayer, compose, select_view
 from .layering import layer_init, layer_update_classify, mask_postprocess
-from .matting import alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
+from .matting import MattingParams, alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
 from .qoeqos import reencode, score as level_score, select_encoding
-from .raster import AlphaMatte, Frame, decode_pnm, encode_pnm, load_pnm, save_pnm
+from .raster import AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm
 from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template, write_atomic
 from .tunnel import (
     AgentRole,
+    decode_envelope,
     decrypt_verify,
     encode_envelope,
     encrypt_envelope,
@@ -66,6 +72,8 @@ METRICS_COLUMNS = (
 _FRAME_RE = re.compile(r"^frame_(\d{6})\.ppm$")
 _NO_IDENTITY = "-"
 _UNKNOWN_IDENTITY = "UNKNOWN"
+# the metrics column each alarm sets
+_ALARM_COLUMNS = {TamperAlarm: "tamper", ReplayAlarm: "replay", UnauthorizedAgent: "unauth"}
 
 
 @dataclass
@@ -104,7 +112,6 @@ class PipelineResult:
     metrics_text: str
     selected_view: str
     identity_enrolled: bool = False
-    notes: list = field(default_factory=list)
 
 
 def _list_frames(frames_dir: Path):
@@ -145,9 +152,15 @@ def _expand_span(lo: int, hi: int, minimum: int, limit: int):
     return lo, hi
 
 
-def _binary_matte(mask: Frame) -> AlphaMatte:
-    arr = mask.data[:, :, 0].astype(np.float64) / 255.0
-    return AlphaMatte.from_array(arr)
+def _solve_matte(received: Frame, trimap: Trimap, mask: Frame, params: MattingParams) -> AlphaMatte:
+    """The solved matte, or the binary mask when the band has no anchors."""
+    try:
+        return alpha_solve(
+            received, trimap,
+            max_iters=params.max_iters, eps=params.eps, window=params.window,
+        ).matte
+    except InsufficientLabels:
+        return AlphaMatte.from_array(mask.data[:, :, 0] / 255.0)
 
 
 def _select_level(config: PipelineConfig, width: int, height: int, channels: int):
@@ -165,9 +178,7 @@ def _select_level(config: PipelineConfig, width: int, height: int, channels: int
         usable, config.channel, config.fps, config.mos_model,
         config.policy, config.w, config.constraints,
     )
-    s = level_score(
-        level, config.channel, config.fps, config.mos_model, config.constraints.bounds
-    )
+    s = level_score(level, config.channel, config.fps, config.mos_model, config.constraints)
     return level, degraded, s
 
 
@@ -212,7 +223,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     fuzzy = None
     records = []
     traces = {}
-    notes = []
     outputs = 0
     enrolled = False
     now = 0.0
@@ -225,13 +235,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
         trace = []
         try:
             source = load_pnm(path, index=frame_index)
-        except (OSError, EmrError) as exc:
-            log.warning("frame %06d unreadable: %s", frame_index, exc)
-            records.append(rec)
-            traces[frame_index] = tuple(trace)
-            continue
 
-        try:
             # 1. QoE/QoS selection (once per source geometry) and re-encoding
             geometry = (source.width, source.height, source.channels)
             if geometry != selected_for:
@@ -247,40 +251,28 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             envelope = encrypt_envelope(send_tunnel, payload)
             trace.append("encrypt")
 
-            # 3. simulated transport
-            wire_bits = len(encode_envelope(envelope)) * 8
-            result = transmit(link, wire_bits, now)
+            # 3. simulated transport of the wire bytes
+            wire = encode_envelope(envelope)
+            result = transmit(link, len(wire) * 8, now)
             trace.append("transmit")
             if not result.delivered:
                 rec.drop = 1
                 log.info("frame %06d dropped in transit", frame_index)
                 continue
             now = result.arrival
+            envelope = decode_envelope(wire)
             if adversary is not None:
                 envelope = interpose(adversary, envelope)
 
-            # 4. verification; alarms end the frame here
-            try:
-                received_payload = decrypt_verify(recv_tunnel, envelope, registry)
-            except TamperAlarm:
-                rec.tamper = 1
-                log.warning("frame %06d: tamper alarm", frame_index)
-                continue
-            except ReplayAlarm:
-                rec.replay = 1
-                log.warning("frame %06d: replay alarm", frame_index)
-                continue
-            except UnauthorizedAgent:
-                rec.unauth = 1
-                log.warning("frame %06d: unauthorized agent", frame_index)
-                continue
-            received = decode_pnm(received_payload, index=frame_index)
+            # 4. verification; an alarm ends the frame here
+            payload = decrypt_verify(recv_tunnel, envelope, registry)
+            received = decode_pnm(payload, index=frame_index)
             trace.append("decrypt")
 
             # 5. motion keying
             if model is None or model.shape != (received.height, received.width, received.channels):
                 if model is not None:
-                    notes.append(f"frame {frame_index}: dimensions changed, model reset")
+                    log.info("frame %06d: dimensions changed, model reset", frame_index)
                 model = layer_init(received, config.gmm)
                 fuzzy = fuzzy_init(received.width, received.height, config.matting.lambda_t)
             mask, model = layer_update_classify(model, received)
@@ -290,16 +282,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
             # 6. matting
             trimap = trimap_from_mask(mask, config.matting)
-            try:
-                matte = alpha_solve(
-                    received, trimap,
-                    max_iters=config.matting.max_iters,
-                    eps=config.matting.eps,
-                    window=config.matting.window,
-                ).matte
-            except InsufficientLabels:
-                # band without anchors: fall back to the binary mask as matte
-                matte = _binary_matte(mask)
+            matte = _solve_matte(received, trimap, mask, config.matting)
             fuzzy = fuzzy_update(fuzzy, matte)
             trace.append("matte")
 
@@ -332,10 +315,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             save_pnm(composite, config.out_dir / f"out_{frame_index:06d}.ppm")
             outputs += 1
             trace.append("write")
-        except EmrError as exc:
-            log.warning("frame %06d skipped: %s", frame_index, exc)
-        except OSError as exc:
-            log.warning("frame %06d I/O failure: %s", frame_index, exc)
+        except SecurityAlarm as exc:
+            setattr(rec, _ALARM_COLUMNS[type(exc)], 1)
+            log.warning("frame %06d alarm: %s: %s", frame_index, type(exc).__name__, exc)
+        except (EmrError, OSError) as exc:
+            log.warning("frame %06d stopped: %s: %s", frame_index, type(exc).__name__, exc)
         finally:
             if timings:
                 rec.ms_total = (time.perf_counter() - start) * 1000.0
@@ -355,5 +339,4 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
         metrics_text=metrics_text,
         selected_view=view.id,
         identity_enrolled=enrolled,
-        notes=notes,
     )

@@ -103,18 +103,6 @@ class QoeQosScore:
     qos_norm: float
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Latency normalization window."""
-
-    l_min: float = 0.0
-    l_max: float = 0.5
-
-    def __post_init__(self):
-        if not self.l_max > self.l_min >= 0:
-            raise InvalidBounds("need l_max > l_min >= 0")
-
-
 class Policy(enum.Enum):
     OPT_QOE = "qoe"
     OPT_QOS = "qos"
@@ -123,18 +111,15 @@ class Policy(enum.Enum):
 
 @dataclass(frozen=True)
 class Constraints:
-    """Feasibility limits for the constrained policies; l_min anchors BALANCE."""
+    """Feasibility limits for the constrained policies; [l_min, l_max] normalizes latency."""
 
     mos_min: float = 1.0
     l_max: float = 0.5
     l_min: float = 0.0
 
     def __post_init__(self):
-        self.bounds  # checks l_max > l_min >= 0
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(l_min=self.l_min, l_max=self.l_max)
+        if not self.l_max > self.l_min >= 0:
+            raise InvalidBounds("need l_max > l_min >= 0")
 
 
 def mos_of(bits_per_frame: float, fps: float, model: MosModel) -> float:
@@ -158,13 +143,14 @@ def score(
     channel: ChannelModel,
     fps: float,
     model: MosModel,
-    bounds: Bounds,
+    constraints: Constraints,
 ) -> QoeQosScore:
     """Quantified, normalized experience/service score of one level."""
     mos = mos_of(level.bits_per_frame, fps, model)
     latency = latency_of(level, channel)
     qoe_norm = (mos - 1.0) / 4.0
-    qos_norm = min(1.0, max(0.0, (bounds.l_max - latency) / (bounds.l_max - bounds.l_min)))
+    l_min, l_max = constraints.l_min, constraints.l_max
+    qos_norm = min(1.0, max(0.0, (l_max - latency) / (l_max - l_min)))
     return QoeQosScore(mos=mos, latency=latency, qoe_norm=qoe_norm, qos_norm=qos_norm)
 
 
@@ -187,9 +173,8 @@ def select_encoding(
         raise NoLevels("candidate level set is empty")
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0, 1]")
-    bounds = constraints.bounds
     scored = [
-        (i, lvl, score(lvl, channel, fps, model, bounds)) for i, lvl in enumerate(levels)
+        (i, lvl, score(lvl, channel, fps, model, constraints)) for i, lvl in enumerate(levels)
     ]
 
     if policy is Policy.OPT_QOE:

@@ -136,10 +136,6 @@ class AlphaMatte(_Raster):
             raise ValueError("expected a 2-d array")
         return cls(width=a.shape[1], height=a.shape[0], alpha=a)
 
-    def to_frame(self, index: int = 0) -> Frame:
-        """Quantize to an 8-bit grayscale frame (alpha * 255, rounded)."""
-        return Frame.from_array(round_u8(self.to_array() * 255.0), index=index)
-
 
 @dataclass(frozen=True, eq=False)
 class Trimap(_Raster):

@@ -60,8 +60,9 @@ def _check_shards(count: int) -> None:
 
 
 def _check_user_id(user_id: str, name: str = "user_id") -> None:
-    if not user_id or "," in user_id or "\n" in user_id:
-        raise ValueError(f"{name} must be non-empty without commas or newlines")
+    # load() splits a shard file with splitlines(), which also yields no line for ""
+    if "," in user_id or user_id.splitlines() != [user_id]:
+        raise ValueError(f"{name} must be non-empty without commas or line breaks")
 
 
 def _template_vector(values, name: str) -> np.ndarray:
@@ -239,6 +240,7 @@ class KnowledgeStore:
                 if len(parts) != 2 + TEMPLATE_DIM:
                     raise ValueError(f"malformed shard record in {path}")
                 user_id, count = parts[0], int(parts[1])
+                _check_user_id(user_id, f"user id in {path}")
                 centroid = np.array([float(v) for v in parts[2:]])
                 home = store.shard_for(user_id)
                 if home.node_id != shard.node_id:

@@ -103,6 +103,15 @@ class TestCompose:
         layer = layer_from(np.full((1, 1, 3), 200), [[0.5]])
         assert compose(bg, [layer]).to_array()[0, 0, 0] == 150
 
+    def test_huge_finite_scale_covers_the_canvas(self):
+        # 2 * 1e308 overflows to inf; the extent is clipped to the canvas first
+        bg = self.background()
+        layer = layer_from([[[10, 20, 30], [40, 50, 60]]], [[1.0, 1.0]], scale=1e308, tx=1)
+        out = compose(bg, [layer]).to_array()
+        assert np.all(out[:, 1:] == (10, 20, 30))
+        assert np.array_equal(out[:, 0], bg.to_array()[:, 0])
+        assert compose(bg, [layer]) == full_canvas_compose(bg, [layer])
+
     def test_blend_stays_within_contributing_values(self):
         rng = np.random.default_rng(2)
         bg = self.background(rng)

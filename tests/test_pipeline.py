@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import subprocess
 import sys
 
@@ -231,7 +232,7 @@ class TestRunPipeline:
         assert result.outputs_written == 8
 
     def test_metrics_agree_with_selection_oracle(self, tmp_path):
-        from emr.qoeqos import Bounds, score, select_encoding
+        from emr.qoeqos import score, select_encoding
 
         cfg = load(workspace(tmp_path, frames=5))
         result = run_pipeline(cfg)
@@ -240,12 +241,76 @@ class TestRunPipeline:
         lvl, degraded = select_encoding(
             usable, cfg.channel, cfg.fps, cfg.mos_model, cfg.policy, cfg.w, cfg.constraints
         )
-        s = score(lvl, cfg.channel, cfg.fps, cfg.mos_model,
-                  Bounds(l_min=cfg.constraints.l_min, l_max=cfg.constraints.l_max))
+        s = score(lvl, cfg.channel, cfg.fps, cfg.mos_model, cfg.constraints)
         for r in result.records:
             assert r.level == lvl.id
             assert r.mos == s.mos and r.latency == s.latency
             assert r.degraded == degraded
+
+
+class TestFrameOutcomes:
+    """Each way a frame can end short of a composite, one test apiece."""
+
+    def gray_frame_workspace(self, tmp_path):
+        from emr.raster import load_pnm, save_pnm, to_grayscale
+
+        cfg_path = workspace(tmp_path, frames=6)
+        path = tmp_path / "data" / "frame_000004.ppm"
+        save_pnm(to_grayscale(load_pnm(path)), path)  # a P5 frame among P6 ones
+        return cfg_path
+
+    def written(self, tmp_path):
+        return sorted(int(p.stem[4:]) for p in (tmp_path / "out").glob("out_*.ppm"))
+
+    def test_unreadable_frame(self, tmp_path, caplog):
+        cfg_path = workspace(tmp_path, frames=5)
+        path = tmp_path / "data" / "frame_000002.ppm"
+        path.write_bytes(path.read_bytes()[:-1])
+        with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
+            result = run_pipeline(load(cfg_path), timings=True)
+        rec = result.records[2]
+        assert (rec.frame, rec.level, rec.drop, rec.identity) == (2, "-", 0, "-")
+        assert rec.ms_total > 0
+        assert result.traces[2] == ()
+        assert self.written(tmp_path) == [0, 1, 3, 4]
+        assert "frame 000002 stopped: MalformedImage: payload has" in caplog.text
+
+    def test_module_error(self, tmp_path, caplog):
+        # a gray frame keys and mattes, but cannot blend into the colour scene
+        with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
+            result = run_pipeline(load(self.gray_frame_workspace(tmp_path)))
+        assert [r.level for r in result.records] == ["high"] * 6
+        assert result.traces[4][-1] == "identify"
+        assert self.written(tmp_path) == [0, 1, 2, 3, 5]
+        assert "frame 000004 stopped: DimensionMismatch: " in caplog.text
+
+    def test_model_reset_logged(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="emr.pipeline"):
+            run_pipeline(load(self.gray_frame_workspace(tmp_path)))
+        resets = [r.getMessage() for r in caplog.records if "model reset" in r.getMessage()]
+        assert resets == [
+            "frame 000004: dimensions changed, model reset",
+            "frame 000005: dimensions changed, model reset",
+        ]
+
+    def test_replay_alarm(self, tmp_path, caplog):
+        # the adversary forwards each envelope one frame late: only frame 1's
+        # stand-in (frame 0's envelope) is not beyond what was already received
+        with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
+            result = run_pipeline(load(workspace(tmp_path, frames=4)), adversary_mode="replay")
+        assert [r.replay for r in result.records] == [0, 1, 0, 0]
+        assert result.traces[1] == ("encode", "encrypt", "transmit")
+        assert self.written(tmp_path) == [0, 2, 3]
+        assert "frame 000001 alarm: ReplayAlarm: " in caplog.text
+
+    def test_alarm_table_covers_every_alarm(self):
+        from emr.errors import SecurityAlarm
+        from emr.pipeline import _ALARM_COLUMNS
+
+        assert set(_ALARM_COLUMNS) == set(SecurityAlarm.__subclasses__())
+        columns = list(_ALARM_COLUMNS.values())
+        assert len(set(columns)) == len(columns)
+        assert set(columns) <= set(METRICS_COLUMNS)
 
 
 class TestCli:
@@ -259,6 +324,12 @@ class TestCli:
         run = run_cli("run", "--config", str(cfg_path))
         assert run.returncode == 0
         assert len(list((tmp_path / "out").glob("out_*.ppm"))) == 5
+
+    def test_huge_fusion_scale_runs(self, tmp_path):
+        cfg_path = workspace(tmp_path, frames=2, extra="[fusion]\nscale = 1e308\n")
+        assert run_cli("validate-config", str(cfg_path)).returncode == 0
+        assert run_cli("run", "--config", str(cfg_path)).returncode == 0
+        assert len(list((tmp_path / "out").glob("out_*.ppm"))) == 2
 
     def test_bad_config_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -12,7 +12,6 @@ from emr.errors import (
     NoLevels,
 )
 from emr.qoeqos import (
-    Bounds,
     ChannelModel,
     Constraints,
     EncodingLevel,
@@ -162,7 +161,7 @@ class TestLatency:
 class TestScore:
     def test_norms_at_bounds(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.0)
-        bounds = Bounds(l_min=0.0, l_max=0.5)
+        bounds = Constraints(l_min=0.0, l_max=0.5)
         at_max = EncodingLevel(id="a", bits_per_frame=int(0.5 * 1e7))
         assert score(at_max, ch, 1.0, MODEL, bounds).qos_norm == 0.0
         tiny = EncodingLevel(id="b", bits_per_frame=1)
@@ -171,7 +170,7 @@ class TestScore:
     def test_qoe_norm_is_rescaled_mos(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.01)
         s = score(EncodingLevel(id="a", bits_per_frame=3_000_000), ch, 1.0, MODEL,
-                  Bounds(l_max=1.0))
+                  Constraints(l_max=1.0))
         assert s.qoe_norm == pytest.approx((s.mos - 1) / 4, abs=1e-12)
         assert s.qoe_norm == pytest.approx(0.6309297535714574, abs=1e-9)
 
@@ -179,12 +178,10 @@ class TestScore:
         ch = ChannelModel(capacity=1e7)
         with pytest.raises(InvalidBounds):
             score(EncodingLevel(id="a", bits_per_frame=1), ch, 1.0, MODEL,
-                  Bounds(l_min=0.5, l_max=0.5))
+                  Constraints(l_min=0.5, l_max=0.5))
 
     @pytest.mark.parametrize("kw", [dict(l_min=math.nan), dict(l_max=math.nan)])
     def test_nan_bounds_rejected(self, kw):
-        with pytest.raises(InvalidBounds):
-            Bounds(**kw)
         with pytest.raises(InvalidBounds):
             Constraints(**kw)
 

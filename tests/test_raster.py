@@ -217,10 +217,6 @@ class TestMatteAndTrimap:
         assert m.to_array()[0, 0] == 0.0
         assert m == AlphaMatte(width=2, height=2, alpha=(0.0, 0.25, 0.5, 1.0))
 
-    def test_matte_quantizes_to_frame(self):
-        m = AlphaMatte(width=2, height=1, alpha=(0.0, 0.5))
-        assert m.to_frame().data.tobytes() == bytes([0, 128])  # 0.5*255 = 127.5 -> 128
-
     def test_trimap_label_domain_enforced(self):
         # only the last label is out of range
         for bad in (3, 255):

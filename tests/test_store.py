@@ -132,9 +132,12 @@ class TestEnroll:
             IdentityTemplate(user_id="eve", centroid=bad, sample_count=1)
 
     def test_user_id_with_comma_rejected(self):
+        # and every other id that save could write but load could not read back
         store = KnowledgeStore(1)
-        with pytest.raises(ValueError):
-            store.enroll("a,b", random_template(np.random.RandomState(0)))
+        for user_id in ("a,b", "", "a\nb", "a\rb", "a\x1cb", "a\x85b", "a\u2028b", "a\n"):
+            with pytest.raises(ValueError):
+                store.enroll(user_id, random_template(np.random.RandomState(0)))
+        assert list(store.users()) == []
 
 
 class TestIdentify:
@@ -243,6 +246,8 @@ class TestRebalance:
 class TestPersistence:
     def test_save_load_roundtrip_exact(self, tmp_path):
         store, rng = self.make_store()
+        for user_id in ("a b", "a\tb", "a\x1fb", " a "):  # accepted ids that are not plain
+            store.enroll(user_id, random_template(rng))
         store.save(tmp_path)
         loaded = KnowledgeStore.load(tmp_path, store.shard_count)
         assert sorted(loaded.users()) == sorted(store.users())
@@ -287,6 +292,11 @@ class TestPersistence:
         shard = tmp_path / "shard_000.csv"
         bad = "aaa,1," + ",".join(["nan"] * TEMPLATE_DIM) + "\n"
         shard.write_text(bad + shard.read_text())
+        with pytest.raises(ValueError):
+            KnowledgeStore.load(tmp_path, 1)
+
+    def test_empty_user_id_rejected_on_load(self, tmp_path):
+        (tmp_path / "shard_000.csv").write_text(",1," + ",".join(["0.0"] * TEMPLATE_DIM) + "\n")
         with pytest.raises(ValueError):
             KnowledgeStore.load(tmp_path, 1)
 

@@ -7,9 +7,10 @@ warning.  Unknown sections or keys are errors, as are non-finite numbers
 and values violating any module precondition; every check runs up front so
 a run never aborts mid-stream over a bad parameter.  Each precondition lives
 in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
-the type checks its own fields, and its error becomes ``InvalidValue`` naming
-the config key.  ``_check`` covers the six keys no type carries: encoding.fps,
-encoding.w, tunnel.r, tunnel.burn_in, io.frames_dir and io.background.
+the type checks its own fields, and its ``ValueError`` becomes
+``InvalidValue`` naming the config key.  ``_check`` covers the six keys no
+type carries: encoding.fps, encoding.w, tunnel.r, tunnel.burn_in,
+io.frames_dir and io.background.
 
 Sections and keys (defaults in parentheses):
 
@@ -39,7 +40,7 @@ import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import EmrError, InvalidValue, MissingKey, UnknownKey
+from .errors import InvalidValue, MissingKey, UnknownKey
 from .fusion import FusionParams, ViewSource
 from .layering import GmmParams
 from .matting import DEFAULT_EPS, MattingParams
@@ -225,7 +226,7 @@ def _check(condition: bool, key: str, reason: str) -> None:
 def _build(cls, section: str, values: dict):
     """``cls`` from the parsed values of the section's rows that name its fields.
 
-    A precondition error of the type becomes ``InvalidValue`` for the config
+    A ``ValueError`` of the type becomes ``InvalidValue`` for the config
     key of the first field its message names, or for the section if none.
     """
     names = {f.name for f in fields(cls)}
@@ -236,7 +237,7 @@ def _build(cls, section: str, values: dict):
             keys[name] = key
     try:
         return cls(**{name: values[(section, key)] for name, key in keys.items()})
-    except (ValueError, EmrError) as exc:
+    except ValueError as exc:
         named = [keys[word] for word in re.findall(r"\w+", str(exc)) if word in keys]
         raise InvalidValue(f"{section}.{named[0]}" if named else section, str(exc))
 

@@ -1,9 +1,12 @@
 """Exception types shared across the emr package.
 
-Every operational failure raises a subclass of :class:`EmrError`.  A value
-type checks its own fields at construction, and functions taking it do not
-check them again; a violation raises the module's class below (e.g.
-``GmmParams`` -> :class:`InvalidParams`) or plain ``ValueError``.
+One rule decides which failures get a class here.  A class exists only if
+code in this package catches it by class, or if a frame of ``run_pipeline``
+can raise it under a configuration that ``parse_config`` accepts (the run
+then contains it: the frame is logged and counted, and the next frame runs).
+Every other precondition -- an argument or field that a caller got wrong --
+raises plain ``ValueError``.  A value type checks its own fields at
+construction, and functions taking it do not check them again.
 """
 
 
@@ -11,84 +14,20 @@ class EmrError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- raster ---------------------------------------------------------------
-
-class InvalidChannels(EmrError):
-    """Operation requires a different channel count."""
-
-
 class DimensionMismatch(EmrError):
     """Dimensions do not agree or are not divisible as required."""
-
-
-class InvalidFactor(EmrError):
-    """Resampling factor out of range."""
-
-
-class InvalidStep(EmrError):
-    """Quantization step out of range."""
 
 
 class MalformedImage(EmrError):
     """Image bytes do not decode as a valid PPM/PGM file."""
 
 
-# --- scene layering -------------------------------------------------------
-
-class InvalidParams(EmrError):
-    """Mixture-model parameters violate their preconditions."""
-
-
-class InvalidMask(EmrError):
-    """Mask is not a single-channel binary (0/255) frame."""
-
-
-# --- matting ---------------------------------------------------------------
-
-class InvalidRadii(EmrError):
-    """Trimap radii must satisfy r_bg >= r_fg >= 0."""
-
-
 class InsufficientLabels(EmrError):
     """Unknown pixels present but no foreground or no background labels."""
 
 
-# --- scene fusion ----------------------------------------------------------
-
-class InvalidTransform(EmrError):
-    """Layer transform is not applicable (e.g. non-positive scale)."""
-
-
-class NoViews(EmrError):
-    """View selection over an empty view list."""
-
-
-# --- qoe-qos ----------------------------------------------------------------
-
-class InvalidModel(EmrError):
-    """Experience-score model parameters out of range."""
-
-
-class InvalidChannel(EmrError):
-    """Channel capacity must be positive."""
-
-
-class InvalidBounds(EmrError):
-    """Latency normalization bounds must satisfy L_max > L_min >= 0."""
-
-
 class NoLevels(EmrError):
     """Encoding selection over an empty level set."""
-
-
-# --- secure tunnel -----------------------------------------------------------
-
-class GroupTooSmall(EmrError):
-    """Key-agreement group modulus too small to be usable."""
-
-
-class InvalidKey(EmrError):
-    """Public key outside the valid range [1, p-1]."""
 
 
 class ReseedRequired(EmrError):
@@ -111,24 +50,8 @@ class ReplayAlarm(SecurityAlarm):
     """Envelope sequence number not strictly increasing."""
 
 
-# --- netsim ------------------------------------------------------------------
-
-class InvalidPayload(EmrError):
-    """Negative payload size."""
-
-
-# --- knowledge store ---------------------------------------------------------
-
 class DegenerateTemplate(EmrError):
     """Feature region has zero variance; no template can be extracted."""
-
-
-class ShardUnavailable(EmrError):
-    """Target shard node is offline."""
-
-
-class InvalidShardCount(EmrError):
-    """Shard count must be at least 1."""
 
 
 # --- pipeline config ---------------------------------------------------------

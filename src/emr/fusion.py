@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidTransform, NoViews
+from .errors import DimensionMismatch
 from .raster import AlphaMatte, Frame, round_u8
 
 
@@ -31,6 +31,7 @@ class RvoLayer:
     def __post_init__(self):
         if (self.pixels.width, self.pixels.height) != (self.matte.width, self.matte.height):
             raise ValueError("layer pixels and matte dimensions differ")
+        _check_scale(self.scale)
 
 
 def _check_angle(name: str, degrees: float) -> None:
@@ -40,7 +41,7 @@ def _check_angle(name: str, degrees: float) -> None:
 
 def _check_scale(scale: float) -> None:
     if not scale > 0:
-        raise InvalidTransform(f"scale must be > 0, got {scale}")
+        raise ValueError(f"scale must be > 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
     and the layer's uint8 pixels and float alpha resampled onto it, or None
     when the layer falls entirely outside the canvas.
     """
-    _check_scale(layer.scale)
     sw = _extent(layer.pixels.width, layer.scale, canvas_w - layer.tx)
     sh = _extent(layer.pixels.height, layer.scale, canvas_h - layer.ty)
     x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
@@ -142,7 +142,7 @@ def select_view(views, target_angle_deg: float) -> ViewSource:
     """Pick the view with minimum circular distance; ties go to the earlier view."""
     views = list(views)
     if not views:
-        raise NoViews("no views to select from")
+        raise ValueError("no views to select from")
 
     def circ_dist(view):
         d = abs(view.angle_deg - target_angle_deg) % 360.0

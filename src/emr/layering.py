@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMask, InvalidParams
+from .errors import DimensionMismatch
 from .raster import Frame
 
 
@@ -43,15 +43,15 @@ class GmmParams:
 
     def __post_init__(self):
         if not self.k >= 1:
-            raise InvalidParams("k must be >= 1")
+            raise ValueError("k must be >= 1")
         if not self.lam > 0:
-            raise InvalidParams("lam must be > 0")
+            raise ValueError("lam must be > 0")
         if not 0.0 <= self.alpha_lr <= 1.0:
-            raise InvalidParams("alpha_lr must lie in [0, 1]")
+            raise ValueError("alpha_lr must lie in [0, 1]")
         if not 0.0 < self.t_bg <= 1.0:
-            raise InvalidParams("t_bg must lie in (0, 1]")
+            raise ValueError("t_bg must lie in (0, 1]")
         if not self.var_init >= self.var_min > 0:
-            raise InvalidParams("need var_init >= var_min > 0")
+            raise ValueError("need var_init >= var_min > 0")
 
 
 class LayerModel:
@@ -211,11 +211,11 @@ def layer_update_classify(model: LayerModel, frame: Frame):
 
 def _binary(frame: Frame) -> np.ndarray:
     if frame.channels != 1:
-        raise InvalidMask("mask must have a single channel")
+        raise ValueError("mask must have a single channel")
     arr = frame.data[:, :, 0]
     fg = arr == 255
     if not (fg | (arr == 0)).all():
-        raise InvalidMask("mask values must be 0 or 255")
+        raise ValueError("mask values must be 0 or 255")
     return fg
 
 

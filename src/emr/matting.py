@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientLabels, InvalidRadii
+from .errors import DimensionMismatch, InsufficientLabels
 from .layering import _binary, _dilate, _erode
 from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _frozen, _Raster
 
@@ -56,9 +56,9 @@ class MattingParams:
 
     def __post_init__(self):
         if not self.r_fg >= 0:
-            raise InvalidRadii(f"r_fg must be >= 0, got {self.r_fg}")
+            raise ValueError(f"r_fg must be >= 0, got {self.r_fg}")
         if not self.r_bg >= self.r_fg:
-            raise InvalidRadii(f"r_bg must be >= r_fg, got r_fg={self.r_fg} r_bg={self.r_bg}")
+            raise ValueError(f"r_bg must be >= r_fg, got r_fg={self.r_fg} r_bg={self.r_bg}")
         _check_window(self.window)
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")

@@ -13,7 +13,6 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidPayload
 from .qoeqos import ChannelModel
 from .tunnel import Envelope
 
@@ -35,7 +34,7 @@ class Link:
 def transmit(link: Link, payload_bits: float, now: float = 0.0) -> TransmitResult:
     """Attempt a delivery; loss is drawn from the link's seeded PRNG."""
     if payload_bits < 0:
-        raise InvalidPayload(f"payload_bits must be >= 0, got {payload_bits}")
+        raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
     u = link.rng.random()  # always draw, keeping traces aligned across configs
     if u < link.channel.loss_prob:
         return TransmitResult(delivered=False)

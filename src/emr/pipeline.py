@@ -32,12 +32,14 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import (
     DegenerateTemplate,
+    DimensionMismatch,
     EmrError,
     InsufficientLabels,
     ReplayAlarm,
@@ -64,11 +66,6 @@ from .tunnel import (
 
 log = logging.getLogger("emr.pipeline")
 
-METRICS_COLUMNS = (
-    "frame", "level", "mos", "latency", "degraded", "tamper", "replay",
-    "unauth", "drop", "fg_pixels", "identity", "ms_total",
-)
-
 _FRAME_RE = re.compile(r"^frame_(\d{6})\.ppm$")
 _NO_IDENTITY = "-"
 _UNKNOWN_IDENTITY = "UNKNOWN"
@@ -92,15 +89,19 @@ class FrameMetrics:
     ms_total: float = 0.0
 
 
+# a column's text by its field's type; any other type is str()
+_FORMATS = {bool: lambda v: str(int(v)), float: "{:.6f}".format}
+_COLUMN_FORMATS = tuple(
+    (name, _FORMATS.get(kind, str)) for name, kind in get_type_hints(FrameMetrics).items()
+)
+METRICS_COLUMNS = tuple(name for name, _ in _COLUMN_FORMATS)
+
+
 def emit_metrics(records) -> str:
     """Render ordered records as CSV; byte-deterministic for equal inputs."""
     lines = [",".join(METRICS_COLUMNS)]
     for r in records:
-        lines.append(
-            f"{r.frame},{r.level},{r.mos:.6f},{r.latency:.6f},{int(r.degraded)},"
-            f"{r.tamper},{r.replay},{r.unauth},{r.drop},{r.fg_pixels},"
-            f"{r.identity},{r.ms_total:.6f}"
-        )
+        lines.append(",".join(fmt(getattr(r, name)) for name, fmt in _COLUMN_FORMATS))
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +270,10 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             received = decode_pnm(payload, index=frame_index)
             trace.append("decrypt")
 
-            # 5. motion keying
+            # 5. motion keying; a frame that cannot blend into the scene stops
+            # before it reaches (and resets) the model
+            if received.channels != background.channels:
+                raise DimensionMismatch("layer channel count differs from background")
             if model is None or model.shape != (received.height, received.width, received.channels):
                 if model is not None:
                     log.info("frame %06d: dimensions changed, model reset", frame_index)

@@ -22,12 +22,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    InvalidBounds,
-    InvalidChannel,
-    InvalidModel,
-    NoLevels,
-)
+from .errors import NoLevels
 from .raster import Frame, downsample, quantize
 
 
@@ -76,7 +71,7 @@ class ChannelModel:
 
     def __post_init__(self):
         if not self.capacity > 0:
-            raise InvalidChannel("capacity must be > 0")
+            raise ValueError("capacity must be > 0")
         if not self.base_delay >= 0:
             raise ValueError("base_delay must be >= 0")
         if not 0.0 <= self.loss_prob <= 1.0:
@@ -92,7 +87,7 @@ class MosModel:
 
     def __post_init__(self):
         if not self.bmax > self.b0 > 0:
-            raise InvalidModel("need bmax > b0 > 0")
+            raise ValueError("need bmax > b0 > 0")
 
 
 @dataclass(frozen=True)
@@ -119,13 +114,13 @@ class Constraints:
 
     def __post_init__(self):
         if not self.l_max > self.l_min >= 0:
-            raise InvalidBounds("need l_max > l_min >= 0")
+            raise ValueError("need l_max > l_min >= 0")
 
 
 def mos_of(bits_per_frame: float, fps: float, model: MosModel) -> float:
     """Mean-opinion score of the bitrate bits_per_frame * fps."""
     if not fps > 0:
-        raise InvalidModel("fps must be > 0")
+        raise ValueError("fps must be > 0")
     b = bits_per_frame * fps
     raw = 1.0 + 4.0 * math.log(1.0 + b / model.b0) / math.log(1.0 + model.bmax / model.b0)
     return min(5.0, max(1.0, raw))

@@ -20,13 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidChannels,
-    InvalidFactor,
-    InvalidStep,
-    MalformedImage,
-)
+from .errors import DimensionMismatch, MalformedImage
 
 # Trimap label values.
 BG = 0
@@ -165,7 +159,7 @@ class Trimap(_Raster):
 def to_grayscale(frame: Frame) -> Frame:
     """Convert a 3-channel frame to grayscale by the fixed luma weights."""
     if frame.channels != 3:
-        raise InvalidChannels("to_grayscale requires a 3-channel frame")
+        raise ValueError("to_grayscale requires a 3-channel frame")
     arr = frame.data.astype(np.float64)
     gray = arr[:, :, 0] * _GRAY_WEIGHTS[0] + arr[:, :, 1] * _GRAY_WEIGHTS[1] + arr[:, :, 2] * _GRAY_WEIGHTS[2]
     return Frame.from_array(round_u8(gray), index=frame.index)
@@ -174,7 +168,7 @@ def to_grayscale(frame: Frame) -> Frame:
 def downsample(frame: Frame, factor: int) -> Frame:
     """Reduce resolution by the rounded mean of each factor x factor block."""
     if not isinstance(factor, int) or factor < 1:
-        raise InvalidFactor(f"factor must be an integer >= 1, got {factor!r}")
+        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
     if factor == 1:
         return frame
     if frame.width % factor or frame.height % factor:
@@ -194,7 +188,7 @@ def downsample(frame: Frame, factor: int) -> Frame:
 def quantize(frame: Frame, step: int) -> Frame:
     """Snap each sample to the nearest multiple of ``step``, clamped to 255."""
     if not isinstance(step, int) or step < 1 or step > 128:
-        raise InvalidStep(f"step must be an integer in [1, 128], got {step!r}")
+        raise ValueError(f"step must be an integer in [1, 128], got {step!r}")
     if step == 1:
         return frame
     lut = np.minimum(((2 * np.arange(256, dtype=np.uint32) + step) // (2 * step)) * step, 255)
@@ -240,8 +234,9 @@ def decode_pnm(data: bytes, index: int = 0) -> Frame:
         while pos < len(data) and data[pos] not in _WHITESPACE:
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
-            raise MalformedImage(f"bad header token {token!r}")
+        # int() refuses thousands of digits; over 18 describe no raster that fits in memory
+        if not token.isdigit() or len(token.lstrip(b"0")) > 18:
+            raise MalformedImage(f"bad header token {token[:32]!r}")
         fields.append(int(token))
     if pos >= len(data):
         raise MalformedImage("missing payload")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTemplate, InvalidShardCount, ShardUnavailable
+from .errors import DegenerateTemplate
 from .raster import Frame, to_grayscale
 
 TEMPLATE_SIDE = 16
@@ -56,7 +56,7 @@ def write_atomic(path, text: str) -> None:
 
 def _check_shards(count: int) -> None:
     if not count >= 1:
-        raise InvalidShardCount(f"shards must be >= 1, got {count}")
+        raise ValueError(f"shards must be >= 1, got {count}")
 
 
 def _check_user_id(user_id: str, name: str = "user_id") -> None:
@@ -133,7 +133,6 @@ class IdentityTemplate:
 class KnowledgeShard:
     node_id: int
     templates: dict = field(default_factory=dict)
-    online: bool = True
 
 
 def _shard_index(user_id: str, shard_count: int) -> int:
@@ -164,8 +163,6 @@ class KnowledgeStore:
         _check_user_id(user_id)
         template = _template_vector(template, "template")
         shard = self.shard_for(user_id)
-        if not shard.online:
-            raise ShardUnavailable(f"shard {shard.node_id} is offline")
         entry = shard.templates.get(user_id)
         if entry is None:
             shard.templates[user_id] = IdentityTemplate(
@@ -180,8 +177,7 @@ class KnowledgeStore:
         """Best cosine match across all shards, or None when over the threshold.
 
         Ties on distance resolve to the lexicographically smallest user id.
-        Offline shards make the scatter-gather fail rather than answer from
-        partial data.  ``StoreParams`` holds a run's theta and owns its domain.
+        ``StoreParams`` holds a run's theta and owns its domain.
         """
         template = np.asarray(template, dtype=np.float64)
         qnorm = np.linalg.norm(template)
@@ -189,8 +185,6 @@ class KnowledgeStore:
             return None
         best = None
         for shard in self.shards:
-            if not shard.online:
-                raise ShardUnavailable(f"shard {shard.node_id} is offline")
             for user_id, entry in shard.templates.items():
                 cnorm = np.linalg.norm(entry.centroid)
                 if cnorm == 0.0:
@@ -248,6 +242,8 @@ class KnowledgeStore:
                         f"user {user_id!r} found on shard {shard.node_id}, "
                         f"belongs on {home.node_id}"
                     )
+                if user_id in shard.templates:
+                    raise ValueError(f"user {user_id!r} listed twice in {path}")
                 shard.templates[user_id] = IdentityTemplate(
                     user_id=user_id, centroid=centroid, sample_count=count
                 )

@@ -41,14 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GroupTooSmall,
-    InvalidKey,
-    ReplayAlarm,
-    ReseedRequired,
-    TamperAlarm,
-    UnauthorizedAgent,
-)
+from .errors import ReplayAlarm, ReseedRequired, TamperAlarm, UnauthorizedAgent
 
 LOGISTIC_R = 3.99
 BURN_IN = 1000
@@ -70,7 +63,7 @@ class DhGroup:
 
     def __post_init__(self):
         if not self.p >= 5:
-            raise GroupTooSmall(f"modulus p = {self.p} leaves no usable exponent range")
+            raise ValueError(f"modulus p = {self.p} leaves no usable exponent range")
         if not 1 < self.g < self.p:
             raise ValueError("generator must satisfy 1 < g < p")
 
@@ -116,7 +109,7 @@ def keypair_gen(seed: int, group: DhGroup = DEFAULT_GROUP):
 def fingerprint(public_key: int, group: DhGroup = DEFAULT_GROUP) -> bytes:
     """SHA-256 digest of the fixed-width big-endian key encoding."""
     if not 1 <= public_key <= group.p - 1:
-        raise InvalidKey(f"public key {public_key} outside [1, p-1]")
+        raise ValueError(f"public key {public_key} outside [1, p-1]")
     return _hash(_encode_int(public_key, group))
 
 
@@ -230,7 +223,7 @@ def handshake(
     """Authenticate the peer against the registry and derive session state.
 
     Both directions of a session derive the same shared secret and the same
-    base chaos state.  A peer key outside [1, p-1] raises InvalidKey (from
+    base chaos state.  A peer key outside [1, p-1] raises ValueError (from
     :func:`fingerprint`).  An unknown peer fingerprint raises
     UnauthorizedAgent; that alarm is the anomalous-node signal.
     """

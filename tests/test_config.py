@@ -102,6 +102,11 @@ class TestValidation:
             ("[store]\nenroll_user = a,b\n", "store.enroll_user"),
             ("[matting]\nwindow = 0\n", "matting.window"),
             ("[tunnel]\np = 3\ng = 2\n", "tunnel.p"),
+            ("[channel]\ncapacity = 0\n", "channel.capacity"),
+            ("[encoding]\nbmax = 1e5\n", "encoding.bmax"),
+            ("[encoding]\nl_min = 0.6\n", "encoding.l_max"),
+            ("[store]\nshards = 0\n", "store.shards"),
+            ("[fusion]\nscale = 0\n", "fusion.scale"),
         ],
     )
     def test_error_names_the_config_key(self, workspace, snippet, key):

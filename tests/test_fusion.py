@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from emr.errors import InvalidTransform, NoViews
 from emr.fusion import FusionParams, RvoLayer, ViewSource, compose, place_layer, select_view
 from emr.raster import AlphaMatte, Frame, round_u8
 
@@ -69,9 +68,8 @@ class TestPlaceLayer:
         assert matte.to_array()[0, 0] == 1.0
 
     def test_non_positive_scale_rejected(self):
-        layer = layer_from([[[0, 0, 0]]], [[0.0]], scale=0.0)
-        with pytest.raises(InvalidTransform):
-            place_layer(layer, 2, 2)
+        with pytest.raises(ValueError, match="scale"):
+            layer_from([[[0, 0, 0]]], [[0.0]], scale=0.0)
 
 
 class TestCompose:
@@ -180,7 +178,7 @@ class TestSelectView:
         assert select_view(self.views(), 350.0).id == "front"
 
     def test_empty_rejected(self):
-        with pytest.raises(NoViews):
+        with pytest.raises(ValueError, match="views"):
             select_view([], 0.0)
 
     def test_angle_range_enforced(self):
@@ -190,14 +188,14 @@ class TestSelectView:
 
 class TestFusionParams:
     @pytest.mark.parametrize(
-        "kw, error",
+        "kw, field",
         [
-            (dict(scale=0.0), InvalidTransform),
-            (dict(scale=math.nan), InvalidTransform),
-            (dict(view_angle=360.0), ValueError),
-            (dict(view_angle=math.nan), ValueError),
+            pytest.param(dict(scale=0.0), "scale", id="kw0-InvalidTransform"),
+            pytest.param(dict(scale=math.nan), "scale", id="kw1-InvalidTransform"),
+            pytest.param(dict(view_angle=360.0), "view_angle", id="kw2-ValueError"),
+            pytest.param(dict(view_angle=math.nan), "view_angle", id="kw3-ValueError"),
         ],
     )
-    def test_invalid_params_rejected(self, kw, error):
-        with pytest.raises(error):
+    def test_invalid_params_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=field):
             FusionParams(**kw)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emr.errors import DimensionMismatch, InsufficientLabels, InvalidRadii
+from emr.errors import DimensionMismatch, InsufficientLabels
 from emr.matting import (
     FuzzyKnowledge,
     MattingParams,
@@ -81,26 +81,26 @@ class TestTrimap:
             assert np.array_equal(t == BG, ~brute_force_morph(m, 2, erode=False))
 
     def test_reversed_radii_rejected(self):
-        with pytest.raises(InvalidRadii):
+        with pytest.raises(ValueError, match="r_bg must be >= r_fg"):
             MattingParams(r_fg=3, r_bg=2)
 
 
 class TestMattingParams:
     @pytest.mark.parametrize(
-        "kw, error",
+        "kw, field",
         [
-            (dict(r_fg=-1), InvalidRadii),
-            (dict(r_fg=5, r_bg=4), InvalidRadii),
-            (dict(window=0), ValueError),
-            (dict(max_iters=0), ValueError),
-            (dict(eps=0.0), ValueError),
-            (dict(eps=math.nan), ValueError),
-            (dict(lambda_t=1.5), ValueError),
-            (dict(lambda_t=math.nan), ValueError),
+            pytest.param(dict(r_fg=-1), "r_fg", id="kw0-InvalidRadii"),
+            pytest.param(dict(r_fg=5, r_bg=4), "r_bg", id="kw1-InvalidRadii"),
+            pytest.param(dict(window=0), "window", id="kw2-ValueError"),
+            pytest.param(dict(max_iters=0), "max_iters", id="kw3-ValueError"),
+            pytest.param(dict(eps=0.0), "eps", id="kw4-ValueError"),
+            pytest.param(dict(eps=math.nan), "eps", id="kw5-ValueError"),
+            pytest.param(dict(lambda_t=1.5), "lambda_t", id="kw6-ValueError"),
+            pytest.param(dict(lambda_t=math.nan), "lambda_t", id="kw7-ValueError"),
         ],
     )
-    def test_invalid_params_rejected(self, kw, error):
-        with pytest.raises(error):
+    def test_invalid_params_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=field):
             MattingParams(**kw)
 
 

@@ -259,6 +259,16 @@ class TestFrameOutcomes:
         save_pnm(to_grayscale(load_pnm(path)), path)  # a P5 frame among P6 ones
         return cfg_path
 
+    def resized_workspace(self, tmp_path, frames, first):
+        # frames `first` onwards are a colour 32x32 crop, to the end of the run
+        from emr.raster import Frame, load_pnm, save_pnm
+
+        cfg_path = workspace(tmp_path, frames=frames)
+        for k in range(first, frames):
+            path = tmp_path / "data" / f"frame_{k:06d}.ppm"
+            save_pnm(Frame.from_array(load_pnm(path).data[16:48, 16:48]), path)
+        return cfg_path
+
     def written(self, tmp_path):
         return sorted(int(p.stem[4:]) for p in (tmp_path / "out").glob("out_*.ppm"))
 
@@ -276,22 +286,54 @@ class TestFrameOutcomes:
         assert "frame 000002 stopped: MalformedImage: payload has" in caplog.text
 
     def test_module_error(self, tmp_path, caplog):
-        # a gray frame keys and mattes, but cannot blend into the colour scene
+        # a gray frame cannot blend into the colour scene, so it stops before keying
         with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
             result = run_pipeline(load(self.gray_frame_workspace(tmp_path)))
         assert [r.level for r in result.records] == ["high"] * 6
-        assert result.traces[4][-1] == "identify"
+        assert result.traces[4][-1] == "decrypt"
+        assert (result.records[4].fg_pixels, result.records[4].identity) == (0, "-")
         assert self.written(tmp_path) == [0, 1, 2, 3, 5]
         assert "frame 000004 stopped: DimensionMismatch: " in caplog.text
 
     def test_model_reset_logged(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="emr.pipeline"):
-            run_pipeline(load(self.gray_frame_workspace(tmp_path)))
+            run_pipeline(load(self.resized_workspace(tmp_path, frames=6, first=4)))
         resets = [r.getMessage() for r in caplog.records if "model reset" in r.getMessage()]
-        assert resets == [
-            "frame 000004: dimensions changed, model reset",
-            "frame 000005: dimensions changed, model reset",
-        ]
+        assert resets == ["frame 000004: dimensions changed, model reset"]
+        assert self.written(tmp_path) == [0, 1, 2, 3, 4, 5]
+
+    def test_lasting_resize_under_replay_keys_on(self, tmp_path, caplog):
+        # frame k receives frame k-1's envelope, so the received geometry
+        # changes at frame 5; the model follows it and every later frame keys
+        with caplog.at_level(logging.INFO, logger="emr.pipeline"):
+            result = run_pipeline(
+                load(self.resized_workspace(tmp_path, frames=8, first=4)),
+                adversary_mode="replay",
+            )
+        assert [r.replay for r in result.records] == [0, 1, 0, 0, 0, 0, 0, 0]
+        assert all(result.traces[k][-1] == "write" for k in range(5, 8))
+        assert self.written(tmp_path) == [0, 2, 3, 4, 5, 6, 7]
+        assert "frame 000005: dimensions changed, model reset" in caplog.text
+        assert "stopped" not in caplog.text
+
+    def test_other_geometry_leaves_the_colour_model_alone(self, tmp_path):
+        # keying and identity of the colour frames do not see the gray frame
+        from emr.raster import load_pnm, save_pnm, to_grayscale
+
+        extra = "[store]\nenroll_user = subject\n"
+        runs = []
+        for name, gray in (("plain", False), ("gray", True)):
+            cfg_path = workspace(tmp_path / name, frames=10, extra=extra)
+            path = tmp_path / name / "data" / "frame_000005.ppm"
+            if gray:
+                save_pnm(to_grayscale(load_pnm(path)), path)
+            else:
+                path.unlink()
+            records = run_pipeline(load(cfg_path)).records
+            runs.append({r.frame: (r.fg_pixels, r.identity) for r in records if r.frame != 5})
+        assert runs[1] == runs[0]
+        for k in (6, 7, 8, 9):  # keyed, and known
+            assert runs[0][k][0] > 0 and runs[0][k][1] == "subject"
 
     def test_replay_alarm(self, tmp_path, caplog):
         # the adversary forwards each envelope one frame late: only frame 1's

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emr.errors import (
-    DimensionMismatch,
-    InvalidChannels,
-    InvalidFactor,
-    InvalidStep,
-    MalformedImage,
-)
+from emr.errors import DimensionMismatch, MalformedImage
 from emr.raster import (
     AlphaMatte,
     Frame,
@@ -38,6 +32,26 @@ def frames_strategy(max_side=8):
         st.sampled_from([1, 3]),
         st.integers(0, 2**31),
     )
+
+
+_PNM_TOKENS = st.one_of(
+    st.integers(0, 12).map(lambda n: str(n).encode()),
+    st.just(b"255"),
+    st.text("0123456789", min_size=1, max_size=40).map(str.encode),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def pnm_like(draw):
+    """Bytes shaped like a PNM file: a magic, header tokens, separators, a payload."""
+    parts = [draw(st.sampled_from([b"P5", b"P6", b"P4", b"P"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        parts.append(draw(st.sampled_from([b" ", b"\n", b"\t\r", b""])))
+        parts.append(draw(_PNM_TOKENS))
+    parts.append(draw(st.sampled_from([b"\n", b" ", b"", b"  "])))
+    parts.append(draw(st.binary(max_size=450)))
+    return b"".join(parts)
 
 
 class TestFrame:
@@ -76,7 +90,7 @@ class TestGrayscale:
 
     def test_single_channel_rejected(self):
         f = Frame(width=1, height=1, channels=1, data=b"\x10")
-        with pytest.raises(InvalidChannels):
+        with pytest.raises(ValueError, match="3-channel"):
             to_grayscale(f)
 
     def test_index_preserved(self):
@@ -116,7 +130,7 @@ class TestDownsample:
 
     def test_zero_factor_rejected(self):
         f = Frame.from_array(np.zeros((2, 2), dtype=np.uint8))
-        with pytest.raises(InvalidFactor):
+        with pytest.raises(ValueError, match="factor"):
             downsample(f, 0)
 
 
@@ -138,7 +152,7 @@ class TestQuantize:
     @pytest.mark.parametrize("step", [0, 129, -3])
     def test_step_range_enforced(self, step):
         f = Frame.from_array(np.array([[1]], dtype=np.uint8))
-        with pytest.raises(InvalidStep):
+        with pytest.raises(ValueError, match="step"):
             quantize(f, step)
 
     @given(frames_strategy(), st.integers(1, 128))
@@ -184,6 +198,24 @@ class TestPnmCodec:
     def test_garbage_header_rejected(self):
         with pytest.raises(MalformedImage):
             decode_pnm(b"P6 two 1 255\n\x00\x00\x00")
+
+    def test_overlong_header_number_rejected(self):
+        # int() refuses a string of more than a few thousand digits
+        with pytest.raises(MalformedImage, match="bad header token"):
+            decode_pnm(b"P6 " + b"1" * 5000 + b" 1 255\n\x00\x00\x00")
+
+    def test_zero_padded_header_number_accepted(self):
+        f = decode_pnm(b"P5 " + b"0" * 30 + b"1 1 255\n\x07")
+        assert (f.width, f.height, f.data.tobytes()) == (1, 1, b"\x07")
+
+    @given(st.one_of(st.binary(max_size=64), pnm_like()))
+    @settings(max_examples=300)
+    def test_any_bytes_raise_only_malformed_image(self, data):
+        try:
+            frame = decode_pnm(data)
+        except MalformedImage:
+            return
+        assert decode_pnm(encode_pnm(frame)) == frame
 
 
 class TestMatteAndTrimap:

@@ -21,7 +21,9 @@ Sections and keys (defaults in parentheses):
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
                mos_min (2.0), l_max (0.5), l_min (0.0)
     [channel]  capacity (1e7), base_delay (0.01), loss_prob (0.0)
-    [tunnel]   p (61-bit safe prime), g (3), r (3.99), burn_in (1000)
+    [tunnel]   p (61-bit safe prime), g (3), r (3.99), burn_in (1000)  --
+               burn_in warms up the handshake's base chaos state only;
+               envelope keystream lanes start from their hash seeds
     [gmm]      k (3), lambda (2.5), alpha_lr (0.02), t (0.7),
                var_init (225), var_min (4)
     [matting]  r_fg (2), r_bg (4), window (3), max_iters (20),

@@ -4,21 +4,28 @@ Sessions are established with finite-field Diffie-Hellman over a configurable
 group; agents are identified by the SHA-256 fingerprint of their public key,
 checked against a registry of trusted fingerprints.  Payloads are XORed with
 a keystream drawn from the logistic map ``x <- r*x*(1-x)`` (r = 3.99) and
-authenticated by a digest over (sequence number, ciphertext, shared secret).
+authenticated by HMAC-SHA256 (RFC 2104), keyed with the shared secret, over
+(sender fingerprint, sequence number, ciphertext length, ciphertext).
 Tamper, replay, and unknown-agent conditions each raise their own alarm.
 
-Keystream scheduling: the handshake derives a burned-in base chaos state from
-the shared secret; each envelope then derives its own stream from (base
-state, sender fingerprint, sequence number).  Envelopes therefore decrypt
-independently of delivery gaps, and the two directions of a session never
-share keystream.  Identical seeds produce identical byte streams within this
+Keystream scheduling: the handshake derives a base chaos state from the
+shared secret and warms it up for ``burn_in`` steps; each envelope then
+derives its own stream from (base state, sender fingerprint, sequence
+number).  Envelopes therefore decrypt independently of delivery gaps, and the
+two directions of a session never share keystream.  An n-byte stream runs on
+L = ceil(sqrt(n)) lanes, like the independent counter blocks of CTR mode:
+lane i starts from the SHA-256 seed of the envelope material followed by i
+(no warm-up; the hash already separates the lanes), all lanes advance
+together for ceil(n / L) steps, and byte i is taken from lane i mod L at
+step i div L + 1.  Identical seeds produce identical byte streams within this
 implementation; bit-exactness across implementations is not promised.
 
 This is a protocol model for anomaly-detection experiments, NOT production
 cryptography: no forward secrecy, no padding, no side-channel hardening, and
 the logistic-map cipher has no security proof.  Its keystream bytes follow
-the map's arcsine-shaped invariant density (mass piles up near 0 and 255,
-lag-1 autocorrelation is about -0.14); :func:`keystream_chi2` and
+the map's arcsine-shaped invariant density (mass piles up near 0 and 255),
+and successive states of one lane, L bytes apart in the stream, have a
+lag-1 autocorrelation of about -0.14; :func:`keystream_chi2` and
 :func:`keystream_lag1_autocorr` exist precisely to measure that structure.
 Do not protect real data with it.
 
@@ -35,6 +42,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import hmac
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -132,7 +141,6 @@ class SessionTunnel:
     group: DhGroup
     chaos_x: float
     chaos_r: float = LOGISTIC_R
-    burn_in: int = BURN_IN
     send_seq: int = 0
     recv_seq: int = 0
 
@@ -193,22 +201,34 @@ def _logistic_orbit(x: float, r: float, steps: int) -> np.ndarray:
         x = r * x * (1.0 - x)
         append(x)
     orbit = np.fromiter(states, np.float64, count=steps + 1)
-    new_states = orbit[1:]
-    collapsed = (new_states <= _DEGENERATE_TOL) | (new_states >= 1.0 - _DEGENERATE_TOL)
-    if collapsed.any():
-        first = float(new_states[collapsed.argmax()])
-        raise ReseedRequired(f"chaos state collapsed to {first!r}")
+    _check_collapse(orbit[1:])
     return orbit
 
 
-def logistic_keystream(x0: float, r: float, n: int, burn_in: int = 0) -> bytes:
-    """n keystream bytes from the logistic map after burn_in warm-up steps.
+def _lane_orbit(seeds: np.ndarray, r: float, steps: int) -> np.ndarray:
+    """The (steps + 1, L) states of L logistic orbits advanced side by side.
 
-    Byte i is floor(256 * x) of state burn_in + 1 + i; scaling by a power of
-    two is exact, so the array conversion matches per-state ``int(x * 256.0)``.
+    Row t holds f^t of every seed; each step is the scalar expression
+    ``(r * x) * (1.0 - x)`` applied to a whole row, so column i is bit for bit
+    ``_logistic_orbit(seeds[i], r, steps)``.  One collapse check covers every
+    new state and names the first in row-major order, which is byte order.
     """
-    states = _logistic_orbit(x0, r, burn_in + n)[burn_in + 1:]
-    return (states * 256.0).astype(np.uint8).tobytes()
+    orbit = np.empty((steps + 1, len(seeds)))
+    orbit[0] = seeds
+    x = orbit[0]
+    for row in orbit[1:]:
+        np.multiply(r * x, 1.0 - x, out=row)
+        x = row
+    _check_collapse(orbit[1:].ravel())
+    return orbit
+
+
+def _check_collapse(states: np.ndarray) -> None:
+    """Raise ReseedRequired naming the first state within 1e-12 of 0 or 1."""
+    collapsed = (states <= _DEGENERATE_TOL) | (states >= 1.0 - _DEGENERATE_TOL)
+    if collapsed.any():
+        first = float(states[collapsed.argmax()])
+        raise ReseedRequired(f"chaos state collapsed to {first!r}")
 
 
 def handshake(
@@ -223,9 +243,10 @@ def handshake(
     """Authenticate the peer against the registry and derive session state.
 
     Both directions of a session derive the same shared secret and the same
-    base chaos state.  A peer key outside [1, p-1] raises ValueError (from
-    :func:`fingerprint`).  An unknown peer fingerprint raises
-    UnauthorizedAgent; that alarm is the anomalous-node signal.
+    base chaos state: the secret's seed after ``burn_in`` logistic steps.  A
+    peer key outside [1, p-1] raises ValueError (from :func:`fingerprint`).
+    An unknown peer fingerprint raises UnauthorizedAgent; that alarm is the
+    anomalous-node signal.
     """
     peer_fp = fingerprint(peer_public, group)
     if peer_fp not in registry:
@@ -240,24 +261,30 @@ def handshake(
         group=group,
         chaos_x=x,
         chaos_r=chaos_r,
-        burn_in=burn_in,
     )
 
 
 def _envelope_keystream(tunnel: SessionTunnel, sender_fp: bytes, seq: int, n: int) -> bytes:
+    """n bytes from ceil(sqrt(n)) lanes, interleaved lane by lane (see module doc)."""
+    if n == 0:
+        return b""
     material = (
         struct.pack(">d", tunnel.chaos_x)
         + sender_fp
         + seq.to_bytes(8, "big")
     )
-    x0 = _seed_from_material(material)
-    return logistic_keystream(x0, tunnel.chaos_r, n, burn_in=tunnel.burn_in)
+    lanes = math.isqrt(n - 1) + 1
+    seeds = [_seed_from_material(material + i.to_bytes(4, "big")) for i in range(lanes)]
+    states = _lane_orbit(np.array(seeds), tunnel.chaos_r, -(-n // lanes))[1:]
+    # scaling by a power of two is exact, so this is floor(256 * x) per state
+    return (states.ravel()[:n] * 256.0).astype(np.uint8).tobytes()
 
 
-def _envelope_digest(tunnel: SessionTunnel, seq: int, ciphertext: bytes) -> bytes:
-    return _hash(
-        seq.to_bytes(8, "big") + ciphertext + _encode_int(tunnel.shared_secret, tunnel.group)
-    )
+def _envelope_digest(tunnel: SessionTunnel, sender_fp: bytes, seq: int, ciphertext: bytes) -> bytes:
+    """HMAC-SHA256 keyed with the shared secret over the wire header and ciphertext."""
+    key = _encode_int(tunnel.shared_secret, tunnel.group)
+    header = sender_fp + seq.to_bytes(8, "big") + len(ciphertext).to_bytes(4, "big")
+    return hmac.digest(key, header + ciphertext, "sha256")
 
 
 def _xor(data: bytes, keystream: bytes) -> bytes:
@@ -271,7 +298,7 @@ def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:
     seq = tunnel.send_seq + 1
     keystream = _envelope_keystream(tunnel, tunnel.local_fingerprint, seq, len(payload))
     ciphertext = _xor(payload, keystream)
-    digest = _envelope_digest(tunnel, seq, ciphertext)
+    digest = _envelope_digest(tunnel, tunnel.local_fingerprint, seq, ciphertext)
     tunnel.send_seq = seq
     return Envelope(
         sender_fingerprint=tunnel.local_fingerprint,
@@ -299,8 +326,10 @@ def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry) -> bytes
             f"sender fingerprint {envelope.sender_fingerprint.hex()[:16]}... "
             "is not this session's peer"
         )
-    expected = _envelope_digest(tunnel, envelope.seq, envelope.ciphertext)
-    if expected != envelope.digest:
+    expected = _envelope_digest(
+        tunnel, envelope.sender_fingerprint, envelope.seq, envelope.ciphertext
+    )
+    if not hmac.compare_digest(expected, envelope.digest):
         raise TamperAlarm(f"digest mismatch on seq {envelope.seq}")
     if envelope.seq <= tunnel.recv_seq:
         raise ReplayAlarm(f"seq {envelope.seq} not beyond {tunnel.recv_seq}")

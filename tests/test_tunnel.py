@@ -1,5 +1,9 @@
 import hashlib
+import hmac
+import math
 import random
+import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -12,13 +16,19 @@ from emr.errors import (
     TamperAlarm,
     UnauthorizedAgent,
 )
+from emr import tunnel
 from emr.tunnel import (
     _DEGENERATE_TOL,
+    _envelope_keystream,
+    _lane_orbit,
     _logistic_orbit,
+    _seed_from_material,
+    BURN_IN,
     DEFAULT_GROUP,
     AgentRole,
     DhGroup,
     Envelope,
+    SessionTunnel,
     decode_envelope,
     decrypt_verify,
     encode_envelope,
@@ -28,7 +38,6 @@ from emr.tunnel import (
     keypair_gen,
     keystream_chi2,
     keystream_lag1_autocorr,
-    logistic_keystream,
     make_agent,
 )
 
@@ -53,6 +62,44 @@ def orbit_or_message(fn, x, r, steps):
         return fn(x, r, steps).tobytes()
     except ReseedRequired as exc:
         return str(exc)
+
+
+def reference_keystream(tunnel_state, sender_fp, seq, n):
+    """Byte i from lane i mod L at step i div L + 1, each lane a scalar orbit."""
+    if n == 0:
+        return b""
+    lanes = 1
+    while lanes * lanes < n:
+        lanes += 1
+    steps = (n + lanes - 1) // lanes
+    material = struct.pack(">d", tunnel_state.chaos_x) + sender_fp + seq.to_bytes(8, "big")
+    orbits = [
+        _logistic_orbit(_seed_from_material(material + i.to_bytes(4, "big")),
+                        tunnel_state.chaos_r, steps)
+        for i in range(lanes)
+    ]
+    return bytes(int(orbits[i % lanes][i // lanes + 1] * 256.0) for i in range(n))
+
+
+def bare_tunnel(chaos_x=0.4321, chaos_r=3.99):
+    return SessionTunnel(
+        local_fingerprint=b"\x01" * 32,
+        peer_fingerprint=b"\x02" * 32,
+        shared_secret=12345,
+        group=DEFAULT_GROUP,
+        chaos_x=chaos_x,
+        chaos_r=chaos_r,
+    )
+
+
+def plant_seeds(monkeypatch, planted):
+    """Make lane i of every envelope start from planted[i] where given."""
+    def seed(material):
+        lane = int.from_bytes(material[-4:], "big")
+        if len(material) == 52 and lane in planted:
+            return planted[lane]
+        return _seed_from_material(material)
+    monkeypatch.setattr(tunnel, "_seed_from_material", seed)
 
 
 def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP, burn_in=50):
@@ -145,23 +192,30 @@ class TestHandshake:
 
 
 class TestKeystream:
-    def test_single_step_from_half(self):
-        # 3.99 * 0.5 * 0.5 = 0.9975; floor(0.9975 * 256) = 255
-        assert logistic_keystream(0.5, 3.99, 1, burn_in=0) == bytes([255])
+    def test_single_step_from_half(self, monkeypatch):
+        # one byte is one lane's first step: 3.99 * 0.5 * 0.5 = 0.9975; floor(0.9975 * 256) = 255
+        plant_seeds(monkeypatch, {0: 0.5})
+        assert _envelope_keystream(bare_tunnel(), b"\x01" * 32, 1, 1) == bytes([255])
 
     def test_deterministic(self):
-        assert logistic_keystream(0.37, 3.99, 64, 100) == logistic_keystream(0.37, 3.99, 64, 100)
+        a, b, _ = session_pair()
+        stream = _envelope_keystream(a, a.local_fingerprint, 7, 64)
+        assert stream == _envelope_keystream(a, a.local_fingerprint, 7, 64)
+        assert stream == _envelope_keystream(b, a.local_fingerprint, 7, 64)
 
     def test_degenerate_state_raises(self):
         with pytest.raises(ReseedRequired):
-            logistic_keystream(0.5, 4.0, 1, burn_in=0)  # 4*0.5*0.5 = 1.0 exactly
+            _lane_orbit(np.array([0.3, 0.5]), 4.0, 1)  # 4*0.5*0.5 = 1.0 exactly
         with pytest.raises(ReseedRequired):
-            logistic_keystream(1e-13, 3.99, 1, burn_in=0)
+            _lane_orbit(np.array([1e-13]), 3.99, 1)
 
-    def test_collapse_during_burn_in_raises(self):
-        # 4*0.5*0.5 = 1.0 on the first warm-up step, before any byte is drawn
+    def test_collapse_during_burn_in_raises(self, monkeypatch):
+        # 4*0.5*0.5 = 1.0 on the handshake's first warm-up step
+        monkeypatch.setattr(tunnel, "_seed_from_material", lambda material: 0.5)
+        priv_a, pub_a = keypair_gen(1)
+        _, pub_b = keypair_gen(2)
         with pytest.raises(ReseedRequired):
-            logistic_keystream(0.5, 4.0, 0, burn_in=10)
+            handshake(priv_a, pub_a, pub_b, {fingerprint(pub_b)}, chaos_r=4.0, burn_in=10)
 
     def test_collapse_names_first_failing_state(self):
         # 4*0.5*0.5 = 1.0, then 0.0 forever: the message names the 1.0
@@ -199,15 +253,64 @@ class TestKeystream:
         )
 
     def test_long_orbit_matches_per_step_loop(self):
-        # one envelope's worth: 12,301 payload bytes after a 1000-step burn-in
+        # far longer than the handshake's 1000-step burn-in or any envelope lane
         got = _logistic_orbit(0.4321, 3.99, 13301)
         assert got.dtype == np.float64
         assert got.tobytes() == reference_orbit(0.4321, 3.99, 13301).tobytes()
 
+    @given(
+        chaos_x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        sender_fp=st.binary(min_size=32, max_size=32),
+        seq=st.integers(0, 2 ** 64 - 1),
+        n=st.integers(0, 3000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lanes_match_per_lane_scalar_orbit(self, chaos_x, sender_fp, seq, n):
+        state = bare_tunnel(chaos_x=chaos_x)
+        assert _envelope_keystream(state, sender_fp, seq, n) == reference_keystream(
+            state, sender_fp, seq, n
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 144, 145, 12301])
+    def test_lane_layout_at_square_boundaries(self, n):
+        state = bare_tunnel()
+        stream = _envelope_keystream(state, b"\x03" * 32, 9, n)
+        assert len(stream) == n
+        assert stream == reference_keystream(state, b"\x03" * 32, 9, n)
+
+    def test_lane_columns_are_scalar_orbits(self):
+        seeds = np.array([0.1, 0.25, 0.4321, 0.6, 0.9])
+        orbit = _lane_orbit(seeds, 3.99, 40)
+        assert orbit.shape == (41, 5)
+        for lane, seed in enumerate(seeds):
+            assert orbit[:, lane].tobytes() == reference_orbit(seed, 3.99, 40).tobytes()
+
+    def test_collapse_planted_in_one_lane(self, monkeypatch):
+        # lane 3 of ten goes 0.5 -> 1.0 -> 0.0 under r = 4; the other lanes stay chaotic
+        plant_seeds(monkeypatch, {3: 0.5})
+        with pytest.raises(ReseedRequired) as info:
+            _envelope_keystream(bare_tunnel(chaos_r=4.0), b"\x01" * 32, 1, 100)
+        assert str(info.value) == "chaos state collapsed to 1.0"
+
+    def test_lane_collapse_named_in_byte_order(self):
+        # lane 1 collapses at step 2 (byte 7), lane 5 at step 1 (byte 5): byte 5 is named
+        late = (1.0 - math.sqrt(0.5)) / 2.0  # 4x(1-x) = 0.5 to rounding, then 1.0
+        seeds = np.array([0.3, late, 0.7, 0.2, 0.6, 1e-13])
+        with pytest.raises(ReseedRequired) as info:
+            _lane_orbit(seeds, 4.0, 3)
+        assert str(info.value) == f"chaos state collapsed to {4.0 * 1e-13 * (1.0 - 1e-13)!r}"
+        # without lane 5, lane 1's second state is the first to fail
+        with pytest.raises(ReseedRequired) as expected:
+            reference_orbit(late, 4.0, 3)
+        with pytest.raises(ReseedRequired) as info:
+            _lane_orbit(seeds[:5], 4.0, 3)
+        assert str(info.value) == str(expected.value)
+
     def test_pinned_keystream_bytes(self):
-        stream = logistic_keystream(0.4321, 3.99, 4096, burn_in=1000)
+        a, _, _ = session_pair(burn_in=BURN_IN)
+        stream = _envelope_keystream(a, a.local_fingerprint, 1, 4096)
         assert hashlib.sha256(stream).hexdigest() == (
-            "7653d44faea353bf13b1dba3d6e8fae0f405e1b73e382e1882fd796831953a3c"
+            "448d4c44e8081f6d6efc931414fbb94b0c8c69b5d4e3109de018fd9be9cc6912"
         )
 
     def test_chi2_statistic_computes_known_cases(self):
@@ -222,12 +325,30 @@ class TestKeystream:
         assert keystream_lag1_autocorr(alternating) == pytest.approx(-1.0, abs=1e-2)
         assert keystream_lag1_autocorr(bytes(16)) == 1.0  # constant stream
 
+    # Envelopes 1..k of the seed-1/seed-2 session at the default burn-in, as the
+    # single-orbit keystream (one orbit per envelope after a 1000-step burn-in)
+    # measured them: k, mean and sample sd of keystream_chi2, mean |lag-1|.
+    SINGLE_ORBIT_STATS = {
+        12301: (100, 6647.42, 388.84, 0.13537),
+        65536: (20, 34149.78, 755.16, 0.13656),
+    }
+
     def test_diagnostics_expose_keystream_structure(self):
-        # the map's arcsine density piles mass near 0/255 and leaves visible
-        # short-range correlation; the diagnostics must show both
-        stream = logistic_keystream(0.4321, 3.99, 65536, burn_in=1000)
-        assert keystream_chi2(stream) > 1000.0
-        assert -0.3 < keystream_lag1_autocorr(stream) < 0.0
+        # the map's arcsine density piles mass near 0/255 in every envelope;
+        # the lanes leave the histogram no more skewed than one long orbit did
+        # (one envelope's chi2 varies by about 390 at 12,301 bytes, so the means
+        # may differ by three standard errors of their difference) and move the
+        # orbit's lag-1 correlation out to lag L
+        a, _, _ = session_pair(burn_in=BURN_IN)
+        for n, (k, chi2_mean, chi2_sd, lag1_mean) in self.SINGLE_ORBIT_STATS.items():
+            streams = [
+                _envelope_keystream(a, a.local_fingerprint, seq, n) for seq in range(1, k + 1)
+            ]
+            chi2 = [keystream_chi2(stream) for stream in streams]
+            lag1 = [abs(keystream_lag1_autocorr(stream)) for stream in streams]
+            assert min(chi2) > 1000.0
+            assert statistics.fmean(chi2) <= chi2_mean + 3.0 * chi2_sd * math.sqrt(2.0 / k)
+            assert statistics.fmean(lag1) <= lag1_mean
 
 
 class TestEnvelopes:
@@ -251,8 +372,26 @@ class TestEnvelopes:
         a = handshake(priv_a, pub_a, pub_b, registry, burn_in=50)
         env = encrypt_envelope(a, bytes(range(256)) * 16)
         assert hashlib.sha256(env.ciphertext).hexdigest() == (
-            "75be0e37a495a00a1febeae63f60e7766667639def38da13e794b7de29a0997b"
+            "27d507eacf44fb7f96498d604c92b4b758938e2d8405a64da8bbf6b2c710a6f9"
         )
+        assert env.digest.hex() == (
+            "7d2702a15817eb08e443c252964c5dee238420187a2da9a09decd1f7381799f7"
+        )
+
+    def test_digest_is_hmac_over_header_and_ciphertext(self):
+        a, _, _ = session_pair()
+        env = encrypt_envelope(a, b"authenticated")
+        secret = a.shared_secret.to_bytes(DEFAULT_GROUP.key_width, "big")
+        message = a.local_fingerprint + (1).to_bytes(8, "big") + (13).to_bytes(4, "big")
+        assert env.digest == hmac.digest(secret, message + env.ciphertext, "sha256")
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 99, 100, 101, 12301, 16384, 16385, 20000])
+    def test_roundtrip_across_lane_boundaries(self, size):
+        a, b, reg = session_pair(burn_in=10)
+        payload = random.Random(size).randbytes(size)
+        env = encrypt_envelope(a, payload)
+        assert env.ciphertext != payload
+        assert decrypt_verify(b, env, reg) == payload
 
     def test_sequence_strictly_increases(self):
         a, _, _ = session_pair()

@@ -96,6 +96,7 @@ def plant_seeds(monkeypatch, planted):
     """Make lane i of every envelope start from planted[i] where given."""
     def seed(material):
         lane = int.from_bytes(material[-4:], "big")
+        # envelope material: 8-byte chaos_x, 32-byte fingerprint, 8-byte seq, 4-byte lane
         if len(material) == 52 and lane in planted:
             return planted[lane]
         return _seed_from_material(material)

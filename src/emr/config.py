@@ -31,7 +31,9 @@ Sections and keys (defaults in parentheses):
     [store]    shards (4), theta (0.35), dir (unset), enroll_user (unset),
                enroll_frame (0)
     [fusion]   scale (1.0), tx (0), ty (0), depth (0.0), view_angle (0.0),
-               views (front:0,profile:90)
+               views (front:0,profile:90)  -- scale is relative to the
+               capture: a layer keyed at a level of scale factor s is
+               placed at scale * s
     [run]      seed (0)
 """
 

@@ -18,6 +18,13 @@ per component slot (weights, variances) and per slot and channel (means).
 Steps across slots or channels are short Python loops over whole planes;
 the rank order of the background set comes from plane comparisons rather
 than a per-pixel sort.
+
+An update changes the model in place and returns it.  Masked steps are
+in-place ufuncs with ``where=``, and every intermediate plane the size of
+the mixture (deviations, distances, match flags, rank order, the background
+set) is a scratch plane the model allocates once, filled with ``out=`` on
+each frame.  A caller that needs the state from before an update copies
+the model first.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ class LayerModel:
     Each component slot and each channel is one contiguous plane, so every
     update step is a ufunc over whole planes.  Slots at or beyond a pixel's
     active count are unused.
+
+    ``layer_update_classify`` changes this state in place.  The model also
+    holds the scratch planes that update writes into (``_x`` and the
+    ``(K, P)`` planes below), so a frame allocates nothing of the model's
+    size; their contents between calls mean nothing.  A caller that needs
+    the state from before an update takes ``copy()`` first.
     """
 
     def __init__(self, width, height, channels, params, weights, means, variances, n_active):
@@ -73,6 +86,15 @@ class LayerModel:
         self._mu = means         # (K, C, P) float64
         self._var = variances    # (K, P) float64
         self._n = n_active       # (P,) int64
+        k, p = weights.shape
+        self._x = np.empty((channels, p))            # the frame, one plane per channel
+        self._diff = np.empty((k, p))                # one channel's |deviation|, then its square
+        self._dist2 = np.empty((k, p))               # squared distance to each mean
+        self._rank = np.empty((k, p))                # match bound, then weight/sigma
+        self._matched = np.empty((k, p), dtype=bool)
+        self._pos = np.empty((k, p), dtype=np.intp)  # each slot's place in rank order
+        self._sorted_w = np.empty((k, p))            # weights in rank order
+        self._bg = np.empty((k, p), dtype=bool)      # background set, in rank order
 
     @property
     def shape(self):
@@ -94,14 +116,14 @@ def layer_init(frame: Frame, params: GmmParams = GmmParams()) -> LayerModel:
     means = np.zeros((k, c, p))
     variances = np.full((k, p), params.var_init)
     weights[0] = 1.0
-    means[0] = _planes(frame)
+    np.copyto(means[0], _channel_planes(frame))
     n_active = np.ones(p, dtype=np.int64)
     return LayerModel(w, h, c, params, weights, means, variances, n_active)
 
 
-def _planes(frame: Frame) -> np.ndarray:
-    """A frame's samples as a contiguous (C, P) float64 array, one plane per channel."""
-    return np.moveaxis(frame.data, 2, 0).reshape(frame.channels, -1).astype(np.float64)
+def _channel_planes(frame: Frame) -> np.ndarray:
+    """A (C, P) view of a frame's samples, one plane per channel."""
+    return frame.data.reshape(-1, frame.channels).T
 
 
 def _sum_planes(planes) -> np.ndarray:
@@ -124,16 +146,22 @@ def _argmin_planes(planes) -> np.ndarray:
 
 
 def layer_update_classify(model: LayerModel, frame: Frame):
-    """Adapt the model to a frame and key it; returns (mask, updated model).
+    """Adapt the model to a frame in place and key it; returns (mask, model).
 
-    The mask is a single-channel frame with 255 on foreground.  With
-    alpha_lr = 0 the model is left untouched and only classification runs.
+    The returned model is the argument itself: its planes are updated where
+    they lie, through masked in-place ufuncs and the model's scratch planes,
+    so no temporary of the model's size is built.  A caller that needs the
+    old state copies the model first.  The mask is a single-channel frame
+    with 255 on foreground.  With alpha_lr = 0 the state is left untouched
+    and only classification runs.
 
     Every sum over channels or components runs left to right, and every
     argmin and rank order breaks ties by the lowest slot.  That is what
     numpy's reductions (sequential below 8 elements) and stable argsort did
     over the former pixel-major ``(P, K, C)`` layout, so for k < 8 the mask
-    and the model are bit-identical to it.
+    and the model are bit-identical to it.  Each masked step rounds as the
+    whole-plane expression it replaces: ``keep * mu + alpha * x`` is one
+    in-place multiply and one in-place add, each rounded once.
     """
     if (frame.height, frame.width, frame.channels) != model.shape:
         raise DimensionMismatch(
@@ -142,24 +170,31 @@ def layer_update_classify(model: LayerModel, frame: Frame):
         )
     prm = model.params
     alpha = prm.alpha_lr
-    out = model.copy()
-    w, mu, var, n = out._w, out._mu, out._var, out._n
+    w, mu, var, n = model._w, model._mu, model._var, model._n
+    diff, dist2, matched = model._diff, model._dist2, model._matched
     k, pcount = w.shape
     slots = np.arange(k)[:, None]
 
-    x = _planes(frame)  # (C, P)
+    x = model._x
+    np.copyto(x, _channel_planes(frame))
     active = slots < n
 
-    diff = x - mu  # (K, C, P)
-    sq = diff * diff
-    within = np.abs(diff) <= (prm.lam * np.sqrt(var))[:, None, :]
-    matched = active.copy()
+    # a slot matches when every channel lies within lam sigma of its mean;
+    # dist2 sums the squared deviations over channels, left to right
+    bound = np.sqrt(var, out=model._rank)
+    bound *= prm.lam
+    np.copyto(matched, active)
     for c in range(model.channels):
-        matched &= within[:, c]
+        np.subtract(x[c], mu[:, c], out=diff)
+        matched &= np.abs(diff, out=diff) <= bound
+        if c == 0:
+            np.multiply(diff, diff, out=dist2)
+        else:
+            diff *= diff  # |d| * |d| is d * d exactly
+            dist2 += diff
     has_match = matched.any(axis=0)
-
-    dist2 = _sum_planes(sq.transpose(1, 0, 2))  # over channels: (K, P)
-    best = _argmin_planes(np.where(matched, dist2, np.inf))
+    np.copyto(dist2, np.inf, where=~matched)
+    best = _argmin_planes(dist2)
 
     if alpha > 0.0:
         hit = (best == slots) & has_match  # the component each matched pixel updates
@@ -167,17 +202,21 @@ def layer_update_classify(model: LayerModel, frame: Frame):
         np.multiply(w, keep, out=w, where=has_match)
         np.add(w, alpha, out=w, where=hit)
         # variance target: per-channel squared deviation from the pre-update mean
-        dev2 = dist2 / model.channels
-        np.copyto(var, np.maximum(prm.var_min, keep * var + alpha * dev2), where=hit)
-        np.copyto(mu, keep * mu + alpha * x, where=hit[:, None, :])
+        dev2 = np.divide(dist2, model.channels, out=dist2)
+        np.multiply(var, keep, out=var, where=hit)
+        np.add(var, np.multiply(dev2, alpha, out=dev2), out=var, where=hit)
+        np.maximum(var, prm.var_min, out=var, where=hit)
+        hit3 = hit[:, None, :]
+        np.multiply(mu, keep, out=mu, where=hit3)
+        np.add(mu, alpha * x, out=mu, where=hit3)
 
         miss = ~has_match
         room = n < k
         slot = np.where(room, n, _argmin_planes(w))
         fresh = (slot == slots) & miss
-        w[fresh] = alpha
+        np.copyto(w, alpha, where=fresh)
         np.copyto(mu, x, where=fresh[:, None, :])
-        var[fresh] = prm.var_init
+        np.copyto(var, prm.var_init, where=fresh)
         n += miss & room
 
         w /= _sum_planes(w)
@@ -186,27 +225,30 @@ def layer_update_classify(model: LayerModel, frame: Frame):
     # background set from the (updated) model: smallest weight/sigma-ordered
     # prefix whose cumulative weight reaches t_bg.  pos[j] is slot j's place
     # in a stable descending sort by rank.
-    rank = np.where(active, w / np.sqrt(var), -np.inf)
-    pos = np.zeros(w.shape, dtype=np.intp)
+    rank = np.sqrt(var, out=model._rank)
+    np.divide(w, rank, out=rank)
+    np.copyto(rank, -np.inf, where=~active)
+    pos = model._pos
+    pos.fill(0)
     for j in range(k):
         for i in range(k):
             if i != j:
                 pos[j] += rank[i] >= rank[j] if i < j else rank[i] > rank[j]
-    flat = (pos * pcount + np.arange(pcount)).reshape(-1)  # slot j's cell in rank order
-    sorted_w = np.empty(k * pcount)
-    sorted_w[flat] = w.reshape(-1)
-    sorted_w = sorted_w.reshape(k, pcount)
+    pos *= pcount
+    pos += np.arange(pcount)
+    flat = pos.reshape(-1)  # slot j's cell in rank order
+    sorted_w, bg = model._sorted_w, model._bg
+    sorted_w.reshape(-1)[flat] = w.reshape(-1)
     cum = np.zeros(pcount)
-    bg_sorted = np.empty((k, pcount), dtype=bool)
     for r in range(k):
-        cum = cum + sorted_w[r]
-        bg_sorted[r] = cum - sorted_w[r] < prm.t_bg
-    in_bg = active & bg_sorted.reshape(-1)[flat].reshape(k, pcount)
+        cum += sorted_w[r]
+        np.less(cum - sorted_w[r], prm.t_bg, out=bg[r])
+    # matched slots are active ones, and a slot stays active once it is
+    matched &= bg.reshape(-1)[flat].reshape(k, pcount)
 
-    background = (matched & in_bg).any(axis=0)
-    mask = np.where(background, 0, 255).astype(np.uint8).reshape(model.height, model.width)
-    mask_frame = Frame.from_array(mask, index=frame.index)
-    return mask_frame, out
+    background = matched.any(axis=0)
+    mask = np.where(background, np.uint8(0), np.uint8(255)).reshape(model.height, model.width)
+    return Frame.from_array(mask, index=frame.index), model
 
 
 def _binary(frame: Frame) -> np.ndarray:

@@ -10,7 +10,8 @@ Per frame, in order:
 5. key the moving subject (mixture update + mask cleanup);
 6. build a trimap, solve the matte, fold it into the fuzzy knowledge;
 7. extract an identity template from the subject region and query the store;
-8. place the keyed layer into the target scene and blend;
+8. place the keyed layer into the target scene at the capture's geometry
+   and blend;
 9. write the composite and append one metrics record.
 
 Every frame appends one record, and only a frame that reaches step 9 writes a
@@ -306,10 +307,12 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             rec.identity = identity if identity is not None else _UNKNOWN_IDENTITY
             trace.append("identify")
 
-            # 8. fusion into the target scene
+            # 8. fusion into the target scene at the capture's geometry: keying
+            # ran on the level's downsampled frame, so scale it back up
             layer = RvoLayer(
                 pixels=received, matte=matte,
-                scale=config.fusion.scale, tx=config.fusion.tx, ty=config.fusion.ty,
+                scale=config.fusion.scale * level.scale_factor,
+                tx=config.fusion.tx, ty=config.fusion.ty,
                 depth=config.fusion.depth,
             )
             composite = compose(background, [layer])

@@ -167,6 +167,27 @@ def _seed_from_material(material: bytes) -> float:
     return x
 
 
+def _lane_seeds(material: bytes, lanes: int) -> np.ndarray:
+    """``_seed_from_material(material + i.to_bytes(4, "big"))`` for lanes i = 0 .. lanes-1.
+
+    The material is hashed once and the hash state copied for each lane.
+    All first digests are divided by 2**64 in one array operation, which
+    rounds as the scalar division does (the 64-bit integer is rounded to a
+    double, then scaled by a power of two); only the lanes that fall
+    outside (0.01, 0.99) go through ``_seed_from_material``.
+    """
+    base = hashlib.sha256(material)
+    digests = []
+    for i in range(lanes):
+        h = base.copy()
+        h.update(i.to_bytes(4, "big"))
+        digests.append(h.digest())
+    seeds = np.frombuffer(b"".join(digests), ">u8")[::4] / float(_TWO64)
+    for i in np.flatnonzero(~((seeds > _SEED_LOW) & (seeds < _SEED_HIGH))):
+        seeds[i] = _seed_from_material(material + int(i).to_bytes(4, "big"))
+    return seeds
+
+
 def _logistic_orbit(x: float, r: float, steps: int) -> np.ndarray:
     """The states x, f(x), ..., f^steps(x) of the logistic map f(x) = r*x*(1-x).
 
@@ -274,8 +295,7 @@ def _envelope_keystream(tunnel: SessionTunnel, sender_fp: bytes, seq: int, n: in
         + seq.to_bytes(8, "big")
     )
     lanes = math.isqrt(n - 1) + 1
-    seeds = [_seed_from_material(material + i.to_bytes(4, "big")) for i in range(lanes)]
-    states = _lane_orbit(np.array(seeds), tunnel.chaos_r, -(-n // lanes))[1:]
+    states = _lane_orbit(_lane_seeds(material, lanes), tunnel.chaos_r, -(-n // lanes))[1:]
     # scaling by a power of two is exact, so this is floor(256 * x) per state
     return (states.ravel()[:n] * 256.0).astype(np.uint8).tobytes()
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -176,14 +176,25 @@ class TestUpdateRules:
         prm = GmmParams(alpha_lr=0.0)
         base = np.full((4, 4), 100, dtype=np.uint8)
         model = layer_init(gray_frame(base), prm)
+        before = model.copy()
         moved = base.copy()
         moved[0, 0] = 255
         mask, updated = layer_update_classify(model, gray_frame(moved))
-        assert updated.shape == model.shape and updated.params == model.params
+        assert updated.shape == before.shape and updated.params == before.params
         for plane in ("_n", "_w", "_mu", "_var"):
-            assert np.array_equal(getattr(updated, plane), getattr(model, plane))
+            assert np.array_equal(getattr(updated, plane), getattr(before, plane))
         assert mask.to_array()[0, 0, 0] == 255
         assert np.count_nonzero(mask.to_array()) == 1
+
+    def test_update_is_in_place(self):
+        rng = np.random.RandomState(5)
+        model = layer_init(gray_frame(rng.randint(0, 256, (8, 8))))
+        before = model.copy()
+        planes = (model._w, model._mu, model._var, model._n)
+        _, updated = layer_update_classify(model, gray_frame(rng.randint(0, 256, (8, 8))))
+        assert updated is model
+        assert all(a is b for a, b in zip(planes, (model._w, model._mu, model._var, model._n)))
+        assert not np.array_equal(model._mu, before._mu)  # the copy kept the old state
 
     def test_weights_normalized_and_variance_floored(self):
         rng = np.random.RandomState(3)
@@ -327,8 +338,29 @@ def gmm_cases(draw):
     return prm, frames
 
 
+def full_size_case():
+    """64x64 colour, K = 3, 20 updates with a moving square and sparse outliers.
+
+    The drawn cases stop at 4x4; this one runs the masked steps and scratch
+    planes at a real frame size.  Noise rises from none in column 0 to
+    sigma 8 in column 63, so variances reach the floor on the left while
+    components are added and replaced on the right.
+    """
+    rng = np.random.RandomState(11)
+    base = rng.randint(40, 200, (64, 64, 3))
+    sigma = np.linspace(0.0, 8.0, 64)[None, :, None]
+    frames = []
+    for i in range(21):
+        arr = base + sigma * rng.normal(0.0, 1.0, base.shape)
+        arr[20:36, 3 * i:3 * i + 16] = (230, 90, 40)
+        arr[rng.rand(64, 64) < 0.02] = rng.randint(0, 256, 3)
+        frames.append(np.clip(np.rint(arr), 0, 255).astype(np.uint8))
+    return GmmParams(k=3, alpha_lr=0.25), frames
+
+
 class TestPlanarMatchesReference:
     @given(gmm_cases())
+    @example(full_size_case())
     @settings(max_examples=200, deadline=None)
     def test_equal_masks_and_state(self, case):
         prm, frames = case

@@ -248,6 +248,83 @@ class TestRunPipeline:
             assert r.degraded == degraded
 
 
+class TestCaptureGeometry:
+    """A layer keyed at a downsampled level is fused where the capture had it."""
+
+    SIDE = 40  # px of the subject square at 320x240
+
+    def sequence(self, data, frames=8):
+        """The synthetic recipe at 320x240: a clean plate, then the square 5 px further each frame.
+
+        Returns the square's (y, x) corner per frame; frame 0 has none.
+        """
+        import numpy as np
+        from emr.raster import Frame, round_u8, save_pnm
+
+        data.mkdir()
+        rng = np.random.Generator(np.random.PCG64(3))
+        rows = np.repeat(np.linspace(90.0, 150.0, 240)[:, None], 320, axis=1)
+        base = np.stack([rows, rows + 5.0, rows + 10.0], axis=2)
+        corners = [None]
+        for i in range(frames):
+            img = base.copy()
+            if i > 0:
+                corners.append((100, 5 * (i - 1)))
+                img[100:100 + self.SIDE, 5 * (i - 1):5 * (i - 1) + self.SIDE] = (230, 90, 40)
+            img += rng.normal(0.0, 2.0, img.shape)
+            save_pnm(Frame.from_array(round_u8(np.clip(img, 0.0, 255.0)), index=i),
+                     data / f"frame_{i:06d}.ppm")
+        cols = np.repeat(np.linspace(40.0, 200.0, 320)[None, :], 240, axis=0)
+        scene = np.stack([cols, np.full_like(cols, 80.0), 200.0 - cols * 0.5], axis=2)
+        save_pnm(Frame.from_array(round_u8(scene)), data / "scene.ppm")
+        return corners
+
+    def run(self, tmp_path, levels):
+        out = tmp_path / levels.replace(":", "_")
+        cfg_path = tmp_path / f"{out.name}.cfg"
+        cfg_path.write_text(
+            f"[io]\nframes_dir = data\nbackground = data/scene.ppm\nout_dir = {out.name}\n"
+            f"metrics = {out.name}.csv\n[encoding]\nlevels = {levels}\npolicy = qoe\n"
+            "[run]\nseed = 3\n"
+        )
+        result = run_pipeline(load(cfg_path))
+        assert {r.level for r in result.records} == {levels.split(":")[0]}
+        return out
+
+    def test_low_level_lands_on_the_high_level_footprint(self, tmp_path):
+        import numpy as np
+        from emr.raster import load_pnm
+
+        corners = self.sequence(tmp_path / "data")
+        scene = load_pnm(tmp_path / "data" / "scene.ppm").to_array().astype(np.int16)
+        high = self.run(tmp_path, "high:1:1")
+        low = self.run(tmp_path, "low:4:32")
+
+        def footprint(out, i):
+            # the pixels the layer moves by more than two quantisation steps;
+            # the square differs from the scene by at least 150 levels
+            composite = load_pnm(out / f"out_{i:06d}.ppm").to_array().astype(np.int16)
+            ys, xs = np.nonzero(np.abs(composite - scene).max(axis=2) > 64)
+            return np.array([ys.min(), ys.max(), xs.min(), xs.max()])
+
+        def error(out, i):
+            # mean error against the scene with the square pasted where it was
+            y, x = corners[i]
+            truth = scene.copy()
+            source = load_pnm(tmp_path / "data" / f"frame_{i:06d}.ppm").to_array()
+            truth[y:y + self.SIDE, x:x + self.SIDE] = source[y:y + self.SIDE, x:x + self.SIDE]
+            composite = load_pnm(out / f"out_{i:06d}.ppm").to_array().astype(np.int16)
+            return np.abs(composite - truth).mean()
+
+        for i in range(1, 8):
+            # within one 4 px block of the low level on every side
+            assert np.abs(footprint(low, i) - footprint(high, i)).max() <= 4, i
+            assert error(high, i) < 0.15
+            # fused at the received 80x60 geometry the error read 2.2 to 2.4:
+            # the subject landed at a quarter of its place and size
+            assert error(low, i) < 1.1, i
+
+
 class TestFrameOutcomes:
     """Each way a frame can end short of a composite, one test apiece."""
 

@@ -21,6 +21,7 @@ from emr.tunnel import (
     _DEGENERATE_TOL,
     _envelope_keystream,
     _lane_orbit,
+    _lane_seeds,
     _logistic_orbit,
     _seed_from_material,
     BURN_IN,
@@ -94,13 +95,15 @@ def bare_tunnel(chaos_x=0.4321, chaos_r=3.99):
 
 def plant_seeds(monkeypatch, planted):
     """Make lane i of every envelope start from planted[i] where given."""
-    def seed(material):
-        lane = int.from_bytes(material[-4:], "big")
-        # envelope material: 8-byte chaos_x, 32-byte fingerprint, 8-byte seq, 4-byte lane
-        if len(material) == 52 and lane in planted:
-            return planted[lane]
-        return _seed_from_material(material)
-    monkeypatch.setattr(tunnel, "_seed_from_material", seed)
+    lane_seeds = tunnel._lane_seeds
+
+    def seeds(material, lanes):
+        out = lane_seeds(material, lanes)
+        for lane, x in planted.items():
+            if lane < lanes:
+                out[lane] = x
+        return out
+    monkeypatch.setattr(tunnel, "_lane_seeds", seeds)
 
 
 def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP, burn_in=50):
@@ -203,6 +206,17 @@ class TestKeystream:
         stream = _envelope_keystream(a, a.local_fingerprint, 7, 64)
         assert stream == _envelope_keystream(a, a.local_fingerprint, 7, 64)
         assert stream == _envelope_keystream(b, a.local_fingerprint, 7, 64)
+
+    def test_lane_seeds_match_per_lane_derivation(self):
+        # of 961 lanes, those whose first digest maps outside (0.01, 0.99)
+        # take the re-hashing path; the rest share one vectorised division
+        material = bytes(range(48))
+        suffixes = [i.to_bytes(4, "big") for i in range(961)]
+        first = [int.from_bytes(hashlib.sha256(material + s).digest()[:8], "big") / 2 ** 64
+                 for s in suffixes]
+        assert sum(not 0.01 < x < 0.99 for x in first) > 0
+        expected = np.array([_seed_from_material(material + s) for s in suffixes])
+        assert _lane_seeds(material, 961).tobytes() == expected.tobytes()
 
     def test_degenerate_state_raises(self):
         with pytest.raises(ReseedRequired):

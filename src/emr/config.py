@@ -8,9 +8,9 @@ and values violating any module precondition; every check runs up front so
 a run never aborts mid-stream over a bad parameter.  Each precondition lives
 in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
 the type checks its own fields, and its ``ValueError`` becomes
-``InvalidValue`` naming the config key.  ``_check`` covers the six keys no
-type carries: encoding.fps, encoding.w, tunnel.r, tunnel.burn_in,
-io.frames_dir and io.background.
+``InvalidValue`` naming the config key.  ``_check`` covers the five keys no
+type carries: encoding.fps, encoding.w, tunnel.r, io.frames_dir and
+io.background.
 
 Sections and keys (defaults in parentheses):
 
@@ -21,16 +21,14 @@ Sections and keys (defaults in parentheses):
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
                mos_min (2.0), l_max (0.5), l_min (0.0)
     [channel]  capacity (1e7), base_delay (0.01), loss_prob (0.0)
-    [tunnel]   p (61-bit safe prime), g (3), r (3.99), burn_in (1000)  --
-               burn_in warms up the handshake's base chaos state only;
-               envelope keystream lanes start from their hash seeds
+    [tunnel]   p (61-bit safe prime), g (3), r (3.99)
     [gmm]      k (3), lambda (2.5), alpha_lr (0.02), t (0.7),
                var_init (225), var_min (4)
     [matting]  r_fg (2), r_bg (4), window (3), max_iters (20),
                eps (1/255), lambda_t (0.1)
     [store]    shards (4), theta (0.35), dir (unset), enroll_user (unset),
                enroll_frame (0)
-    [fusion]   scale (1.0), tx (0), ty (0), depth (0.0), view_angle (0.0),
+    [fusion]   scale (1.0), tx (0), ty (0), view_angle (0.0),
                views (front:0,profile:90)  -- scale is relative to the
                capture: a layer keyed at a level of scale factor s is
                placed at scale * s
@@ -50,7 +48,7 @@ from .layering import GmmParams
 from .matting import DEFAULT_EPS, MattingParams
 from .qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy
 from .store import StoreParams
-from .tunnel import BURN_IN, DEFAULT_GROUP, LOGISTIC_R, DhGroup
+from .tunnel import DEFAULT_GROUP, LOGISTIC_R, DhGroup
 
 
 @dataclass
@@ -68,7 +66,6 @@ class PipelineConfig:
     channel: ChannelModel
     group: DhGroup
     chaos_r: float
-    burn_in: int
     gmm: GmmParams
     matting: MattingParams
     store: StoreParams
@@ -164,7 +161,6 @@ _SCHEMA = {
     ("tunnel", "p"): (str(DEFAULT_GROUP.p), _parse_int),
     ("tunnel", "g"): (str(DEFAULT_GROUP.g), _parse_int),
     ("tunnel", "r"): (str(LOGISTIC_R), _parse_float),
-    ("tunnel", "burn_in"): (str(BURN_IN), _parse_int),
     ("gmm", "k"): ("3", _parse_int),
     ("gmm", "lambda"): ("2.5", _parse_float, "lam"),
     ("gmm", "alpha_lr"): ("0.02", _parse_float),
@@ -185,7 +181,6 @@ _SCHEMA = {
     ("fusion", "scale"): ("1.0", _parse_float),
     ("fusion", "tx"): ("0", _parse_int),
     ("fusion", "ty"): ("0", _parse_int),
-    ("fusion", "depth"): ("0.0", _parse_float),
     ("fusion", "view_angle"): ("0.0", _parse_float),
     ("fusion", "views"): ("front:0,profile:90", _parse_views),
     ("run", "seed"): ("0", _parse_int),
@@ -267,7 +262,6 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
     _check(values["encoding", "fps"] > 0, "encoding.fps", "must be > 0")
     _check(0.0 <= values["encoding", "w"] <= 1.0, "encoding.w", "must lie in [0, 1]")
     _check(0.0 < values["tunnel", "r"] <= 4.0, "tunnel.r", "must lie in (0, 4]")
-    _check(values["tunnel", "burn_in"] >= 0, "tunnel.burn_in", "must be >= 0")
 
     frames_dir = base / values["io", "frames_dir"]
     background = base / values["io", "background"]
@@ -291,7 +285,6 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
         channel=_build(ChannelModel, "channel", values),
         group=_build(DhGroup, "tunnel", values),
         chaos_r=values["tunnel", "r"],
-        burn_in=values["tunnel", "burn_in"],
         gmm=_build(GmmParams, "gmm", values),
         matting=_build(MattingParams, "matting", values),
         store=_build(StoreParams, "store", values),

@@ -47,7 +47,7 @@ class TamperAlarm(SecurityAlarm):
 
 
 class ReplayAlarm(SecurityAlarm):
-    """Envelope sequence number not strictly increasing."""
+    """Envelope sequence number is not the one its slot expects."""
 
 
 class DegenerateTemplate(EmrError):

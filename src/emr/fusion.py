@@ -62,7 +62,6 @@ class FusionParams:
     scale: float = 1.0
     tx: int = 0
     ty: int = 0
-    depth: float = 0.0
     view_angle: float = 0.0
     views: tuple = (ViewSource("front", 0.0), ViewSource("profile", 90.0))
 
@@ -98,22 +97,6 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
     pixels = layer.pixels.data[rows, cols]
     alpha = layer.matte.to_array()[rows, cols]
     return (y0, y1, x0, x1), pixels, alpha
-
-
-def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
-    """Resample and translate a layer onto a canvas; returns (Frame, AlphaMatte).
-
-    Pixels falling outside the canvas are clipped; uncovered canvas pixels get
-    alpha 0 (and black pixels).
-    """
-    out = np.zeros((canvas_h, canvas_w, layer.pixels.channels), dtype=np.uint8)
-    out_alpha = np.zeros((canvas_h, canvas_w))
-    placed = _resample(layer, canvas_w, canvas_h)
-    if placed is not None:
-        (y0, y1, x0, x1), pixels, alpha = placed
-        out[y0:y1, x0:x1] = pixels
-        out_alpha[y0:y1, x0:x1] = alpha
-    return Frame.from_array(out, index=layer.pixels.index), AlphaMatte.from_array(out_alpha)
 
 
 def compose(background: Frame, layers) -> Frame:

@@ -199,11 +199,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     registry = {sender.fingerprint, receiver.fingerprint}
     send_tunnel = handshake(
         sender_priv, sender.public_key, receiver.public_key, registry,
-        config.group, config.chaos_r, config.burn_in,
+        config.group, config.chaos_r,
     )
     recv_tunnel = handshake(
         receiver_priv, receiver.public_key, sender.public_key, registry,
-        config.group, config.chaos_r, config.burn_in,
+        config.group, config.chaos_r,
     )
 
     link = Link(config.channel, seed=seed_link)
@@ -266,8 +266,9 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             if adversary is not None:
                 envelope = interpose(adversary, envelope)
 
-            # 4. verification; an alarm ends the frame here
-            payload = decrypt_verify(recv_tunnel, envelope, registry)
+            # 4. verification; an alarm ends the frame here.  In lockstep the
+            # slot's fresh envelope is the one just sealed
+            payload = decrypt_verify(recv_tunnel, envelope, registry, send_tunnel.send_seq)
             received = decode_pnm(payload, index=frame_index)
             trace.append("decrypt")
 
@@ -313,7 +314,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                 pixels=received, matte=matte,
                 scale=config.fusion.scale * level.scale_factor,
                 tx=config.fusion.tx, ty=config.fusion.ty,
-                depth=config.fusion.depth,
             )
             composite = compose(background, [layer])
             trace.append("fuse")

@@ -8,14 +8,13 @@ authenticated by HMAC-SHA256 (RFC 2104), keyed with the shared secret, over
 (sender fingerprint, sequence number, ciphertext length, ciphertext).
 Tamper, replay, and unknown-agent conditions each raise their own alarm.
 
-Keystream scheduling: the handshake derives a base chaos state from the
-shared secret and warms it up for ``burn_in`` steps; each envelope then
-derives its own stream from (base state, sender fingerprint, sequence
-number).  Envelopes therefore decrypt independently of delivery gaps, and the
-two directions of a session never share keystream.  An n-byte stream runs on
-L = ceil(sqrt(n)) lanes, like the independent counter blocks of CTR mode:
-lane i starts from the SHA-256 seed of the envelope material followed by i
-(no warm-up; the hash already separates the lanes), all lanes advance
+Keystream scheduling: the handshake derives a base chaos state, the SHA-256
+seed of the shared secret; each envelope then derives its own stream from
+(base state, sender fingerprint, sequence number).  Envelopes therefore
+decrypt independently of delivery gaps, and the two directions of a session
+never share keystream.  An n-byte stream runs on L = ceil(sqrt(n)) lanes,
+like the independent counter blocks of CTR mode: lane i starts from the
+SHA-256 seed of the envelope material followed by i, all lanes advance
 together for ceil(n / L) steps, and byte i is taken from lane i mod L at
 step i div L + 1.  Identical seeds produce identical byte streams within this
 implementation; bit-exactness across implementations is not promised.
@@ -25,9 +24,14 @@ cryptography: no forward secrecy, no padding, no side-channel hardening, and
 the logistic-map cipher has no security proof.  Its keystream bytes follow
 the map's arcsine-shaped invariant density (mass piles up near 0 and 255),
 and successive states of one lane, L bytes apart in the stream, have a
-lag-1 autocorrelation of about -0.14; :func:`keystream_chi2` and
-:func:`keystream_lag1_autocorr` exist precisely to measure that structure.
-Do not protect real data with it.
+lag-1 autocorrelation of about -0.14; ``keystream_chi2`` and
+``keystream_lag1_autocorr`` in ``tests/test_tunnel.py`` measure that
+structure.  Do not protect real data with it.
+
+Replay: sender and receiver run in lockstep, so the receiver passes the
+sequence number its slot expects and any other raises ReplayAlarm (the
+anti-replay window of IPsec ESP, RFC 4303 section 3.4.3, with a window of
+one); the receiver keeps no sequence state.
 
 Envelope wire layout, bit-exact:
 
@@ -53,7 +57,6 @@ import numpy as np
 from .errors import ReplayAlarm, ReseedRequired, TamperAlarm, UnauthorizedAgent
 
 LOGISTIC_R = 3.99
-BURN_IN = 1000
 DIGEST_SIZE = 32
 
 # chaos seeds are rejected outside this open interval
@@ -142,7 +145,6 @@ class SessionTunnel:
     chaos_x: float
     chaos_r: float = LOGISTIC_R
     send_seq: int = 0
-    recv_seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,51 +190,14 @@ def _lane_seeds(material: bytes, lanes: int) -> np.ndarray:
     return seeds
 
 
-def _logistic_orbit(x: float, r: float, steps: int) -> np.ndarray:
-    """The states x, f(x), ..., f^steps(x) of the logistic map f(x) = r*x*(1-x).
-
-    Any new state within 1e-12 of 0 or 1 raises ReseedRequired, naming the
-    first such state.
-
-    The loop runs eight steps per pass and holds no test; the collapse check
-    is one vectorised comparison over the finished orbit.  That is exact:
-    every state is the same double expression ``r * x * (1.0 - x)`` on the
-    previous state, evaluated in the same order as a one-step loop, so the
-    orbit up to the first collapsed state is bit for bit the orbit a per-step
-    test would have seen, and the first failing element is the state it would
-    have raised on.  The states after a collapse are computed and discarded;
-    for 0 < r <= 4 (which the config enforces) the map sends [0, 1] into
-    [0, 1], so they hold no inf or NaN, and Python float arithmetic never
-    raises on overflow in any case.
-    """
-    states = [x]
-    extend = states.extend
-    for _ in range(steps >> 3):
-        x1 = r * x * (1.0 - x)
-        x2 = r * x1 * (1.0 - x1)
-        x3 = r * x2 * (1.0 - x2)
-        x4 = r * x3 * (1.0 - x3)
-        x5 = r * x4 * (1.0 - x4)
-        x6 = r * x5 * (1.0 - x5)
-        x7 = r * x6 * (1.0 - x6)
-        x = r * x7 * (1.0 - x7)
-        extend((x1, x2, x3, x4, x5, x6, x7, x))
-    append = states.append
-    for _ in range(steps & 7):
-        x = r * x * (1.0 - x)
-        append(x)
-    orbit = np.fromiter(states, np.float64, count=steps + 1)
-    _check_collapse(orbit[1:])
-    return orbit
-
-
 def _lane_orbit(seeds: np.ndarray, r: float, steps: int) -> np.ndarray:
     """The (steps + 1, L) states of L logistic orbits advanced side by side.
 
     Row t holds f^t of every seed; each step is the scalar expression
     ``(r * x) * (1.0 - x)`` applied to a whole row, so column i is bit for bit
-    ``_logistic_orbit(seeds[i], r, steps)``.  One collapse check covers every
-    new state and names the first in row-major order, which is byte order.
+    the one-step scalar loop from seeds[i].  One check covers every new state:
+    any within 1e-12 of 0 or 1 raises ReseedRequired naming the first in
+    row-major order, which is byte order.
     """
     orbit = np.empty((steps + 1, len(seeds)))
     orbit[0] = seeds
@@ -240,16 +205,12 @@ def _lane_orbit(seeds: np.ndarray, r: float, steps: int) -> np.ndarray:
     for row in orbit[1:]:
         np.multiply(r * x, 1.0 - x, out=row)
         x = row
-    _check_collapse(orbit[1:].ravel())
-    return orbit
-
-
-def _check_collapse(states: np.ndarray) -> None:
-    """Raise ReseedRequired naming the first state within 1e-12 of 0 or 1."""
+    states = orbit[1:].ravel()
     collapsed = (states <= _DEGENERATE_TOL) | (states >= 1.0 - _DEGENERATE_TOL)
     if collapsed.any():
         first = float(states[collapsed.argmax()])
         raise ReseedRequired(f"chaos state collapsed to {first!r}")
+    return orbit
 
 
 def handshake(
@@ -259,28 +220,25 @@ def handshake(
     registry,
     group: DhGroup = DEFAULT_GROUP,
     chaos_r: float = LOGISTIC_R,
-    burn_in: int = BURN_IN,
 ) -> SessionTunnel:
     """Authenticate the peer against the registry and derive session state.
 
     Both directions of a session derive the same shared secret and the same
-    base chaos state: the secret's seed after ``burn_in`` logistic steps.  A
-    peer key outside [1, p-1] raises ValueError (from :func:`fingerprint`).
-    An unknown peer fingerprint raises UnauthorizedAgent; that alarm is the
-    anomalous-node signal.
+    base chaos state: the SHA-256 seed of the secret.  A peer key outside
+    [1, p-1] raises ValueError (from :func:`fingerprint`).  An unknown peer
+    fingerprint raises UnauthorizedAgent; that alarm is the anomalous-node
+    signal.
     """
     peer_fp = fingerprint(peer_public, group)
     if peer_fp not in registry:
         raise UnauthorizedAgent(f"peer fingerprint {peer_fp.hex()[:16]}... not trusted")
     shared = pow(peer_public, local_private, group.p)
-    seed = _seed_from_material(_encode_int(shared, group))
-    x = float(_logistic_orbit(seed, chaos_r, burn_in)[-1])
     return SessionTunnel(
         local_fingerprint=fingerprint(local_public, group),
         peer_fingerprint=peer_fp,
         shared_secret=shared,
         group=group,
-        chaos_x=x,
+        chaos_x=_seed_from_material(_encode_int(shared, group)),
         chaos_r=chaos_r,
     )
 
@@ -328,14 +286,15 @@ def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:
     )
 
 
-def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry) -> bytes:
-    """Authenticate and decipher an envelope; raises the matching alarm.
+def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry, seq: int) -> bytes:
+    """Authenticate and decipher the envelope of the slot that expects ``seq``.
 
-    Check order: registry membership, the session peer, digest, then
-    sequence freshness.  A trusted sender other than the tunnel's peer (such
-    as the receiver's own fingerprint on a relabelled envelope) is
-    unauthorized on this tunnel.  No plaintext is ever produced and no state
-    changes on an alarmed envelope.
+    Check order: registry membership, the session peer, digest, then the
+    sequence number, which must equal ``seq`` (a forged one fails the digest
+    first and reads as tamper).  A trusted sender other than the tunnel's
+    peer (such as the receiver's own fingerprint on a relabelled envelope)
+    is unauthorized on this tunnel.  No plaintext is ever produced on an
+    alarmed envelope.
     """
     if envelope.sender_fingerprint not in registry:
         raise UnauthorizedAgent(
@@ -351,12 +310,11 @@ def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry) -> bytes
     )
     if not hmac.compare_digest(expected, envelope.digest):
         raise TamperAlarm(f"digest mismatch on seq {envelope.seq}")
-    if envelope.seq <= tunnel.recv_seq:
-        raise ReplayAlarm(f"seq {envelope.seq} not beyond {tunnel.recv_seq}")
+    if envelope.seq != seq:
+        raise ReplayAlarm(f"seq {envelope.seq} where {seq} is expected")
     keystream = _envelope_keystream(
         tunnel, envelope.sender_fingerprint, envelope.seq, len(envelope.ciphertext)
     )
-    tunnel.recv_seq = envelope.seq
     return _xor(envelope.ciphertext, keystream)
 
 
@@ -385,29 +343,3 @@ def decode_envelope(data: bytes) -> Envelope:
     ciphertext = data[44:44 + ct_len]
     digest = data[44 + ct_len:]
     return Envelope(sender_fingerprint=fp, seq=seq, ciphertext=ciphertext, digest=digest)
-
-
-# --- keystream statistics --------------------------------------------------------
-# Diagnostics over keystream structure (histogram shape, short-range
-# correlation); they measure, they do not certify.
-
-def keystream_chi2(stream: bytes) -> float:
-    """Chi-square statistic of the byte histogram against uniform (255 dof)."""
-    counts = [0] * 256
-    for b in stream:
-        counts[b] += 1
-    expected = len(stream) / 256.0
-    return sum((c - expected) ** 2 / expected for c in counts)
-
-
-def keystream_lag1_autocorr(stream: bytes) -> float:
-    """Lag-1 autocorrelation of the byte sequence; 1.0 for constant streams."""
-    if len(stream) < 2:
-        return 0.0
-    n = len(stream)
-    mean = sum(stream) / n
-    var = sum((b - mean) ** 2 for b in stream) / n
-    if var == 0:
-        return 1.0
-    cov = sum((stream[i] - mean) * (stream[i + 1] - mean) for i in range(n - 1)) / (n - 1)
-    return cov / var

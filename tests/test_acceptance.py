@@ -197,7 +197,8 @@ def test_a5_tunnel_roundtrip_and_detection():
     roundtrip_failures = 0
     for _ in range(1000):
         payload = rng.randbytes(rng.randrange(0, 4097))
-        if decrypt_verify(receiver, encrypt_envelope(sender, payload), registry) != payload:
+        env = encrypt_envelope(sender, payload)
+        if decrypt_verify(receiver, env, registry, sender.send_seq) != payload:
             roundtrip_failures += 1
 
     tamper_detected = 0
@@ -209,16 +210,17 @@ def test_a5_tunnel_roundtrip_and_detection():
         mutated[bit // 8] ^= 1 << (bit % 8)
         try:
             decrypt_verify(receiver, Envelope(env.sender_fingerprint, env.seq,
-                                              bytes(mutated), env.digest), registry)
+                                              bytes(mutated), env.digest),
+                           registry, sender.send_seq)
         except TamperAlarm:
             tamper_detected += 1
 
     replay_detected = 0
     for _ in range(100):
         env = encrypt_envelope(sender, rng.randbytes(32))
-        decrypt_verify(receiver, env, registry)
-        try:
-            decrypt_verify(receiver, env, registry)
+        decrypt_verify(receiver, env, registry, sender.send_seq)
+        try:  # envelope k delivered in the slot that expects seq k + 1
+            decrypt_verify(receiver, env, registry, sender.send_seq + 1)
         except ReplayAlarm:
             replay_detected += 1
 
@@ -227,7 +229,7 @@ def test_a5_tunnel_roundtrip_and_detection():
         env = encrypt_envelope(sender, rng.randbytes(16))
         forged = Envelope(bytes([i % 256]) * 32, env.seq, env.ciphertext, env.digest)
         try:
-            decrypt_verify(receiver, forged, registry)
+            decrypt_verify(receiver, forged, registry, sender.send_seq)
         except UnauthorizedAgent:
             impersonation_detected += 1
 

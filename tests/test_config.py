@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,8 +43,12 @@ class TestParsing:
         assert any("duplicate" in w for w in cfg.warnings)
 
     def test_unknown_key_rejected(self, workspace):
-        with pytest.raises(UnknownKey):
-            parse(MINIMAL_TEMPLATE + "[run]\nspeed = 3\n", workspace)
+        # tunnel.burn_in and fusion.depth changed no run's output, and are not keys
+        for snippet in (
+            "[run]\nspeed = 3\n", "[tunnel]\nburn_in = 10\n", "[fusion]\ndepth = 1\n",
+        ):
+            with pytest.raises(UnknownKey):
+                parse(MINIMAL_TEMPLATE + snippet, workspace)
 
     def test_unknown_section_rejected(self, workspace):
         with pytest.raises(UnknownKey):
@@ -134,6 +140,11 @@ class TestValidation:
         )
         assert cfg.levels[0].bits_per_frame == 12345
         assert cfg.levels[1].bits_per_frame is None
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(example, require_paths=False).seed == 17
 
     def test_views_parsed(self, workspace):
         cfg = parse(

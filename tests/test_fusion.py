@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emr.fusion import FusionParams, RvoLayer, ViewSource, compose, place_layer, select_view
+from emr.fusion import FusionParams, RvoLayer, ViewSource, _resample, compose, select_view
 from emr.raster import AlphaMatte, Frame, round_u8
 
 
@@ -26,6 +26,22 @@ def random_layer(rng, canvas=16):
         ty=int(rng.integers(-4, canvas)),
         depth=float(rng.normal()),
     )
+
+
+def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
+    """Resample and translate a layer onto a canvas; returns (Frame, AlphaMatte).
+
+    Pixels falling outside the canvas are clipped; uncovered canvas pixels get
+    alpha 0 (and black pixels).
+    """
+    out = np.zeros((canvas_h, canvas_w, layer.pixels.channels), dtype=np.uint8)
+    out_alpha = np.zeros((canvas_h, canvas_w))
+    placed = _resample(layer, canvas_w, canvas_h)
+    if placed is not None:
+        (y0, y1, x0, x1), pixels, alpha = placed
+        out[y0:y1, x0:x1] = pixels
+        out_alpha[y0:y1, x0:x1] = alpha
+    return Frame.from_array(out, index=layer.pixels.index), AlphaMatte.from_array(out_alpha)
 
 
 def full_canvas_compose(background, layers):

@@ -84,12 +84,12 @@ class TestAdversary:
         assert interpose(Adversary("m", AdversaryMode.TAMPER, seed=1), env) == env
 
     def test_tamper_raises_alarm_downstream(self):
-        a, b, reg = session_pair(burn_in=10)
+        a, b, reg = session_pair()
         mallory = Adversary("m", AdversaryMode.TAMPER, seed=3)
         for i in range(100):
             env = interpose(mallory, encrypt_envelope(a, bytes([i]) * (i + 1)))
             with pytest.raises(TamperAlarm):
-                decrypt_verify(b, env, reg)
+                decrypt_verify(b, env, reg, a.send_seq)
 
     def test_replay_lags_by_one_and_trips_on_duplicate(self):
         a, b, reg = session_pair()
@@ -97,11 +97,11 @@ class TestAdversary:
         first = encrypt_envelope(a, b"one")
         second = encrypt_envelope(a, b"two")
         assert interpose(mallory, first) == first  # nothing to replay yet
-        decrypt_verify(b, first, reg)
+        decrypt_verify(b, first, reg, 1)
         replayed = interpose(mallory, second)
         assert replayed == first
-        with pytest.raises(ReplayAlarm):
-            decrypt_verify(b, replayed, reg)
+        with pytest.raises(ReplayAlarm):  # envelope 1 in the slot that expects seq 2
+            decrypt_verify(b, replayed, reg, 2)
 
     def test_impersonation_rejected_by_registry(self):
         a, b, reg = session_pair()
@@ -109,5 +109,5 @@ class TestAdversary:
         env = interpose(mallory, encrypt_envelope(a, b"hello"))
         assert env.sender_fingerprint == mallory.fingerprint
         with pytest.raises(UnauthorizedAgent):
-            decrypt_verify(b, env, reg)
+            decrypt_verify(b, env, reg, a.send_seq)
 

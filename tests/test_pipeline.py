@@ -379,19 +379,18 @@ class TestFrameOutcomes:
         assert resets == ["frame 000004: dimensions changed, model reset"]
         assert self.written(tmp_path) == [0, 1, 2, 3, 4, 5]
 
-    def test_lasting_resize_under_replay_keys_on(self, tmp_path, caplog):
-        # frame k receives frame k-1's envelope, so the received geometry
-        # changes at frame 5; the model follows it and every later frame keys
-        with caplog.at_level(logging.INFO, logger="emr.pipeline"):
-            result = run_pipeline(
-                load(self.resized_workspace(tmp_path, frames=8, first=4)),
-                adversary_mode="replay",
-            )
-        assert [r.replay for r in result.records] == [0, 1, 0, 0, 0, 0, 0, 0]
-        assert all(result.traces[k][-1] == "write" for k in range(5, 8))
-        assert self.written(tmp_path) == [0, 2, 3, 4, 5, 6, 7]
-        assert "frame 000005: dimensions changed, model reset" in caplog.text
-        assert "stopped" not in caplog.text
+    def test_replay_never_writes_another_frames_composite(self, tmp_path):
+        # the adversary forwards each envelope one frame late; no late envelope
+        # may be fused as a later frame
+        clean, replay = tmp_path / "clean", tmp_path / "replay"
+        run_pipeline(load(workspace(clean, frames=8)))
+        run_pipeline(load(workspace(replay, frames=8)), adversary_mode="replay")
+        composites = {p.name: p.read_bytes() for p in (clean / "out").glob("out_*.ppm")}
+        assert len(composites) == 8
+        for path in (replay / "out").glob("out_*.ppm"):
+            # its own frame's clean composite (the first frames' coincide), or none
+            data = path.read_bytes()
+            assert data == composites[path.name] or data not in composites.values()
 
     def test_other_geometry_leaves_the_colour_model_alone(self, tmp_path):
         # keying and identity of the colour frames do not see the gray frame
@@ -413,14 +412,14 @@ class TestFrameOutcomes:
             assert runs[0][k][0] > 0 and runs[0][k][1] == "subject"
 
     def test_replay_alarm(self, tmp_path, caplog):
-        # the adversary forwards each envelope one frame late: only frame 1's
-        # stand-in (frame 0's envelope) is not beyond what was already received
+        # the adversary forwards each envelope one frame late: every frame after
+        # the first receives the envelope of the slot before its own
         with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
             result = run_pipeline(load(workspace(tmp_path, frames=4)), adversary_mode="replay")
-        assert [r.replay for r in result.records] == [0, 1, 0, 0]
-        assert result.traces[1] == ("encode", "encrypt", "transmit")
-        assert self.written(tmp_path) == [0, 2, 3]
-        assert "frame 000001 alarm: ReplayAlarm: " in caplog.text
+        assert [r.replay for r in result.records] == [0, 1, 1, 1]
+        assert all(result.traces[k] == ("encode", "encrypt", "transmit") for k in (1, 2, 3))
+        assert self.written(tmp_path) == [0]
+        assert "frame 000001 alarm: ReplayAlarm: seq 1 where 2 is expected" in caplog.text
 
     def test_alarm_table_covers_every_alarm(self):
         from emr.errors import SecurityAlarm

@@ -22,9 +22,7 @@ from emr.tunnel import (
     _envelope_keystream,
     _lane_orbit,
     _lane_seeds,
-    _logistic_orbit,
     _seed_from_material,
-    BURN_IN,
     DEFAULT_GROUP,
     AgentRole,
     DhGroup,
@@ -37,8 +35,6 @@ from emr.tunnel import (
     fingerprint,
     handshake,
     keypair_gen,
-    keystream_chi2,
-    keystream_lag1_autocorr,
     make_agent,
 )
 
@@ -58,6 +54,11 @@ def reference_orbit(x, r, steps):
     return np.array(states)
 
 
+def one_lane_orbit(x, r, steps):
+    """The states x, f(x), ..., f^steps(x) of one ``_lane_orbit`` lane."""
+    return _lane_orbit(np.array([x]), r, steps)[:, 0]
+
+
 def orbit_or_message(fn, x, r, steps):
     try:
         return fn(x, r, steps).tobytes()
@@ -75,11 +76,36 @@ def reference_keystream(tunnel_state, sender_fp, seq, n):
     steps = (n + lanes - 1) // lanes
     material = struct.pack(">d", tunnel_state.chaos_x) + sender_fp + seq.to_bytes(8, "big")
     orbits = [
-        _logistic_orbit(_seed_from_material(material + i.to_bytes(4, "big")),
+        reference_orbit(_seed_from_material(material + i.to_bytes(4, "big")),
                         tunnel_state.chaos_r, steps)
         for i in range(lanes)
     ]
     return bytes(int(orbits[i % lanes][i // lanes + 1] * 256.0) for i in range(n))
+
+
+# Diagnostics over keystream structure (histogram shape, short-range
+# correlation); they measure, they do not certify.
+
+def keystream_chi2(stream: bytes) -> float:
+    """Chi-square statistic of the byte histogram against uniform (255 dof)."""
+    counts = [0] * 256
+    for b in stream:
+        counts[b] += 1
+    expected = len(stream) / 256.0
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+def keystream_lag1_autocorr(stream: bytes) -> float:
+    """Lag-1 autocorrelation of the byte sequence; 1.0 for constant streams."""
+    if len(stream) < 2:
+        return 0.0
+    n = len(stream)
+    mean = sum(stream) / n
+    var = sum((b - mean) ** 2 for b in stream) / n
+    if var == 0:
+        return 1.0
+    cov = sum((stream[i] - mean) * (stream[i + 1] - mean) for i in range(n - 1)) / (n - 1)
+    return cov / var
 
 
 def bare_tunnel(chaos_x=0.4321, chaos_r=3.99):
@@ -106,12 +132,12 @@ def plant_seeds(monkeypatch, planted):
     monkeypatch.setattr(tunnel, "_lane_seeds", seeds)
 
 
-def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP, burn_in=50):
+def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP):
     priv_a, pub_a = keypair_gen(seed_a, group)
     priv_b, pub_b = keypair_gen(seed_b, group)
     registry = {fingerprint(pub_a, group), fingerprint(pub_b, group)}
-    a = handshake(priv_a, pub_a, pub_b, registry, group, burn_in=burn_in)
-    b = handshake(priv_b, pub_b, pub_a, registry, group, burn_in=burn_in)
+    a = handshake(priv_a, pub_a, pub_b, registry, group)
+    b = handshake(priv_b, pub_b, pub_a, registry, group)
     return a, b, registry
 
 
@@ -160,15 +186,15 @@ class TestHandshake:
     def test_toy_group_shared_secret(self):
         # x_a = 6 (y = 8), x_b = 15 (y = 19): both sides land on 2
         registry = {fingerprint(8, TOY), fingerprint(19, TOY)}
-        a = handshake(6, 8, 19, registry, TOY, burn_in=10)
-        b = handshake(15, 19, 8, registry, TOY, burn_in=10)
+        a = handshake(6, 8, 19, registry, TOY)
+        b = handshake(15, 19, 8, registry, TOY)
         assert a.shared_secret == b.shared_secret == 2
         assert a.chaos_x == b.chaos_x
 
     def test_symmetry_over_random_keypairs(self):
         rng = random.Random(5)
         for _ in range(100):
-            a, b, _ = session_pair(rng.getrandbits(32), rng.getrandbits(32), burn_in=0)
+            a, b, _ = session_pair(rng.getrandbits(32), rng.getrandbits(32))
             assert a.shared_secret == b.shared_secret
             assert a.chaos_x == b.chaos_x
 
@@ -186,13 +212,12 @@ class TestHandshake:
 
     def test_chaos_seed_in_open_interval(self):
         for seed in range(30):
-            a, b, _ = session_pair(seed * 2 + 1, seed * 2 + 2, burn_in=0)
+            a, b, _ = session_pair(seed * 2 + 1, seed * 2 + 2)
             assert 0.0 < a.chaos_x < 1.0
 
     def test_chaos_state_is_a_python_float(self):
-        for burn_in in (0, 13):
-            a, _, _ = session_pair(burn_in=burn_in)
-            assert type(a.chaos_x) is float
+        a, _, _ = session_pair()
+        assert type(a.chaos_x) is float
 
 
 class TestKeystream:
@@ -224,31 +249,23 @@ class TestKeystream:
         with pytest.raises(ReseedRequired):
             _lane_orbit(np.array([1e-13]), 3.99, 1)
 
-    def test_collapse_during_burn_in_raises(self, monkeypatch):
-        # 4*0.5*0.5 = 1.0 on the handshake's first warm-up step
-        monkeypatch.setattr(tunnel, "_seed_from_material", lambda material: 0.5)
-        priv_a, pub_a = keypair_gen(1)
-        _, pub_b = keypair_gen(2)
-        with pytest.raises(ReseedRequired):
-            handshake(priv_a, pub_a, pub_b, {fingerprint(pub_b)}, chaos_r=4.0, burn_in=10)
-
     def test_collapse_names_first_failing_state(self):
         # 4*0.5*0.5 = 1.0, then 0.0 forever: the message names the 1.0
         with pytest.raises(ReseedRequired) as info:
-            _logistic_orbit(0.5, 4.0, 5)
+            one_lane_orbit(0.5, 4.0, 5)
         assert str(info.value) == "chaos state collapsed to 1.0"
 
     @pytest.mark.parametrize("r, steps, first", [
-        (0.01, 20, 6),   # inside the first eight-step pass; every later state fails too
-        (0.2, 20, 17),   # in the remainder after two passes; states 18-20 fail too
-        (4.0, 13, 1),    # the first state of a pass
+        (0.01, 20, 6),   # every later state fails too
+        (0.2, 20, 17),   # states 18-20 fail too
+        (4.0, 13, 1),    # the first new state
         (4e-12, 1, 1),   # a state exactly at the tolerance: 4e-12 * 0.5 * 0.5 == 1e-12
     ])
     def test_collapse_reported_like_per_step_loop(self, r, steps, first):
         with pytest.raises(ReseedRequired) as expected:
             reference_orbit(0.5, r, steps)
         with pytest.raises(ReseedRequired) as got:
-            _logistic_orbit(0.5, r, steps)
+            one_lane_orbit(0.5, r, steps)
         assert str(got.value) == str(expected.value)
         # the state named is the first one that fails
         reference_orbit(0.5, r, first - 1)
@@ -263,13 +280,13 @@ class TestKeystream:
     )
     @settings(max_examples=300, deadline=None)
     def test_orbit_matches_per_step_loop(self, x, r, steps):
-        assert orbit_or_message(_logistic_orbit, x, r, steps) == orbit_or_message(
+        assert orbit_or_message(one_lane_orbit, x, r, steps) == orbit_or_message(
             reference_orbit, x, r, steps
         )
 
     def test_long_orbit_matches_per_step_loop(self):
-        # far longer than the handshake's 1000-step burn-in or any envelope lane
-        got = _logistic_orbit(0.4321, 3.99, 13301)
+        # far longer than any envelope lane (960 steps at 640x480x3)
+        got = one_lane_orbit(0.4321, 3.99, 13301)
         assert got.dtype == np.float64
         assert got.tobytes() == reference_orbit(0.4321, 3.99, 13301).tobytes()
 
@@ -322,10 +339,10 @@ class TestKeystream:
         assert str(info.value) == str(expected.value)
 
     def test_pinned_keystream_bytes(self):
-        a, _, _ = session_pair(burn_in=BURN_IN)
+        a, _, _ = session_pair()
         stream = _envelope_keystream(a, a.local_fingerprint, 1, 4096)
         assert hashlib.sha256(stream).hexdigest() == (
-            "448d4c44e8081f6d6efc931414fbb94b0c8c69b5d4e3109de018fd9be9cc6912"
+            "c5dc7ba35119f8db17bb79155f4de679cabdf242b696992298e25c4d89fcad8f"
         )
 
     def test_chi2_statistic_computes_known_cases(self):
@@ -340,8 +357,8 @@ class TestKeystream:
         assert keystream_lag1_autocorr(alternating) == pytest.approx(-1.0, abs=1e-2)
         assert keystream_lag1_autocorr(bytes(16)) == 1.0  # constant stream
 
-    # Envelopes 1..k of the seed-1/seed-2 session at the default burn-in, as the
-    # single-orbit keystream (one orbit per envelope after a 1000-step burn-in)
+    # Envelopes 1..k of the seed-1/seed-2 session as the single-orbit keystream
+    # (one orbit per envelope, from a base state warmed up for 1000 steps)
     # measured them: k, mean and sample sd of keystream_chi2, mean |lag-1|.
     SINGLE_ORBIT_STATS = {
         12301: (100, 6647.42, 388.84, 0.13537),
@@ -354,7 +371,7 @@ class TestKeystream:
         # (one envelope's chi2 varies by about 390 at 12,301 bytes, so the means
         # may differ by three standard errors of their difference) and move the
         # orbit's lag-1 correlation out to lag L
-        a, _, _ = session_pair(burn_in=BURN_IN)
+        a, _, _ = session_pair()
         for n, (k, chi2_mean, chi2_sd, lag1_mean) in self.SINGLE_ORBIT_STATS.items():
             streams = [
                 _envelope_keystream(a, a.local_fingerprint, seq, n) for seq in range(1, k + 1)
@@ -371,26 +388,27 @@ class TestEnvelopes:
         a, b, reg = session_pair()
         env = encrypt_envelope(a, b"")
         assert env.ciphertext == b""
-        assert decrypt_verify(b, env, reg) == b""
+        assert decrypt_verify(b, env, reg, 1) == b""
 
     def test_roundtrip_random_payloads(self):
-        a, b, reg = session_pair(burn_in=10)
+        a, b, reg = session_pair()
         rng = random.Random(3)
         for _ in range(50):
             payload = rng.randbytes(rng.randrange(0, 512))
-            assert decrypt_verify(b, encrypt_envelope(a, payload), reg) == payload
+            env = encrypt_envelope(a, payload)
+            assert decrypt_verify(b, env, reg, a.send_seq) == payload
 
     def test_pinned_ciphertext(self):
         priv_a, pub_a = keypair_gen(1)
         priv_b, pub_b = keypair_gen(2)
         registry = {fingerprint(pub_a), fingerprint(pub_b)}
-        a = handshake(priv_a, pub_a, pub_b, registry, burn_in=50)
+        a = handshake(priv_a, pub_a, pub_b, registry)
         env = encrypt_envelope(a, bytes(range(256)) * 16)
         assert hashlib.sha256(env.ciphertext).hexdigest() == (
-            "27d507eacf44fb7f96498d604c92b4b758938e2d8405a64da8bbf6b2c710a6f9"
+            "437d309ea2747cb88fcd68413e32f259cf7b6353dfbd815c7db84067970aee55"
         )
         assert env.digest.hex() == (
-            "7d2702a15817eb08e443c252964c5dee238420187a2da9a09decd1f7381799f7"
+            "1bfe65f1f265697d92243fdef86d60edada1282c3d4a7ab5920c0ad405db72b6"
         )
 
     def test_digest_is_hmac_over_header_and_ciphertext(self):
@@ -402,11 +420,11 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 99, 100, 101, 12301, 16384, 16385, 20000])
     def test_roundtrip_across_lane_boundaries(self, size):
-        a, b, reg = session_pair(burn_in=10)
+        a, b, reg = session_pair()
         payload = random.Random(size).randbytes(size)
         env = encrypt_envelope(a, payload)
         assert env.ciphertext != payload
-        assert decrypt_verify(b, env, reg) == payload
+        assert decrypt_verify(b, env, reg, 1) == payload
 
     def test_sequence_strictly_increases(self):
         a, _, _ = session_pair()
@@ -414,13 +432,13 @@ class TestEnvelopes:
         assert seqs == [1, 2, 3, 4, 5]
 
     def test_gap_tolerant_decryption(self):
-        a, b, reg = session_pair(burn_in=10)
+        a, b, reg = session_pair()
         encrypt_envelope(a, b"lost in transit")
         late = encrypt_envelope(a, b"arrives fine")
-        assert decrypt_verify(b, late, reg) == b"arrives fine"
+        assert decrypt_verify(b, late, reg, 2) == b"arrives fine"
 
     def test_tamper_detected_on_any_bit(self):
-        a, b, reg = session_pair(burn_in=10)
+        a, b, reg = session_pair()
         rng = random.Random(9)
         for _ in range(100):
             payload = rng.randbytes(rng.randrange(1, 128))
@@ -430,21 +448,33 @@ class TestEnvelopes:
             mutated[bit // 8] ^= 1 << (bit % 8)
             bad = Envelope(env.sender_fingerprint, env.seq, bytes(mutated), env.digest)
             with pytest.raises(TamperAlarm):
-                decrypt_verify(b, bad, reg)
+                decrypt_verify(b, bad, reg, a.send_seq)
 
     def test_replay_detected(self):
+        # an envelope delivered in any slot but its own, late or early
         a, b, reg = session_pair()
         env = encrypt_envelope(a, b"once")
-        assert decrypt_verify(b, env, reg) == b"once"
+        assert decrypt_verify(b, env, reg, 1) == b"once"
+        with pytest.raises(ReplayAlarm, match="seq 1 where 2 is expected"):
+            decrypt_verify(b, env, reg, 2)
+        early = encrypt_envelope(a, b"early")
         with pytest.raises(ReplayAlarm):
-            decrypt_verify(b, env, reg)
+            decrypt_verify(b, early, reg, 1)
+
+    def test_forged_seq_reads_as_tamper(self):
+        # the digest covers the seq, and it is checked first
+        a, b, reg = session_pair()
+        env = encrypt_envelope(a, b"slot one")
+        forged = Envelope(env.sender_fingerprint, 2, env.ciphertext, env.digest)
+        with pytest.raises(TamperAlarm):
+            decrypt_verify(b, forged, reg, 2)
 
     def test_unknown_sender_rejected_before_decryption(self):
         a, b, reg = session_pair()
         env = encrypt_envelope(a, b"hi")
         forged = Envelope(b"\x00" * 32, env.seq, env.ciphertext, env.digest)
         with pytest.raises(UnauthorizedAgent):
-            decrypt_verify(b, forged, reg)
+            decrypt_verify(b, forged, reg, 1)
 
     def test_envelope_relabelled_as_another_trusted_agent_rejected(self):
         # the receiver's own fingerprint is in the registry but is not the
@@ -453,17 +483,16 @@ class TestEnvelopes:
         env = encrypt_envelope(a, b"genuine")
         relabelled = Envelope(b.local_fingerprint, env.seq, env.ciphertext, env.digest)
         with pytest.raises(UnauthorizedAgent):
-            decrypt_verify(b, relabelled, reg)
-        assert b.recv_seq == 0
-        assert decrypt_verify(b, env, reg) == b"genuine"
+            decrypt_verify(b, relabelled, reg, 1)
+        assert decrypt_verify(b, env, reg, 1) == b"genuine"
 
     def test_alarmed_envelopes_never_advance_state(self):
         a, b, reg = session_pair()
         env = encrypt_envelope(a, b"first")
         forged = Envelope(env.sender_fingerprint, env.seq, env.ciphertext, b"\x00" * 32)
         with pytest.raises(TamperAlarm):
-            decrypt_verify(b, forged, reg)
-        assert decrypt_verify(b, env, reg) == b"first"
+            decrypt_verify(b, forged, reg, 1)
+        assert decrypt_verify(b, env, reg, 1) == b"first"
 
 
 class TestWireFormat:

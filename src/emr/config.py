@@ -8,9 +8,9 @@ and values violating any module precondition; every check runs up front so
 a run never aborts mid-stream over a bad parameter.  Each precondition lives
 in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
 the type checks its own fields, and its ``ValueError`` becomes
-``InvalidValue`` naming the config key.  ``_check`` covers the five keys no
-type carries: encoding.fps, encoding.w, tunnel.r, io.frames_dir and
-io.background.
+``InvalidValue`` naming the config key.  ``_check`` covers the six keys no
+type carries: encoding.fps, encoding.w, tunnel.r, io.frames_dir,
+io.background and store.dir.
 
 Sections and keys (defaults in parentheses):
 
@@ -26,8 +26,8 @@ Sections and keys (defaults in parentheses):
                var_init (225), var_min (4)
     [matting]  r_fg (2), r_bg (4), window (3), max_iters (20),
                eps (1/255), lambda_t (0.1)
-    [store]    shards (4), theta (0.35), dir (unset), enroll_user (unset),
-               enroll_frame (0)
+    [store]    theta (0.35), dir (unset; an existing path must be a
+               directory), enroll_user (unset), enroll_frame (0)
     [fusion]   scale (1.0), tx (0), ty (0), view_angle (0.0),
                views (front:0,profile:90)  -- scale is relative to the
                capture: a layer keyed at a level of scale factor s is
@@ -173,7 +173,6 @@ _SCHEMA = {
     ("matting", "max_iters"): ("20", _parse_int),
     ("matting", "eps"): (repr(DEFAULT_EPS), _parse_float),
     ("matting", "lambda_t"): ("0.1", _parse_float),
-    ("store", "shards"): ("4", _parse_int),
     ("store", "theta"): ("0.35", _parse_float),
     ("store", "dir"): ("", _parse_optional, "directory"),
     ("store", "enroll_user"): ("", _parse_optional),
@@ -241,7 +240,7 @@ def _build(cls, section: str, values: dict):
         raise InvalidValue(f"{section}.{named[0]}" if named else section, str(exc))
 
 
-def parse_config(text: str, base_dir=".", require_paths: bool = True) -> PipelineConfig:
+def parse_config(text: str, base_dir=".") -> PipelineConfig:
     """Parse and fully validate a pipeline configuration."""
     base = Path(base_dir)
     entries, warnings = _read_entries(text)
@@ -265,11 +264,12 @@ def parse_config(text: str, base_dir=".", require_paths: bool = True) -> Pipelin
 
     frames_dir = base / values["io", "frames_dir"]
     background = base / values["io", "background"]
-    if require_paths:
-        _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
-        _check(background.is_file(), "io.background", f"file {background} does not exist")
+    _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
+    _check(background.is_file(), "io.background", f"file {background} does not exist")
     if values["store", "dir"] is not None:
-        values["store", "dir"] = base / values["store", "dir"]
+        store_dir = values["store", "dir"] = base / values["store", "dir"]
+        _check(store_dir.is_dir() or not store_dir.exists(), "store.dir",
+               f"{store_dir} exists and is not a directory")
 
     return PipelineConfig(
         frames_dir=frames_dir,

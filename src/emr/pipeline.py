@@ -67,7 +67,7 @@ from .tunnel import (
 
 log = logging.getLogger("emr.pipeline")
 
-_FRAME_RE = re.compile(r"^frame_(\d{6})\.ppm$")
+_FRAME_RE = re.compile(r"^frame_([0-9]{6})\.ppm$")
 _NO_IDENTITY = "-"
 _UNKNOWN_IDENTITY = "UNKNOWN"
 # the metrics column each alarm sets
@@ -216,9 +216,8 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     view = select_view(config.fusion.views, config.fusion.view_angle)
     log.info("active view: %s (%.1f deg)", view.id, view.angle_deg)
 
-    store = KnowledgeStore(config.store.shards)
-    if config.store.directory and config.store.directory.is_dir():
-        store = KnowledgeStore.load(config.store.directory, config.store.shards)
+    store_dir = config.store.directory
+    store = KnowledgeStore.load(store_dir) if store_dir else KnowledgeStore()
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     model = None
@@ -333,12 +332,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             records.append(rec)
             traces[frame_index] = tuple(trace)
 
-    if config.store.directory:
-        store.save(config.store.directory)
-
     metrics_text = emit_metrics(records)
     config.metrics_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(config.metrics_path, metrics_text)
+    if store_dir:
+        store.save(store_dir)
     return PipelineResult(
         records=records,
         traces=traces,

@@ -1,26 +1,21 @@
-"""Sharded identity store with incremental centroid learning.
+"""Identity table with incremental centroid learning.
 
 User appearance is summarized as a 256-dimensional template: the grayscale
 face region resized to 16x16 (nearest neighbor), mean-subtracted, and scaled
 to unit L2 norm.  Each user's centroid is the running mean of their enrolled
-templates; queries match by cosine distance across every shard and return the
-best user under the threshold, or nothing.
+templates; queries match by cosine distance against every user and return the
+best one under the threshold, or nothing.
 
-Templates are dispersed over N shard nodes by SHA-256 of the user id modulo
-N, so shard layout never changes a query's answer and stores can be
-rebalanced to any shard count without losing a template.
-
-Persistence: one text file per shard, one record per line:
+Persistence: one text file, ``identities.csv``, one record per line:
 ``user_id,sample_count,v0,...,v255`` with full-precision decimal reals.
-Files are replaced whole (``write_atomic``), so a write that fails part way
-leaves the previous file in place.
+``save`` replaces it whole in one ``write_atomic`` call, so a save that fails
+part way leaves the previous table in place.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +26,7 @@ from .raster import Frame, to_grayscale
 TEMPLATE_SIDE = 16
 TEMPLATE_DIM = TEMPLATE_SIDE * TEMPLATE_SIDE
 
-_SHARD_FILE = "shard_{:03d}.csv"
+_TABLE_FILE = "identities.csv"
 
 
 def write_atomic(path, text: str) -> None:
@@ -54,13 +49,8 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _check_shards(count: int) -> None:
-    if not count >= 1:
-        raise ValueError(f"shards must be >= 1, got {count}")
-
-
 def _check_user_id(user_id: str, name: str = "user_id") -> None:
-    # load() splits a shard file with splitlines(), which also yields no line for ""
+    # load() splits the table with splitlines(), which also yields no line for ""
     if "," in user_id or user_id.splitlines() != [user_id]:
         raise ValueError(f"{name} must be non-empty without commas or line breaks")
 
@@ -77,16 +67,14 @@ def _template_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StoreParams:
-    """Shard count, match threshold, persistence directory and enrolment of a run."""
+    """Match threshold, persistence directory and enrolment of a run."""
 
-    shards: int = 4
     theta: float = 0.35  # cosine-distance threshold of ``identify``
     directory: Path | None = None
     enroll_user: str | None = None
     enroll_frame: int = 0
 
     def __post_init__(self):
-        _check_shards(self.shards)
         if not 0.0 < self.theta < 2.0:
             raise ValueError("theta must lie in (0, 2)")
         if self.enroll_user is not None:
@@ -129,43 +117,19 @@ class IdentityTemplate:
             raise ValueError("sample_count must be >= 1")
 
 
-@dataclass
-class KnowledgeShard:
-    node_id: int
-    templates: dict = field(default_factory=dict)
-
-
-def _shard_index(user_id: str, shard_count: int) -> int:
-    digest = hashlib.sha256(user_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shard_count
-
-
 class KnowledgeStore:
-    """A dispersed set of shards holding identity templates."""
+    """Identity templates by user id."""
 
-    def __init__(self, shard_count: int):
-        _check_shards(shard_count)
-        self.shards = [KnowledgeShard(node_id=i) for i in range(shard_count)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, user_id: str) -> KnowledgeShard:
-        return self.shards[_shard_index(user_id, self.shard_count)]
-
-    def users(self):
-        for shard in self.shards:
-            yield from shard.templates.keys()
+    def __init__(self):
+        self.templates = {}
 
     def enroll(self, user_id: str, template: np.ndarray) -> None:
-        """Fold a template into the user's centroid on their home shard."""
+        """Fold a template into the user's centroid."""
         _check_user_id(user_id)
         template = _template_vector(template, "template")
-        shard = self.shard_for(user_id)
-        entry = shard.templates.get(user_id)
+        entry = self.templates.get(user_id)
         if entry is None:
-            shard.templates[user_id] = IdentityTemplate(
+            self.templates[user_id] = IdentityTemplate(
                 user_id=user_id, centroid=template.copy(), sample_count=1
             )
         else:
@@ -174,7 +138,7 @@ class KnowledgeStore:
             entry.sample_count = n + 1
 
     def identify(self, template: np.ndarray, theta: float = 0.35):
-        """Best cosine match across all shards, or None when over the threshold.
+        """Best cosine match over every user, or None when over the threshold.
 
         Ties on distance resolve to the lexicographically smallest user id.
         ``StoreParams`` holds a run's theta and owns its domain.
@@ -184,67 +148,55 @@ class KnowledgeStore:
         if qnorm == 0.0:
             return None
         best = None
-        for shard in self.shards:
-            for user_id, entry in shard.templates.items():
-                cnorm = np.linalg.norm(entry.centroid)
-                if cnorm == 0.0:
-                    continue  # cosine undefined; a cancelled centroid never matches
-                dist = 1.0 - float(template @ entry.centroid) / (qnorm * cnorm)
-                if best is None or (dist, user_id) < best:
-                    best = (dist, user_id)
+        for user_id, entry in self.templates.items():
+            cnorm = np.linalg.norm(entry.centroid)
+            if cnorm == 0.0:
+                continue  # cosine undefined; a cancelled centroid never matches
+            dist = 1.0 - float(template @ entry.centroid) / (qnorm * cnorm)
+            if best is None or (dist, user_id) < best:
+                best = (dist, user_id)
         if best is not None and best[0] <= theta:
             return best[1]
         return None
-
-    def rebalance(self, new_shard_count: int) -> "KnowledgeStore":
-        """Redistribute every template over a new shard count; nothing is lost."""
-        out = KnowledgeStore(new_shard_count)
-        for shard in self.shards:
-            for user_id, entry in shard.templates.items():
-                out.shard_for(user_id).templates[user_id] = replace(
-                    entry, centroid=entry.centroid.copy()
-                )
-        return out
 
     # --- persistence -----------------------------------------------------------
 
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for shard in self.shards:
-            lines = []
-            for user_id in sorted(shard.templates):
-                entry = shard.templates[user_id]
-                values = ",".join(repr(float(v)) for v in entry.centroid)
-                lines.append(f"{user_id},{entry.sample_count},{values}\n")
-            write_atomic(directory / _SHARD_FILE.format(shard.node_id), "".join(lines))
+        lines = []
+        for user_id in sorted(self.templates):
+            entry = self.templates[user_id]
+            values = ",".join(repr(float(v)) for v in entry.centroid)
+            lines.append(f"{user_id},{entry.sample_count},{values}\n")
+        write_atomic(directory / _TABLE_FILE, "".join(lines))
 
     @classmethod
-    def load(cls, directory, shard_count: int) -> "KnowledgeStore":
+    def load(cls, directory) -> "KnowledgeStore":
+        """The table saved in directory; empty when it holds none."""
         directory = Path(directory)
-        store = cls(shard_count)
-        for shard in store.shards:
-            path = directory / _SHARD_FILE.format(shard.node_id)
-            if not path.exists():
+        legacy = sorted(directory.glob("shard_*.csv"))
+        if legacy:
+            raise ValueError(
+                f"{directory} holds per-shard files ({legacy[0].name}, ...); their lines "
+                f"have the table's format, so concatenate them into {_TABLE_FILE}"
+            )
+        store = cls()
+        path = directory / _TABLE_FILE
+        if not path.exists():
+            return store
+        for line in path.read_text().splitlines():
+            if not line.strip():
                 continue
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2 + TEMPLATE_DIM:
-                    raise ValueError(f"malformed shard record in {path}")
-                user_id, count = parts[0], int(parts[1])
-                _check_user_id(user_id, f"user id in {path}")
-                centroid = np.array([float(v) for v in parts[2:]])
-                home = store.shard_for(user_id)
-                if home.node_id != shard.node_id:
-                    raise ValueError(
-                        f"user {user_id!r} found on shard {shard.node_id}, "
-                        f"belongs on {home.node_id}"
-                    )
-                if user_id in shard.templates:
-                    raise ValueError(f"user {user_id!r} listed twice in {path}")
-                shard.templates[user_id] = IdentityTemplate(
-                    user_id=user_id, centroid=centroid, sample_count=count
-                )
+            parts = line.split(",")
+            if len(parts) != 2 + TEMPLATE_DIM:
+                raise ValueError(f"malformed identity record in {path}")
+            user_id, count = parts[0], int(parts[1])
+            _check_user_id(user_id, f"user id in {path}")
+            if user_id in store.templates:
+                raise ValueError(f"user {user_id!r} listed twice in {path}")
+            store.templates[user_id] = IdentityTemplate(
+                user_id=user_id, centroid=np.array([float(v) for v in parts[2:]]),
+                sample_count=count,
+            )
         return store

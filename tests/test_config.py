@@ -10,15 +10,19 @@ from emr.fusion import ViewSource
 from emr.qoeqos import Policy
 
 
+def make_workspace(root, frames="frames", background="scene.ppm"):
+    (root / frames).mkdir()
+    (root / background).write_bytes(b"P6 1 1 255\n\x00\x00\x00")
+    return root
+
+
 @pytest.fixture
 def workspace(tmp_path):
-    (tmp_path / "frames").mkdir()
-    (tmp_path / "scene.ppm").write_bytes(b"P6 1 1 255\n\x00\x00\x00")
-    return tmp_path
+    return make_workspace(tmp_path)
 
 
-def parse(text, base, **kw):
-    return parse_config(text, base_dir=base, **kw)
+def parse(text, base):
+    return parse_config(text, base_dir=base)
 
 
 class TestParsing:
@@ -28,7 +32,7 @@ class TestParsing:
         assert cfg.gmm.k == 3 and cfg.gmm.alpha_lr == 0.02
         assert [l.id for l in cfg.levels] == ["high", "med", "low"]
         assert cfg.channel.capacity == 1e7
-        assert cfg.store.shards == 4
+        assert cfg.store.theta == 0.35 and cfg.store.directory is None
         assert cfg.seed == 0
         assert cfg.warnings == []
 
@@ -43,9 +47,11 @@ class TestParsing:
         assert any("duplicate" in w for w in cfg.warnings)
 
     def test_unknown_key_rejected(self, workspace):
-        # tunnel.burn_in and fusion.depth changed no run's output, and are not keys
+        # tunnel.burn_in and fusion.depth changed no run's output, and store.shards
+        # no query's answer: none of them is a key
         for snippet in (
             "[run]\nspeed = 3\n", "[tunnel]\nburn_in = 10\n", "[fusion]\ndepth = 1\n",
+            "[store]\nshards = 4\n",
         ):
             with pytest.raises(UnknownKey):
                 parse(MINIMAL_TEMPLATE + snippet, workspace)
@@ -111,7 +117,6 @@ class TestValidation:
             ("[channel]\ncapacity = 0\n", "channel.capacity"),
             ("[encoding]\nbmax = 1e5\n", "encoding.bmax"),
             ("[encoding]\nl_min = 0.6\n", "encoding.l_max"),
-            ("[store]\nshards = 0\n", "store.shards"),
             ("[fusion]\nscale = 0\n", "fusion.scale"),
         ],
     )
@@ -131,8 +136,17 @@ class TestValidation:
             parse(MINIMAL_TEMPLATE, tmp_path)
 
     def test_paths_optional_for_syntax_checks(self, tmp_path):
-        cfg = parse(MINIMAL_TEMPLATE, tmp_path, require_paths=False)
-        assert cfg.frames_dir.name == "frames"
+        # an unknown key is reported as such, not as the missing paths
+        with pytest.raises(UnknownKey):
+            parse(MINIMAL_TEMPLATE + "[run]\nspeed = 3\n", tmp_path)
+
+    def test_store_dir_naming_a_file_rejected(self, workspace):
+        store = "[store]\ndir = {}\n"
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + store.format("scene.ppm"), workspace)
+        assert info.value.key == "store.dir"
+        assert parse(MINIMAL_TEMPLATE + store.format("frames"), workspace).store.directory.is_dir()
+        assert parse(MINIMAL_TEMPLATE + store.format("new"), workspace).store.directory.name == "new"
 
     def test_levels_with_explicit_bits(self, workspace):
         cfg = parse(
@@ -141,10 +155,11 @@ class TestValidation:
         assert cfg.levels[0].bits_per_frame == 12345
         assert cfg.levels[1].bits_per_frame is None
 
-    def test_readme_example_parses(self):
+    def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        assert parse_config(example, require_paths=False).seed == 17
+        make_workspace(tmp_path, "data", "data/scene.ppm")
+        assert parse(example, tmp_path).seed == 17
 
     def test_views_parsed(self, workspace):
         cfg = parse(
@@ -170,14 +185,20 @@ KEYS = st.one_of(
 ENTRIES = st.lists(st.tuples(KEYS, VALUES), max_size=6)
 
 
+@pytest.fixture(scope="module")
+def shared_workspace(tmp_path_factory):
+    # the paths MINIMAL_TEMPLATE names exist, so parsing reaches every _build
+    return make_workspace(tmp_path_factory.mktemp("config"))
+
+
 class TestRobustness:
-    @given(st.booleans(), ENTRIES, st.booleans())
+    @given(st.booleans(), ENTRIES)
     @settings(max_examples=300, deadline=None)
-    def test_only_config_errors_escape(self, minimal, entries, require_paths):
+    def test_only_config_errors_escape(self, shared_workspace, minimal, entries):
         text = MINIMAL_TEMPLATE if minimal else ""
         text += "".join(f"[{section}]\n{key} = {value}\n" for (section, key), value in entries)
         try:
-            cfg = parse_config(text, base_dir=".", require_paths=require_paths)
+            cfg = parse(text, shared_workspace)
         except ConfigError:
             return
         assert isinstance(cfg, PipelineConfig)

@@ -93,6 +93,16 @@ class TestRunPipeline:
         assert (tmp_path / "metrics.csv").read_text() == result.metrics_text
         assert result.selected_view == "front"
 
+    def test_frame_names_need_ascii_digits(self, tmp_path):
+        cfg = load(workspace(tmp_path, frames=3))
+        data = tmp_path / "data"
+        (data / "frame_\uff10\uff10\uff10\uff10\uff10\uff10.ppm").write_bytes(
+            (data / "frame_000000.ppm").read_bytes()
+        )
+        result = run_pipeline(cfg)
+        assert [r.frame for r in result.records] == [0, 1, 2]
+        assert result.outputs_written == 3
+
     def test_no_frames_is_a_clean_run(self, tmp_path):
         (tmp_path / "data").mkdir()
         synthetic.generate(tmp_path / "scene_only", frames=0, seed=0)
@@ -175,6 +185,36 @@ class TestRunPipeline:
         assert result.identity_enrolled
         tail = [r.identity for r in result.records[5:]]
         assert "subject" in tail
+
+    def test_store_persists_across_runs(self, tmp_path):
+        store = "[store]\ndir = store\n"
+        cfg = load(workspace(tmp_path, frames=10,
+                             extra=store + "enroll_user = subject\nenroll_frame = 4\n"))
+        first = run_pipeline(cfg)
+        assert first.identity_enrolled
+        assert [r.identity for r in first.records[:4]] == ["UNKNOWN"] * 4
+        table = tmp_path / "store" / "identities.csv"
+        assert sorted(p.name for p in table.parent.iterdir()) == ["identities.csv"]
+        saved = table.read_bytes()
+        assert saved.startswith(b"subject,1,")
+
+        # no enrolment this time: frames before 4 can only match the loaded table
+        (tmp_path / "pipeline.cfg").write_text(BASE_CFG + store)
+        second = run_pipeline(load(tmp_path / "pipeline.cfg"))
+        assert not second.identity_enrolled
+        identified = [r.identity for r in second.records if r.identity != "UNKNOWN"]
+        assert identified[0] == "subject"
+        assert second.records[3].identity == "subject"
+        assert table.read_bytes() == saved
+
+    def test_failed_store_save_keeps_the_metrics(self, tmp_path):
+        cfg = load(workspace(tmp_path, frames=3, extra="[store]\ndir = store\n"))
+        # the file appears after the config check, so only the save can fail
+        (tmp_path / "store").write_text("a file where the store directory should be\n")
+        with pytest.raises(OSError):
+            run_pipeline(cfg)
+        metrics = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1", "2"]
 
     def test_metrics_column_count_stable(self, tmp_path):
         cfg = load(workspace(tmp_path, frames=4))
@@ -453,6 +493,15 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[gmm]\nalpha_lr = 7\n")
         assert run_cli("validate-config", str(cfg)).returncode == 1
+
+    def test_legacy_shard_store_exits_one(self, tmp_path):
+        cfg_path = workspace(tmp_path, frames=2, extra="[store]\ndir = store\n")
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "shard_000.csv").write_text("")
+        run = run_cli("run", "--config", str(cfg_path))
+        assert run.returncode == 1
+        assert "identities.csv" in run.stderr
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_unreadable_config_exits_two(self, tmp_path):
         assert run_cli("validate-config", str(tmp_path / "nope.cfg")).returncode == 2

@@ -55,8 +55,8 @@ def region(seed=0, side=20, channels=3):
 
 
 @st.composite
-def shard_text(draw):
-    """Text shaped like a shard file: comma-separated records of mixed validity."""
+def table_text(draw):
+    """Text shaped like an identity table: comma-separated records of mixed validity."""
     lines = []
     for _ in range(draw(st.integers(0, 3))):
         user = draw(st.sampled_from(["alice", "bob"]) | st.text(max_size=4))
@@ -105,36 +105,36 @@ class TestExtractTemplate:
 
 class TestEnroll:
     def test_first_enrollment_copies_template(self):
-        store = KnowledgeStore(4)
+        store = KnowledgeStore()
         rng = np.random.RandomState(0)
         t = random_template(rng)
         store.enroll("alice", t)
-        entry = store.shard_for("alice").templates["alice"]
+        entry = store.templates["alice"]
         assert entry.sample_count == 1
         assert np.array_equal(entry.centroid, t)
 
     def test_two_enrollments_average(self):
-        store = KnowledgeStore(2)
+        store = KnowledgeStore()
         rng = np.random.RandomState(1)
         t1, t2 = random_template(rng), random_template(rng)
         store.enroll("bob", t1)
         store.enroll("bob", t2)
-        entry = store.shard_for("bob").templates["bob"]
+        entry = store.templates["bob"]
         assert entry.sample_count == 2
         assert np.allclose(entry.centroid, (t1 + t2) / 2, atol=1e-12)
 
     def test_incremental_equals_batch_mean(self):
-        store = KnowledgeStore(4)
+        store = KnowledgeStore()
         rng = np.random.RandomState(2)
         samples = [random_template(rng) for _ in range(100)]
         for s in samples:
             store.enroll("carol", s)
         batch = np.mean(samples, axis=0)
-        centroid = store.shard_for("carol").templates["carol"].centroid
+        centroid = store.templates["carol"].centroid
         assert np.linalg.norm(centroid - batch) / np.linalg.norm(batch) <= 1e-9
 
     def test_non_finite_template_rejected(self):
-        store = KnowledgeStore(1)
+        store = KnowledgeStore()
         store.enroll("bob", random_template(np.random.RandomState(1)))
         bad = np.full(TEMPLATE_DIM, np.nan)
         with pytest.raises(ValueError):
@@ -144,25 +144,25 @@ class TestEnroll:
 
     def test_user_id_with_comma_rejected(self):
         # and every other id that save could write but load could not read back
-        store = KnowledgeStore(1)
+        store = KnowledgeStore()
         for user_id in ("a,b", "", "a\nb", "a\rb", "a\x1cb", "a\x85b", "a\u2028b", "a\n"):
             with pytest.raises(ValueError):
                 store.enroll(user_id, random_template(np.random.RandomState(0)))
-        assert list(store.users()) == []
+        assert store.templates == {}
 
 
 class TestIdentify:
     def test_self_match_at_zero_distance(self):
-        store = KnowledgeStore(4)
+        store = KnowledgeStore()
         t = random_template(np.random.RandomState(3))
         store.enroll("erin", t)
         assert store.identify(t, theta=0.35) == "erin"
 
     def test_empty_store_returns_nothing(self):
-        assert KnowledgeStore(4).identify(random_template(np.random.RandomState(0))) is None
+        assert KnowledgeStore().identify(random_template(np.random.RandomState(0))) is None
 
     def test_orthogonal_template_unmatched(self):
-        store = KnowledgeStore(2)
+        store = KnowledgeStore()
         t = np.zeros(TEMPLATE_DIM)
         t[0], t[1] = 1.0, -1.0
         store.enroll("frank", t)
@@ -171,7 +171,7 @@ class TestIdentify:
         assert store.identify(q, theta=0.35) is None
 
     def test_tie_breaks_lexicographically(self):
-        store = KnowledgeStore(4)
+        store = KnowledgeStore()
         t = random_template(np.random.RandomState(4))
         store.enroll("zoe", t)
         store.enroll("ann", t)
@@ -186,7 +186,6 @@ class TestStoreParams:
     @pytest.mark.parametrize(
         "kw, field",
         [
-            pytest.param(dict(shards=0), "shards", id="kw0-InvalidShardCount"),
             pytest.param(dict(theta=0.0), "theta", id="kw1-ValueError"),
             pytest.param(dict(theta=math.nan), "theta", id="kw2-ValueError"),
             pytest.param(dict(enroll_user="a\nb"), "enroll_user", id="kw3-ValueError"),
@@ -202,84 +201,62 @@ class TestStoreParams:
             StoreParams(enroll_user="a,b")
 
 
-class TestRebalance:
-    def populated(self, users=20, shards=4):
-        store = KnowledgeStore(shards)
-        rng = np.random.RandomState(7)
-        for i in range(users):
-            store.enroll(f"user{i:02d}", random_template(rng))
-        return store, rng
-
-    def test_same_count_is_identity(self):
-        store, _ = self.populated()
-        again = store.rebalance(4)
-        for s_old, s_new in zip(store.shards, again.shards):
-            assert set(s_old.templates) == set(s_new.templates)
-
-    def test_round_trip_restores_layout(self):
-        store, _ = self.populated()
-        back = store.rebalance(1).rebalance(4)
-        for s_old, s_new in zip(store.shards, back.shards):
-            assert set(s_old.templates) == set(s_new.templates)
-
-    def test_multiset_preserved(self):
-        store, _ = self.populated()
-        flat = store.rebalance(7)
-        assert sorted(flat.users()) == sorted(store.users())
-        for user in store.users():
-            a = store.shard_for(user).templates[user]
-            b = flat.shard_for(user).templates[user]
-            assert a.sample_count == b.sample_count
-            assert np.array_equal(a.centroid, b.centroid)
-
-    def test_identify_invariant_across_shard_counts(self):
-        store, rng = self.populated()
-        layouts = [store.rebalance(n) for n in (1, 2, 4)]
-        for _ in range(100):
-            q = random_template(rng)
-            answers = {s.identify(q, theta=0.8) for s in layouts}
-            assert len(answers) == 1
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            self.populated()[0].rebalance(0)
-        with pytest.raises(ValueError, match="shards"):
-            KnowledgeStore(0)
-
-
 class TestPersistence:
     def test_save_load_roundtrip_exact(self, tmp_path):
         store, rng = self.make_store()
         for user_id in ("a b", "a\tb", "a\x1fb", " a "):  # accepted ids that are not plain
             store.enroll(user_id, random_template(rng))
         store.save(tmp_path)
-        loaded = KnowledgeStore.load(tmp_path, store.shard_count)
-        assert sorted(loaded.users()) == sorted(store.users())
-        for user in store.users():
-            a = store.shard_for(user).templates[user]
-            b = loaded.shard_for(user).templates[user]
+        assert [f.name for f in tmp_path.iterdir()] == ["identities.csv"]
+        loaded = KnowledgeStore.load(tmp_path)
+        assert sorted(loaded.templates) == sorted(store.templates)
+        for user, a in store.templates.items():
+            b = loaded.templates[user]
             assert a.sample_count == b.sample_count
             assert np.array_equal(a.centroid, b.centroid)  # bit-exact via repr
 
     def make_store(self):
-        store = KnowledgeStore(3)
+        store = KnowledgeStore()
         rng = np.random.RandomState(8)
         for i in range(9):
             store.enroll(f"u{i}", random_template(rng))
         return store, rng
 
+    def test_missing_table_loads_empty(self, tmp_path):
+        assert KnowledgeStore.load(tmp_path).templates == {}
+        assert KnowledgeStore.load(tmp_path / "not-yet").templates == {}
+
     def test_failed_save_keeps_previous_shards(self, tmp_path, monkeypatch):
+        # the table is all-or-nothing: a failed save leaves the previous one,
+        # byte for byte, and it reloads to the previous users and counts
         store, rng = self.make_store()
         store.save(tmp_path)
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
         for i in range(9):
             store.enroll(f"u{i}", random_template(rng))
+        store.enroll("newcomer", random_template(rng))
         fail_writes_midway(monkeypatch)
         with pytest.raises(OSError):
             store.save(tmp_path)
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
-        loaded = KnowledgeStore.load(tmp_path, store.shard_count)
-        assert sorted(loaded.users()) == sorted(store.users())
+        loaded = KnowledgeStore.load(tmp_path)
+        assert sorted(loaded.templates) == [f"u{i}" for i in range(9)]
+        assert {e.sample_count for e in loaded.templates.values()} == {1}
+
+    def test_save_is_one_atomic_write(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(emr.store, "write_atomic", lambda *a: calls.append(a))
+        self.make_store()[0].save(tmp_path)
+        assert [path.name for path, _ in calls] == ["identities.csv"]
+
+    def test_legacy_shard_files_rejected(self, tmp_path):
+        store, _ = self.make_store()
+        store.save(tmp_path)
+        (tmp_path / "identities.csv").rename(tmp_path / "shard_000.csv")
+        with pytest.raises(ValueError, match="concatenate them into identities.csv"):
+            KnowledgeStore.load(tmp_path)
+        (tmp_path / "shard_000.csv").rename(tmp_path / "identities.csv")
+        assert sorted(KnowledgeStore.load(tmp_path).templates) == sorted(store.templates)
 
     def test_write_atomic_replaces_whole_file(self, tmp_path):
         target = tmp_path / "f.txt"
@@ -290,51 +267,40 @@ class TestPersistence:
 
     def test_non_finite_centroid_rejected_on_load(self, tmp_path):
         # a NaN distance compared first would stay "best" and hide every match
-        store = KnowledgeStore(1)
+        store = KnowledgeStore()
         store.enroll("bob", random_template(np.random.RandomState(2)))
         store.save(tmp_path)
-        shard = tmp_path / "shard_000.csv"
+        table = tmp_path / "identities.csv"
         bad = "aaa,1," + ",".join(["nan"] * TEMPLATE_DIM) + "\n"
-        shard.write_text(bad + shard.read_text())
+        table.write_text(bad + table.read_text())
         with pytest.raises(ValueError):
-            KnowledgeStore.load(tmp_path, 1)
+            KnowledgeStore.load(tmp_path)
 
     def test_empty_user_id_rejected_on_load(self, tmp_path):
-        (tmp_path / "shard_000.csv").write_text(",1," + ",".join(["0.0"] * TEMPLATE_DIM) + "\n")
+        (tmp_path / "identities.csv").write_text(",1," + ",".join(["0.0"] * TEMPLATE_DIM) + "\n")
         with pytest.raises(ValueError):
-            KnowledgeStore.load(tmp_path, 1)
+            KnowledgeStore.load(tmp_path)
 
     def test_user_listed_twice_rejected_on_load(self, tmp_path):
         values = ",".join(["0.5"] * TEMPLATE_DIM)
-        path = tmp_path / "shard_000.csv"
+        path = tmp_path / "identities.csv"
         path.write_text(f"alice,3,{values}\nalice,1,{values}\n")
-        with pytest.raises(ValueError, match=r"'alice' listed twice in .*shard_000\.csv"):
-            KnowledgeStore.load(tmp_path, 1)
+        with pytest.raises(ValueError, match=r"'alice' listed twice in .*identities\.csv"):
+            KnowledgeStore.load(tmp_path)
 
-    @given(st.one_of(st.text(max_size=80), st.binary(max_size=80), shard_text()))
+    @given(st.one_of(st.text(max_size=80), st.binary(max_size=80), table_text()))
     @settings(max_examples=200, deadline=None)
     def test_any_shard_text_raises_only_value_error(self, content):
         with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "shard_000.csv"
+            path = Path(directory) / "identities.csv"
             if isinstance(content, bytes):
                 path.write_bytes(content)
             else:
                 path.write_text(content)
             try:
-                store = KnowledgeStore.load(directory, 1)
+                store = KnowledgeStore.load(directory)
             except ValueError:
                 return
             store.save(directory)
-            again = KnowledgeStore.load(directory, 1)
-        assert sorted(again.users()) == sorted(store.users())
-
-    def test_misplaced_record_rejected(self, tmp_path):
-        store, _ = self.make_store()
-        store.save(tmp_path)
-        files = sorted(tmp_path.glob("shard_*.csv"))
-        donor = next(f for f in files if f.read_text().strip())
-        line = donor.read_text().splitlines()[0]
-        victim = next(f for f in files if f != donor)
-        victim.write_text(line + "\n")
-        with pytest.raises(ValueError):
-            KnowledgeStore.load(tmp_path, store.shard_count)
+            again = KnowledgeStore.load(directory)
+        assert sorted(again.templates) == sorted(store.templates)

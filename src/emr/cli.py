@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .config import parse_config
+from .config import check_metrics_path, parse_config
 from .errors import ConfigError, EmrError
 from .netsim import AdversaryMode
 from .pipeline import run_pipeline
@@ -66,20 +66,21 @@ def _load_config(path_text: str, args=None):
         return None, EXIT_IO
     try:
         config = parse_config(text, base_dir=path.parent)
+        if args is not None:
+            if args.seed is not None:
+                config.seed = args.seed
+            if args.policy is not None:
+                config.policy = Policy(args.policy)
+            if args.out is not None:
+                config.out_dir = Path(args.out)
+            if args.metrics is not None:
+                config.metrics_path = Path(args.metrics)
+                check_metrics_path(config.metrics_path)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return None, EXIT_CONFIG
     for warning in config.warnings:
         log.warning("%s", warning)
-    if args is not None:
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.policy is not None:
-            config.policy = Policy(args.policy)
-        if args.out is not None:
-            config.out_dir = Path(args.out)
-        if args.metrics is not None:
-            config.metrics_path = Path(args.metrics)
     return config, EXIT_OK
 
 

@@ -9,19 +9,19 @@ a run never aborts mid-stream over a bad parameter.  Each precondition lives
 in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
 the type checks its own fields, and its ``ValueError`` becomes
 ``InvalidValue`` naming the config key.  ``_check`` covers the six keys no
-type carries: encoding.fps, encoding.w, tunnel.r, io.frames_dir,
-io.background and store.dir.
+type carries: encoding.fps, encoding.w, io.frames_dir, io.background,
+io.metrics and store.dir.
 
 Sections and keys (defaults in parentheses):
 
     [io]       frames_dir (required), background (required),
-               out_dir (out), metrics (metrics.csv)
+               out_dir (out), metrics (metrics.csv; not a
+               directory)
     [encoding] levels (high:1:1,med:2:8,low:4:32)  -- comma list of
                id:scale:quant[:bits] entries -- fps (30), b0 (1e6),
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
                mos_min (2.0), l_max (0.5), l_min (0.0)
     [channel]  capacity (1e7), base_delay (0.01), loss_prob (0.0)
-    [tunnel]   p (61-bit safe prime), g (3), r (3.99)
     [gmm]      k (3), lambda (2.5), alpha_lr (0.02), t (0.7),
                var_init (225), var_min (4)
     [matting]  r_fg (2), r_bg (4), window (3), max_iters (20),
@@ -48,7 +48,6 @@ from .layering import GmmParams
 from .matting import DEFAULT_EPS, MattingParams
 from .qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy
 from .store import StoreParams
-from .tunnel import DEFAULT_GROUP, LOGISTIC_R, DhGroup
 
 
 @dataclass
@@ -64,8 +63,6 @@ class PipelineConfig:
     w: float
     constraints: Constraints
     channel: ChannelModel
-    group: DhGroup
-    chaos_r: float
     gmm: GmmParams
     matting: MattingParams
     store: StoreParams
@@ -158,9 +155,6 @@ _SCHEMA = {
     ("channel", "capacity"): ("1e7", _parse_float),
     ("channel", "base_delay"): ("0.01", _parse_float),
     ("channel", "loss_prob"): ("0.0", _parse_float),
-    ("tunnel", "p"): (str(DEFAULT_GROUP.p), _parse_int),
-    ("tunnel", "g"): (str(DEFAULT_GROUP.g), _parse_int),
-    ("tunnel", "r"): (str(LOGISTIC_R), _parse_float),
     ("gmm", "k"): ("3", _parse_int),
     ("gmm", "lambda"): ("2.5", _parse_float, "lam"),
     ("gmm", "alpha_lr"): ("0.02", _parse_float),
@@ -221,6 +215,11 @@ def _check(condition: bool, key: str, reason: str) -> None:
         raise InvalidValue(key, reason)
 
 
+def check_metrics_path(path: Path) -> None:
+    """Reject a metrics path naming a directory before any frame runs."""
+    _check(not path.is_dir(), "io.metrics", f"{path} is a directory")
+
+
 def _build(cls, section: str, values: dict):
     """``cls`` from the parsed values of the section's rows that name its fields.
 
@@ -260,12 +259,13 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
 
     _check(values["encoding", "fps"] > 0, "encoding.fps", "must be > 0")
     _check(0.0 <= values["encoding", "w"] <= 1.0, "encoding.w", "must lie in [0, 1]")
-    _check(0.0 < values["tunnel", "r"] <= 4.0, "tunnel.r", "must lie in (0, 4]")
 
     frames_dir = base / values["io", "frames_dir"]
     background = base / values["io", "background"]
     _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
     _check(background.is_file(), "io.background", f"file {background} does not exist")
+    metrics_path = base / values["io", "metrics"]
+    check_metrics_path(metrics_path)
     if values["store", "dir"] is not None:
         store_dir = values["store", "dir"] = base / values["store", "dir"]
         _check(store_dir.is_dir() or not store_dir.exists(), "store.dir",
@@ -275,7 +275,7 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
         frames_dir=frames_dir,
         background=background,
         out_dir=base / values["io", "out_dir"],
-        metrics_path=base / values["io", "metrics"],
+        metrics_path=metrics_path,
         levels=values["encoding", "levels"],
         fps=values["encoding", "fps"],
         mos_model=_build(MosModel, "encoding", values),
@@ -283,8 +283,6 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
         w=values["encoding", "w"],
         constraints=_build(Constraints, "encoding", values),
         channel=_build(ChannelModel, "channel", values),
-        group=_build(DhGroup, "tunnel", values),
-        chaos_r=values["tunnel", "r"],
         gmm=_build(GmmParams, "gmm", values),
         matting=_build(MattingParams, "matting", values),
         store=_build(StoreParams, "store", values),

@@ -30,10 +30,6 @@ class NoLevels(EmrError):
     """Encoding selection over an empty level set."""
 
 
-class ReseedRequired(EmrError):
-    """Chaotic keystream state collapsed to a fixed point."""
-
-
 class SecurityAlarm(EmrError):
     """Base class for the anomaly-detection signals."""
 

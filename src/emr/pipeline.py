@@ -56,7 +56,6 @@ from .qoeqos import reencode, score as level_score, select_encoding
 from .raster import AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm
 from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template, write_atomic
 from .tunnel import (
-    AgentRole,
     decode_envelope,
     decrypt_verify,
     encode_envelope,
@@ -194,17 +193,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     seed_link = seeder.getrandbits(64)
     seed_adversary = seeder.getrandbits(64)
 
-    sender, sender_priv = make_agent("camera", AgentRole.DEVICE, seed_sender, config.group)
-    receiver, receiver_priv = make_agent("hub", AgentRole.DEVICE, seed_receiver, config.group)
+    sender, sender_priv = make_agent("camera", seed_sender)
+    receiver, receiver_priv = make_agent("hub", seed_receiver)
     registry = {sender.fingerprint, receiver.fingerprint}
-    send_tunnel = handshake(
-        sender_priv, sender.public_key, receiver.public_key, registry,
-        config.group, config.chaos_r,
-    )
-    recv_tunnel = handshake(
-        receiver_priv, receiver.public_key, sender.public_key, registry,
-        config.group, config.chaos_r,
-    )
+    send_tunnel = handshake(sender_priv, sender.public_key, receiver.public_key, registry)
+    recv_tunnel = handshake(receiver_priv, receiver.public_key, sender.public_key, registry)
 
     link = Link(config.channel, seed=seed_link)
     adversary = None

@@ -1,9 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emr import config
 from emr.config import _SCHEMA, MINIMAL_TEMPLATE, PipelineConfig, parse_config
 from emr.errors import ConfigError, InvalidValue, MissingKey, UnknownKey
 from emr.fusion import ViewSource
@@ -47,10 +49,10 @@ class TestParsing:
         assert any("duplicate" in w for w in cfg.warnings)
 
     def test_unknown_key_rejected(self, workspace):
-        # tunnel.burn_in and fusion.depth changed no run's output, and store.shards
-        # no query's answer: none of them is a key
+        # fusion.depth changed no run's output, store.shards no query's answer,
+        # and the tunnel's group and rate are protocol constants: none is a key
         for snippet in (
-            "[run]\nspeed = 3\n", "[tunnel]\nburn_in = 10\n", "[fusion]\ndepth = 1\n",
+            "[run]\nspeed = 3\n", "[tunnel]\nr = 3.99\n", "[fusion]\ndepth = 1\n",
             "[store]\nshards = 4\n",
         ):
             with pytest.raises(UnknownKey):
@@ -89,13 +91,11 @@ class TestValidation:
             "[channel]\nloss_prob = 1.5\n",
             "[matting]\nr_fg = 5\nr_bg = 2\n",
             "[store]\ntheta = 2.0\n",
-            "[tunnel]\ng = 1\n",
             "[fusion]\nview_angle = 400\n",
             "[run]\nseed = ten\n",
             "[fusion]\nscale = inf\n",
             "[encoding]\nmos_min = nan\n",
             "[encoding]\nfps = inf\n",
-            "[tunnel]\np = 3\ng = 2\n",
             "[channel]\ncapacity = 0\n",
             "[gmm]\nlambda = 0\n",
             "[encoding]\nl_min = 0.6\n",  # not below the default l_max
@@ -113,11 +113,11 @@ class TestValidation:
             ("[store]\ntheta = 2.0\n", "store.theta"),
             ("[store]\nenroll_user = a,b\n", "store.enroll_user"),
             ("[matting]\nwindow = 0\n", "matting.window"),
-            ("[tunnel]\np = 3\ng = 2\n", "tunnel.p"),
             ("[channel]\ncapacity = 0\n", "channel.capacity"),
             ("[encoding]\nbmax = 1e5\n", "encoding.bmax"),
             ("[encoding]\nl_min = 0.6\n", "encoding.l_max"),
             ("[fusion]\nscale = 0\n", "fusion.scale"),
+            ("[io]\nmetrics = frames\n", "io.metrics"),  # a directory
         ],
     )
     def test_error_names_the_config_key(self, workspace, snippet, key):
@@ -168,6 +168,17 @@ class TestValidation:
         )
         assert cfg.fusion.views == (ViewSource("cam0", 12.5), ViewSource("cam1", 270.0))
         assert cfg.fusion.view_angle == 300.0
+
+
+def test_docstring_lists_the_schema_keys():
+    block = config.__doc__.split("Sections and keys (defaults in parentheses):", 1)[1]
+    parts = re.split(r"^    \[(\w+)\]", block, flags=re.M)[1:]
+    listed = set()
+    for section, body in zip(parts[::2], parts[1::2]):
+        # drop the parenthesised defaults and the "-- ... --" asides
+        body = re.sub(r"--.*?(--|$)", "", re.sub(r"\([^()]*\)", "", body), flags=re.S)
+        listed |= {(section, key) for key in re.findall(r"\w+", body)}
+    assert listed == set(_SCHEMA)
 
 
 # small numbers land on both sides of most bounds

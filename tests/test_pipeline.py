@@ -503,6 +503,17 @@ class TestCli:
         assert "identities.csv" in run.stderr
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_metrics_path_naming_a_directory_exits_one(self, tmp_path):
+        cfg_path = workspace(tmp_path, frames=3)
+        (tmp_path / "metrics.csv").mkdir()
+        assert run_cli("validate-config", str(cfg_path)).returncode == 1
+        cfg_path.write_text(BASE_CFG.replace("metrics.csv", "m.csv"))
+        assert run_cli("validate-config", str(cfg_path)).returncode == 0
+        run = run_cli("run", "--config", str(cfg_path), "--metrics", str(tmp_path / "metrics.csv"))
+        assert run.returncode == 1
+        assert "io.metrics" in run.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exits_two(self, tmp_path):
         assert run_cli("validate-config", str(tmp_path / "nope.cfg")).returncode == 2
 

@@ -7,24 +7,22 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emr.errors import (
     ReplayAlarm,
-    ReseedRequired,
     TamperAlarm,
     UnauthorizedAgent,
 )
 from emr import tunnel
 from emr.tunnel import (
-    _DEGENERATE_TOL,
     _envelope_keystream,
     _lane_orbit,
     _lane_seeds,
     _seed_from_material,
     DEFAULT_GROUP,
-    AgentRole,
+    LOGISTIC_R,
     DhGroup,
     Envelope,
     SessionTunnel,
@@ -41,29 +39,24 @@ from emr.tunnel import (
 TOY = DhGroup(p=23, g=5)
 
 
-def reference_orbit(x, r, steps):
-    """The one-step loop with a test per state, as the orbit was first written."""
-    lo = _DEGENERATE_TOL
-    hi = 1.0 - _DEGENERATE_TOL
+def reference_orbit(x, steps):
+    """The states x, f(x), ..., f^steps(x) of the one-step scalar loop."""
     states = [x]
     for _ in range(steps):
-        x = r * x * (1.0 - x)
-        if x <= lo or x >= hi:
-            raise ReseedRequired(f"chaos state collapsed to {x!r}")
+        x = LOGISTIC_R * x * (1.0 - x)
         states.append(x)
     return np.array(states)
 
 
-def one_lane_orbit(x, r, steps):
+def one_lane_orbit(x, steps):
     """The states x, f(x), ..., f^steps(x) of one ``_lane_orbit`` lane."""
-    return _lane_orbit(np.array([x]), r, steps)[:, 0]
+    return _lane_orbit(np.array([x]), steps)[:, 0]
 
 
-def orbit_or_message(fn, x, r, steps):
-    try:
-        return fn(x, r, steps).tobytes()
-    except ReseedRequired as exc:
-        return str(exc)
+# where every state after the first lies: T, r/4 rounded up by one ulp, is
+# the largest value the float step reaches, and f(T) is the smallest
+ORBIT_TOP = 0.9975000000000002
+ORBIT_BOTTOM = 0.009950062499999348
 
 
 def reference_keystream(tunnel_state, sender_fp, seq, n):
@@ -76,8 +69,7 @@ def reference_keystream(tunnel_state, sender_fp, seq, n):
     steps = (n + lanes - 1) // lanes
     material = struct.pack(">d", tunnel_state.chaos_x) + sender_fp + seq.to_bytes(8, "big")
     orbits = [
-        reference_orbit(_seed_from_material(material + i.to_bytes(4, "big")),
-                        tunnel_state.chaos_r, steps)
+        reference_orbit(_seed_from_material(material + i.to_bytes(4, "big")), steps)
         for i in range(lanes)
     ]
     return bytes(int(orbits[i % lanes][i // lanes + 1] * 256.0) for i in range(n))
@@ -108,14 +100,13 @@ def keystream_lag1_autocorr(stream: bytes) -> float:
     return cov / var
 
 
-def bare_tunnel(chaos_x=0.4321, chaos_r=3.99):
+def bare_tunnel(chaos_x=0.4321):
     return SessionTunnel(
         local_fingerprint=b"\x01" * 32,
         peer_fingerprint=b"\x02" * 32,
         shared_secret=12345,
         group=DEFAULT_GROUP,
         chaos_x=chaos_x,
-        chaos_r=chaos_r,
     )
 
 
@@ -243,52 +234,38 @@ class TestKeystream:
         expected = np.array([_seed_from_material(material + s) for s in suffixes])
         assert _lane_seeds(material, 961).tobytes() == expected.tobytes()
 
-    def test_degenerate_state_raises(self):
-        with pytest.raises(ReseedRequired):
-            _lane_orbit(np.array([0.3, 0.5]), 4.0, 1)  # 4*0.5*0.5 = 1.0 exactly
-        with pytest.raises(ReseedRequired):
-            _lane_orbit(np.array([1e-13]), 3.99, 1)
-
-    def test_collapse_names_first_failing_state(self):
-        # 4*0.5*0.5 = 1.0, then 0.0 forever: the message names the 1.0
-        with pytest.raises(ReseedRequired) as info:
-            one_lane_orbit(0.5, 4.0, 5)
-        assert str(info.value) == "chaos state collapsed to 1.0"
-
-    @pytest.mark.parametrize("r, steps, first", [
-        (0.01, 20, 6),   # every later state fails too
-        (0.2, 20, 17),   # states 18-20 fail too
-        (4.0, 13, 1),    # the first new state
-        (4e-12, 1, 1),   # a state exactly at the tolerance: 4e-12 * 0.5 * 0.5 == 1e-12
-    ])
-    def test_collapse_reported_like_per_step_loop(self, r, steps, first):
-        with pytest.raises(ReseedRequired) as expected:
-            reference_orbit(0.5, r, steps)
-        with pytest.raises(ReseedRequired) as got:
-            one_lane_orbit(0.5, r, steps)
-        assert str(got.value) == str(expected.value)
-        # the state named is the first one that fails
-        reference_orbit(0.5, r, first - 1)
-        with pytest.raises(ReseedRequired) as at_first:
-            reference_orbit(0.5, r, first)
-        assert str(at_first.value) == str(got.value)
-
     @given(
         x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        r=st.floats(0.0, 4.0, exclude_min=True),
         steps=st.integers(0, 40),
     )
     @settings(max_examples=300, deadline=None)
-    def test_orbit_matches_per_step_loop(self, x, r, steps):
-        assert orbit_or_message(one_lane_orbit, x, r, steps) == orbit_or_message(
-            reference_orbit, x, r, steps
-        )
+    def test_orbit_matches_per_step_loop(self, x, steps):
+        assert one_lane_orbit(x, steps).tobytes() == reference_orbit(x, steps).tobytes()
+
+    @given(x=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True))
+    @example(x=math.nextafter(0.01, 1.0))
+    @example(x=0.5)
+    @example(x=math.nextafter(0.99, 0.0))
+    # f(x) rounds to T, then f(T) is the bottom: both ends are reached
+    @example(x=0.49999999988897775)
+    @settings(max_examples=50, deadline=None)
+    def test_orbit_stays_off_the_fixed_points(self, x):
+        # the float map sends [f(T), T] into itself and any seed in
+        # (0.01, 0.99) lands there in one step: no state nears 0 or 1
+        states = one_lane_orbit(x, 13301)[1:]
+        assert ORBIT_BOTTOM <= states.min() and states.max() <= ORBIT_TOP
+
+    def test_orbit_bounds_are_reached(self):
+        assert ORBIT_TOP == math.nextafter(LOGISTIC_R / 4.0, 1.0)
+        states = one_lane_orbit(0.49999999988897775, 2)
+        assert states[1] == ORBIT_TOP
+        assert states[2] == ORBIT_BOTTOM == LOGISTIC_R * ORBIT_TOP * (1.0 - ORBIT_TOP)
 
     def test_long_orbit_matches_per_step_loop(self):
         # far longer than any envelope lane (960 steps at 640x480x3)
-        got = one_lane_orbit(0.4321, 3.99, 13301)
+        got = one_lane_orbit(0.4321, 13301)
         assert got.dtype == np.float64
-        assert got.tobytes() == reference_orbit(0.4321, 3.99, 13301).tobytes()
+        assert got.tobytes() == reference_orbit(0.4321, 13301).tobytes()
 
     @given(
         chaos_x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -312,31 +289,10 @@ class TestKeystream:
 
     def test_lane_columns_are_scalar_orbits(self):
         seeds = np.array([0.1, 0.25, 0.4321, 0.6, 0.9])
-        orbit = _lane_orbit(seeds, 3.99, 40)
+        orbit = _lane_orbit(seeds, 40)
         assert orbit.shape == (41, 5)
         for lane, seed in enumerate(seeds):
-            assert orbit[:, lane].tobytes() == reference_orbit(seed, 3.99, 40).tobytes()
-
-    def test_collapse_planted_in_one_lane(self, monkeypatch):
-        # lane 3 of ten goes 0.5 -> 1.0 -> 0.0 under r = 4; the other lanes stay chaotic
-        plant_seeds(monkeypatch, {3: 0.5})
-        with pytest.raises(ReseedRequired) as info:
-            _envelope_keystream(bare_tunnel(chaos_r=4.0), b"\x01" * 32, 1, 100)
-        assert str(info.value) == "chaos state collapsed to 1.0"
-
-    def test_lane_collapse_named_in_byte_order(self):
-        # lane 1 collapses at step 2 (byte 7), lane 5 at step 1 (byte 5): byte 5 is named
-        late = (1.0 - math.sqrt(0.5)) / 2.0  # 4x(1-x) = 0.5 to rounding, then 1.0
-        seeds = np.array([0.3, late, 0.7, 0.2, 0.6, 1e-13])
-        with pytest.raises(ReseedRequired) as info:
-            _lane_orbit(seeds, 4.0, 3)
-        assert str(info.value) == f"chaos state collapsed to {4.0 * 1e-13 * (1.0 - 1e-13)!r}"
-        # without lane 5, lane 1's second state is the first to fail
-        with pytest.raises(ReseedRequired) as expected:
-            reference_orbit(late, 4.0, 3)
-        with pytest.raises(ReseedRequired) as info:
-            _lane_orbit(seeds[:5], 4.0, 3)
-        assert str(info.value) == str(expected.value)
+            assert orbit[:, lane].tobytes() == reference_orbit(seed, 40).tobytes()
 
     def test_pinned_keystream_bytes(self):
         a, _, _ = session_pair()
@@ -541,6 +497,6 @@ class TestWireFormat:
 
 class TestAgents:
     def test_make_agent_binds_fingerprint(self):
-        ident, priv = make_agent("cam", AgentRole.DEVICE, seed=4)
+        ident, priv = make_agent("cam", seed=4)
         assert ident.fingerprint == fingerprint(ident.public_key)
         assert pow(DEFAULT_GROUP.g, priv, DEFAULT_GROUP.p) == ident.public_key

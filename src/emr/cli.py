@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from . import synthetic
-from .config import check_metrics_path, parse_config
+from .config import check_output_paths, parse_config
 from .errors import ConfigError, EmrError
 from .netsim import AdversaryMode
 from .pipeline import run_pipeline
@@ -70,12 +71,12 @@ def _load_config(path_text: str, args=None):
             if args.seed is not None:
                 config.seed = args.seed
             if args.policy is not None:
-                config.policy = Policy(args.policy)
+                config.encoding = dataclasses.replace(config.encoding, policy=Policy(args.policy))
             if args.out is not None:
                 config.out_dir = Path(args.out)
             if args.metrics is not None:
                 config.metrics_path = Path(args.metrics)
-                check_metrics_path(config.metrics_path)
+            check_output_paths(config)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return None, EXIT_CONFIG
@@ -104,7 +105,8 @@ def main(argv=None) -> int:
     if args.command == "validate-config":
         config, status = _load_config(args.path)
         if config is not None:
-            log.info("config OK: %d levels, policy %s", len(config.levels), config.policy.value)
+            log.info("config OK: %d levels, policy %s",
+                     len(config.levels), config.encoding.policy.value)
         return status
 
     if args.command == "run":

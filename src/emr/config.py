@@ -8,15 +8,17 @@ and values violating any module precondition; every check runs up front so
 a run never aborts mid-stream over a bad parameter.  Each precondition lives
 in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
 the type checks its own fields, and its ``ValueError`` becomes
-``InvalidValue`` naming the config key.  ``_check`` covers the six keys no
-type carries: encoding.fps, encoding.w, io.frames_dir, io.background,
-io.metrics and store.dir.
+``InvalidValue`` naming the config key.  ``_check`` covers the five keys no
+type carries: the inputs io.frames_dir and io.background, and the outputs
+io.out_dir, io.metrics and store.dir, which ``check_output_paths`` checks
+again after a command-line override.
 
 Sections and keys (defaults in parentheses):
 
     [io]       frames_dir (required), background (required),
-               out_dir (out), metrics (metrics.csv; not a
-               directory)
+               out_dir (out), metrics (metrics.csv)  -- an output
+               path is a directory, or creatable under one; metrics
+               names a file --
     [encoding] levels (high:1:1,med:2:8,low:4:32)  -- comma list of
                id:scale:quant[:bits] entries -- fps (30), b0 (1e6),
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
@@ -26,8 +28,8 @@ Sections and keys (defaults in parentheses):
                var_init (225), var_min (4)
     [matting]  r_fg (2), r_bg (4), window (3), max_iters (20),
                eps (1/255), lambda_t (0.1)
-    [store]    theta (0.35), dir (unset; an existing path must be a
-               directory), enroll_user (unset), enroll_frame (0)
+    [store]    theta (0.35), dir (unset), enroll_user (unset),
+               enroll_frame (0)
     [fusion]   scale (1.0), tx (0), ty (0), view_angle (0.0),
                views (front:0,profile:90)  -- scale is relative to the
                capture: a layer keyed at a level of scale factor s is
@@ -45,8 +47,8 @@ from pathlib import Path
 from .errors import InvalidValue, MissingKey, UnknownKey
 from .fusion import FusionParams, ViewSource
 from .layering import GmmParams
-from .matting import DEFAULT_EPS, MattingParams
-from .qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy
+from .matting import MattingParams
+from .qoeqos import ChannelModel, EncodingLevel, EncodingParams, Policy
 from .store import StoreParams
 
 
@@ -57,11 +59,7 @@ class PipelineConfig:
     out_dir: Path
     metrics_path: Path
     levels: tuple
-    fps: float
-    mos_model: MosModel
-    policy: Policy
-    w: float
-    constraints: Constraints
+    encoding: EncodingParams
     channel: ChannelModel
     gmm: GmmParams
     matting: MattingParams
@@ -165,7 +163,7 @@ _SCHEMA = {
     ("matting", "r_bg"): ("4", _parse_int),
     ("matting", "window"): ("3", _parse_int),
     ("matting", "max_iters"): ("20", _parse_int),
-    ("matting", "eps"): (repr(DEFAULT_EPS), _parse_float),
+    ("matting", "eps"): (repr(1 / 255), _parse_float),
     ("matting", "lambda_t"): ("0.1", _parse_float),
     ("store", "theta"): ("0.35", _parse_float),
     ("store", "dir"): ("", _parse_optional, "directory"),
@@ -215,9 +213,22 @@ def _check(condition: bool, key: str, reason: str) -> None:
         raise InvalidValue(key, reason)
 
 
-def check_metrics_path(path: Path) -> None:
-    """Reject a metrics path naming a directory before any frame runs."""
-    _check(not path.is_dir(), "io.metrics", f"{path} is a directory")
+def check_output_paths(config: PipelineConfig) -> None:
+    """Reject, before any frame runs, an output path the run could not create.
+
+    io.out_dir and store.dir must each be a directory, or lie under one
+    with nothing but missing names between (a dangling link is not
+    missing: ``mkdir`` cannot replace it); io.metrics must not be a
+    directory, and its parent must pass the same rule.
+    """
+    metrics = config.metrics_path
+    _check(not metrics.is_dir(), "io.metrics", f"{metrics} is a directory")
+    outputs = [("io.out_dir", config.out_dir), ("io.metrics", metrics.parent)]
+    if config.store.directory is not None:
+        outputs.append(("store.dir", config.store.directory))
+    for key, path in outputs:
+        existing = next(p for p in (path, *path.parents) if p.is_symlink() or p.exists())
+        _check(existing.is_dir(), key, f"{existing} is not a directory")
 
 
 def _build(cls, section: str, values: dict):
@@ -257,31 +268,20 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
         except ValueError as exc:
             raise InvalidValue(f"{section}.{key}", str(exc))
 
-    _check(values["encoding", "fps"] > 0, "encoding.fps", "must be > 0")
-    _check(0.0 <= values["encoding", "w"] <= 1.0, "encoding.w", "must lie in [0, 1]")
-
     frames_dir = base / values["io", "frames_dir"]
     background = base / values["io", "background"]
     _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
     _check(background.is_file(), "io.background", f"file {background} does not exist")
-    metrics_path = base / values["io", "metrics"]
-    check_metrics_path(metrics_path)
     if values["store", "dir"] is not None:
-        store_dir = values["store", "dir"] = base / values["store", "dir"]
-        _check(store_dir.is_dir() or not store_dir.exists(), "store.dir",
-               f"{store_dir} exists and is not a directory")
+        values["store", "dir"] = base / values["store", "dir"]
 
-    return PipelineConfig(
+    config = PipelineConfig(
         frames_dir=frames_dir,
         background=background,
         out_dir=base / values["io", "out_dir"],
-        metrics_path=metrics_path,
+        metrics_path=base / values["io", "metrics"],
         levels=values["encoding", "levels"],
-        fps=values["encoding", "fps"],
-        mos_model=_build(MosModel, "encoding", values),
-        policy=values["encoding", "policy"],
-        w=values["encoding", "w"],
-        constraints=_build(Constraints, "encoding", values),
+        encoding=_build(EncodingParams, "encoding", values),
         channel=_build(ChannelModel, "channel", values),
         gmm=_build(GmmParams, "gmm", values),
         matting=_build(MattingParams, "matting", values),
@@ -290,6 +290,8 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
         seed=values["run", "seed"],
         warnings=warnings,
     )
+    check_output_paths(config)
+    return config
 
 
 MINIMAL_TEMPLATE = """\

@@ -10,6 +10,11 @@ largest per-pixel change drops under ``eps``.
 
 Temporal knowledge of the keyed subject is held as a fuzzy membership grid
 blended from successive mattes at rate ``lambda_t``.
+
+``MattingParams`` holds every parameter here (trimap radii, solver window,
+iteration cap, ``eps`` and ``lambda_t``) and checks them when built;
+``trimap_from_mask``, ``alpha_solve`` and ``fuzzy_update`` take it whole and
+check none of them again.
 """
 
 from __future__ import annotations
@@ -22,25 +27,11 @@ from .errors import DimensionMismatch, InsufficientLabels
 from .layering import _binary, _dilate, _erode
 from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _frozen, _Raster
 
-DEFAULT_WINDOW = 3
-DEFAULT_MAX_ITERS = 20
-DEFAULT_EPS = 1.0 / 255.0
-
 # samples with alpha beyond these thresholds join the color estimates
 _FG_CONF = 0.95
 _BG_CONF = 0.05
 # below this squared F-B separation the projection is meaningless
 _DEGENERATE_SEP = 1.0
-
-
-def _check_window(window: int) -> None:
-    if not window >= 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-
-
-def _check_lambda_t(lambda_t: float) -> None:
-    if not 0.0 <= lambda_t <= 1.0:
-        raise ValueError("lambda_t must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -49,9 +40,9 @@ class MattingParams:
 
     r_fg: int = 2
     r_bg: int = 4
-    window: int = DEFAULT_WINDOW
-    max_iters: int = DEFAULT_MAX_ITERS
-    eps: float = DEFAULT_EPS
+    window: int = 3
+    max_iters: int = 20
+    eps: float = 1.0 / 255.0
     lambda_t: float = 0.1
 
     def __post_init__(self):
@@ -59,12 +50,14 @@ class MattingParams:
             raise ValueError(f"r_fg must be >= 0, got {self.r_fg}")
         if not self.r_bg >= self.r_fg:
             raise ValueError(f"r_bg must be >= r_fg, got r_fg={self.r_fg} r_bg={self.r_bg}")
-        _check_window(self.window)
+        if not self.window >= 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not self.eps > 0:
             raise ValueError("eps must be > 0")
-        _check_lambda_t(self.lambda_t)
+        if not 0.0 <= self.lambda_t <= 1.0:
+            raise ValueError("lambda_t must lie in [0, 1]")
 
 
 def trimap_from_mask(mask: Frame, params: MattingParams) -> Trimap:
@@ -145,17 +138,16 @@ def _sum3x3(arr: np.ndarray) -> np.ndarray:
 
 
 def alpha_solve(
-    frame: Frame,
-    trimap: Trimap,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    eps: float = DEFAULT_EPS,
-    window: int = DEFAULT_WINDOW,
+    frame: Frame, trimap: Trimap, params: MattingParams = MattingParams()
 ) -> AlphaSolveResult:
     """Estimate per-pixel opacity for the trimap's UNKNOWN band.
 
-    FG pixels get alpha exactly 1 and BG exactly 0.  Pixels whose local
-    foreground and background estimates coincide (squared separation < 1)
-    default to 0.5 and are reported in ``degenerate``.
+    Windows start at radius ``params.window``; at most ``params.max_iters``
+    rounds run, and a round whose largest change is under ``params.eps``
+    ends the solve as converged.  FG pixels get alpha exactly 1 and BG
+    exactly 0.  Pixels whose local foreground and background estimates
+    coincide (squared separation < 1) default to 0.5 and are reported in
+    ``degenerate``.
 
     Work stays near the band's bounding box.  One summed-area table of
     2 + 2C channels (FG count, BG count, FG colors, BG colors) covers it
@@ -171,7 +163,6 @@ def alpha_solve(
     tables were, so the matte, iteration count, ``converged``,
     ``degenerate`` and ``changes`` are bit-identical to theirs.
     """
-    _check_window(window)
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
     h, w = frame.height, frame.width
@@ -204,18 +195,18 @@ def alpha_solve(
     neighbor_cnt = _sum3x3(np.ones((sy1 - sy0, sx1 - sx0)))[sy, sx]  # in-bounds neighbors
 
     degen = np.zeros(n, dtype=bool)
-    margin = window
+    margin = params.window
     iterations = 0
     converged = False
     changes = []
 
-    for _ in range(max_iters):
+    for _ in range(params.max_iters):
         fg_src = fg_lab | (alpha > _FG_CONF)
         bg_src = bg_lab | (alpha < _BG_CONF)
 
         sums = np.zeros((n, 2 + 2 * c))  # per band pixel: fcnt, bcnt, fsum, bsum
         unresolved = np.ones(n, dtype=bool)
-        radius = window
+        radius = params.window
         table = None
         while unresolved.any():
             if table is None or radius > margin:
@@ -258,7 +249,7 @@ def alpha_solve(
         changes.append(change)
         alpha[ys, xs] = smoothed
         iterations += 1
-        if change < eps:
+        if change < params.eps:
             converged = True
             break
 
@@ -271,41 +262,43 @@ def alpha_solve(
 
 @dataclass(frozen=True, eq=False)
 class FuzzyKnowledge(_Raster):
-    """Temporal foreground membership, blended from mattes at rate lambda_t.
+    """Temporal foreground membership; ``fuzzy_update`` blends mattes into it.
 
     ``membership`` accepts any sequence of width*height values in [0, 1] and
-    is stored as a flat read-only float64 array.
+    is stored as a flat read-only float64 array.  The blend rate is not
+    stored: each update takes it from its ``MattingParams``.
     """
 
     width: int
     height: int
     membership: np.ndarray
-    lambda_t: float = 0.1
 
     def __post_init__(self):
         membership = _frozen(
             self.membership, (self.width * self.height,), np.float64, "membership", 1.0
         )
         object.__setattr__(self, "membership", membership)
-        _check_lambda_t(self.lambda_t)
 
     def to_array(self) -> np.ndarray:
         """The membership grid as a read-only (height, width) view."""
         return self.membership.reshape(self.height, self.width)
 
 
-def fuzzy_init(width: int, height: int, lambda_t: float = 0.1) -> FuzzyKnowledge:
-    return FuzzyKnowledge(
-        width=width, height=height, membership=np.zeros(width * height), lambda_t=lambda_t
-    )
+def fuzzy_init(width: int, height: int) -> FuzzyKnowledge:
+    return FuzzyKnowledge(width=width, height=height, membership=np.zeros(width * height))
 
 
-def fuzzy_update(knowledge: FuzzyKnowledge, matte: AlphaMatte) -> FuzzyKnowledge:
-    """Blend a matte into the membership grid: m' = (1-lambda)*m + lambda*alpha."""
+def fuzzy_update(
+    knowledge: FuzzyKnowledge, matte: AlphaMatte, params: MattingParams
+) -> FuzzyKnowledge:
+    """Blend a matte into the membership grid at rate lambda = ``params.lambda_t``:
+
+    m' = (1 - lambda) * m + lambda * alpha
+    """
     if (knowledge.width, knowledge.height) != (matte.width, matte.height):
         raise DimensionMismatch("matte dimensions do not match the knowledge grid")
-    lam = knowledge.lambda_t
+    lam = params.lambda_t
     return FuzzyKnowledge(
         width=knowledge.width, height=knowledge.height,
-        membership=(1.0 - lam) * knowledge.membership + lam * matte.alpha, lambda_t=lam,
+        membership=(1.0 - lam) * knowledge.membership + lam * matte.alpha,
     )

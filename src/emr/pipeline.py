@@ -156,10 +156,7 @@ def _expand_span(lo: int, hi: int, minimum: int, limit: int):
 def _solve_matte(received: Frame, trimap: Trimap, mask: Frame, params: MattingParams) -> AlphaMatte:
     """The solved matte, or the binary mask when the band has no anchors."""
     try:
-        return alpha_solve(
-            received, trimap,
-            max_iters=params.max_iters, eps=params.eps, window=params.window,
-        ).matte
+        return alpha_solve(received, trimap, params).matte
     except InsufficientLabels:
         return AlphaMatte.from_array(mask.data[:, :, 0] / 255.0)
 
@@ -175,11 +172,8 @@ def _select_level(config: PipelineConfig, width: int, height: int, channels: int
         for lvl in config.levels
         if width % lvl.scale_factor == 0 and height % lvl.scale_factor == 0
     ]
-    level, degraded = select_encoding(
-        usable, config.channel, config.fps, config.mos_model,
-        config.policy, config.w, config.constraints,
-    )
-    s = level_score(level, config.channel, config.fps, config.mos_model, config.constraints)
+    level, degraded = select_encoding(usable, config.channel, config.encoding)
+    s = level_score(level, config.channel, config.encoding)
     return level, degraded, s
 
 
@@ -272,7 +266,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                 if model is not None:
                     log.info("frame %06d: dimensions changed, model reset", frame_index)
                 model = layer_init(received, config.gmm)
-                fuzzy = fuzzy_init(received.width, received.height, config.matting.lambda_t)
+                fuzzy = fuzzy_init(received.width, received.height)
             mask, model = layer_update_classify(model, received)
             mask = mask_postprocess(mask)
             rec.fg_pixels = int(np.count_nonzero(mask.data))
@@ -281,7 +275,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             # 6. matting
             trimap = trimap_from_mask(mask, config.matting)
             matte = _solve_matte(received, trimap, mask, config.matting)
-            fuzzy = fuzzy_update(fuzzy, matte)
+            fuzzy = fuzzy_update(fuzzy, matte, config.matting)
             trace.append("matte")
 
             # 7. identification

@@ -14,6 +14,11 @@ axes map onto [0, 1] so the three selection policies compare on one scale:
 
 A policy whose feasible set is empty degrades to the lowest-bits level and
 flags it, so a caller never stalls on an overloaded channel.
+
+Every parameter of the law and the policies (fps, b0, bmax, policy, w,
+mos_min, l_max, l_min) lives in one frozen ``EncodingParams`` that checks its
+fields when built; ``mos_of``, ``score`` and ``select_encoding`` take it whole
+and check none of them again.
 """
 
 from __future__ import annotations
@@ -79,18 +84,6 @@ class ChannelModel:
 
 
 @dataclass(frozen=True)
-class MosModel:
-    """Anchors of the logarithmic bitrate-to-experience law."""
-
-    b0: float = 1e6
-    bmax: float = 8e6
-
-    def __post_init__(self):
-        if not self.bmax > self.b0 > 0:
-            raise ValueError("need bmax > b0 > 0")
-
-
-@dataclass(frozen=True)
 class QoeQosScore:
     mos: float
     latency: float
@@ -105,24 +98,38 @@ class Policy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Constraints:
-    """Feasibility limits for the constrained policies; [l_min, l_max] normalizes latency."""
+class EncodingParams:
+    """Frame rate, experience-law anchors, policy and its feasibility limits.
 
-    mos_min: float = 1.0
+    ``mos_of`` maps bitrate onto [1, 5] between ``b0`` and ``bmax``;
+    ``[l_min, l_max]`` normalizes latency; ``w`` weighs experience against
+    service under BALANCE.
+    """
+
+    fps: float = 30.0
+    b0: float = 1e6
+    bmax: float = 8e6
+    policy: Policy = Policy.BALANCE
+    w: float = 0.5
+    mos_min: float = 2.0
     l_max: float = 0.5
     l_min: float = 0.0
 
     def __post_init__(self):
+        if not self.fps > 0:
+            raise ValueError("fps must be > 0")
+        if not 0.0 <= self.w <= 1.0:
+            raise ValueError("w must lie in [0, 1]")
+        if not self.bmax > self.b0 > 0:
+            raise ValueError("need bmax > b0 > 0")
         if not self.l_max > self.l_min >= 0:
             raise ValueError("need l_max > l_min >= 0")
 
 
-def mos_of(bits_per_frame: float, fps: float, model: MosModel) -> float:
-    """Mean-opinion score of the bitrate bits_per_frame * fps."""
-    if not fps > 0:
-        raise ValueError("fps must be > 0")
-    b = bits_per_frame * fps
-    raw = 1.0 + 4.0 * math.log(1.0 + b / model.b0) / math.log(1.0 + model.bmax / model.b0)
+def mos_of(bits_per_frame: float, params: EncodingParams) -> float:
+    """Mean-opinion score of the bitrate bits_per_frame * params.fps."""
+    b = bits_per_frame * params.fps
+    raw = 1.0 + 4.0 * math.log(1.0 + b / params.b0) / math.log(1.0 + params.bmax / params.b0)
     return min(5.0, max(1.0, raw))
 
 
@@ -133,32 +140,18 @@ def latency_of(level: EncodingLevel, channel: ChannelModel) -> float:
     return channel.base_delay + level.bits_per_frame / channel.capacity
 
 
-def score(
-    level: EncodingLevel,
-    channel: ChannelModel,
-    fps: float,
-    model: MosModel,
-    constraints: Constraints,
-) -> QoeQosScore:
+def score(level: EncodingLevel, channel: ChannelModel, params: EncodingParams) -> QoeQosScore:
     """Quantified, normalized experience/service score of one level."""
-    mos = mos_of(level.bits_per_frame, fps, model)
+    mos = mos_of(level.bits_per_frame, params)
     latency = latency_of(level, channel)
     qoe_norm = (mos - 1.0) / 4.0
-    l_min, l_max = constraints.l_min, constraints.l_max
+    l_min, l_max = params.l_min, params.l_max
     qos_norm = min(1.0, max(0.0, (l_max - latency) / (l_max - l_min)))
     return QoeQosScore(mos=mos, latency=latency, qoe_norm=qoe_norm, qos_norm=qos_norm)
 
 
-def select_encoding(
-    levels,
-    channel: ChannelModel,
-    fps: float,
-    model: MosModel,
-    policy: Policy,
-    w: float = 0.5,
-    constraints: Constraints = Constraints(),
-):
-    """Pick a level under the given policy; returns (level, degraded).
+def select_encoding(levels, channel: ChannelModel, params: EncodingParams):
+    """Pick a level under ``params.policy``; returns (level, degraded).
 
     ``degraded`` is True when the policy's feasible set was empty and the
     lowest-bits level was returned instead.
@@ -166,19 +159,16 @@ def select_encoding(
     levels = list(levels)
     if not levels:
         raise NoLevels("candidate level set is empty")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("w must lie in [0, 1]")
-    scored = [
-        (i, lvl, score(lvl, channel, fps, model, constraints)) for i, lvl in enumerate(levels)
-    ]
+    scored = [(i, lvl, score(lvl, channel, params)) for i, lvl in enumerate(levels)]
+    policy, w = params.policy, params.w
 
     if policy is Policy.OPT_QOE:
-        feasible = [(i, l, s) for i, l, s in scored if s.latency <= constraints.l_max]
+        feasible = [(i, l, s) for i, l, s in scored if s.latency <= params.l_max]
         def key(item):
             i, lvl, s = item
             return (-s.mos, lvl.bits_per_frame, i)
     elif policy is Policy.OPT_QOS:
-        feasible = [(i, l, s) for i, l, s in scored if s.mos >= constraints.mos_min]
+        feasible = [(i, l, s) for i, l, s in scored if s.mos >= params.mos_min]
         def key(item):
             i, lvl, s = item
             return (s.latency, -s.mos, i)

@@ -17,7 +17,7 @@ from emr.fusion import RvoLayer, compose
 from emr.layering import GmmParams, layer_init, layer_update_classify, mask_postprocess
 from emr.matting import alpha_solve
 from emr.netsim import Link, transmit
-from emr.qoeqos import ChannelModel, Constraints, EncodingLevel, MosModel, Policy, mos_of, select_encoding
+from emr.qoeqos import ChannelModel, EncodingLevel, EncodingParams, Policy, mos_of, select_encoding
 from emr.raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, load_pnm, round_u8
 from emr.store import KnowledgeStore
 from emr.errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
@@ -139,17 +139,20 @@ def test_a3_fusion_bitwise_and_depth_invariance():
 
 
 def test_a4_policy_oracle_and_properties():
-    model = MosModel(b0=1e6, bmax=8e6)
+    at_1fps = EncodingParams(fps=1.0, b0=1e6, bmax=8e6)
     rng = random.Random(99)
     mismatches = 0
     for _ in range(1000):
         levels = random_levels(rng, rng.randrange(1, 17))
         channel = ChannelModel(capacity=rng.uniform(1e5, 1e8), base_delay=rng.uniform(0, 0.1))
-        constraints = Constraints(mos_min=rng.uniform(1.0, 5.0), l_max=rng.uniform(0.05, 1.0))
+        mos_min, l_max = rng.uniform(1.0, 5.0), rng.uniform(0.05, 1.0)
         w = rng.random()
-        policy = rng.choice(list(Policy))
-        got = select_encoding(levels, channel, 30.0, model, policy, w, constraints)
-        want = oracle_select(levels, channel, 30.0, model, policy, w, constraints)
+        params = EncodingParams(
+            fps=30.0, b0=1e6, bmax=8e6, policy=rng.choice(list(Policy)), w=w,
+            mos_min=mos_min, l_max=l_max,
+        )
+        got = select_encoding(levels, channel, params)
+        want = oracle_select(levels, channel, params)
         if (got[0].id, got[1]) != (want[0].id, want[1]):
             mismatches += 1
 
@@ -157,7 +160,7 @@ def test_a4_policy_oracle_and_properties():
     for _ in range(1000):
         a, b = rng.uniform(0, 2e7), rng.uniform(0, 2e7)
         lo, hi = min(a, b), max(a, b)
-        if mos_of(lo, 1.0, model) > mos_of(hi, 1.0, model) + 1e-12:
+        if mos_of(lo, at_1fps) > mos_of(hi, at_1fps) + 1e-12:
             monotone = False
             break
 
@@ -167,11 +170,13 @@ def test_a4_policy_oracle_and_properties():
         channel = ChannelModel(capacity=rng.uniform(1e6, 1e8), base_delay=0.0)
         scaled = [EncodingLevel(id=l.id, bits_per_frame=l.bits_per_frame * 4) for l in levels]
         policy = rng.choice(list(Policy))
-        base, _ = select_encoding(levels, channel, 1.0, model, policy, 0.5,
-                                  Constraints(mos_min=2.0, l_max=0.5))
+        base, _ = select_encoding(
+            levels, channel, EncodingParams(fps=1.0, b0=1e6, bmax=8e6, policy=policy, w=0.5,
+                                            mos_min=2.0, l_max=0.5))
         after, _ = select_encoding(
-            scaled, ChannelModel(capacity=channel.capacity * 4, base_delay=0.0), 1.0,
-            MosModel(b0=4e6, bmax=32e6), policy, 0.5, Constraints(mos_min=2.0, l_max=0.5))
+            scaled, ChannelModel(capacity=channel.capacity * 4, base_delay=0.0),
+            EncodingParams(fps=1.0, b0=4e6, bmax=32e6, policy=policy, w=0.5,
+                           mos_min=2.0, l_max=0.5))
         if base.id != after.id:
             invariant = False
             break

@@ -30,7 +30,7 @@ def parse(text, base):
 class TestParsing:
     def test_minimal_template_applies_defaults(self, workspace):
         cfg = parse(MINIMAL_TEMPLATE, workspace)
-        assert cfg.policy is Policy.BALANCE
+        assert cfg.encoding.policy is Policy.BALANCE
         assert cfg.gmm.k == 3 and cfg.gmm.alpha_lr == 0.02
         assert [l.id for l in cfg.levels] == ["high", "med", "low"]
         assert cfg.channel.capacity == 1e7
@@ -116,6 +116,8 @@ class TestValidation:
             ("[channel]\ncapacity = 0\n", "channel.capacity"),
             ("[encoding]\nbmax = 1e5\n", "encoding.bmax"),
             ("[encoding]\nl_min = 0.6\n", "encoding.l_max"),
+            ("[encoding]\nfps = 0\n", "encoding.fps"),
+            ("[encoding]\nw = 1.5\n", "encoding.w"),
             ("[fusion]\nscale = 0\n", "fusion.scale"),
             ("[io]\nmetrics = frames\n", "io.metrics"),  # a directory
         ],

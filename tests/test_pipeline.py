@@ -278,10 +278,8 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         # frames are 64x64x3; recompute the expected choice independently
         usable = [l.resolved(64, 64, 3) for l in cfg.levels]
-        lvl, degraded = select_encoding(
-            usable, cfg.channel, cfg.fps, cfg.mos_model, cfg.policy, cfg.w, cfg.constraints
-        )
-        s = score(lvl, cfg.channel, cfg.fps, cfg.mos_model, cfg.constraints)
+        lvl, degraded = select_encoding(usable, cfg.channel, cfg.encoding)
+        s = score(lvl, cfg.channel, cfg.encoding)
         for r in result.records:
             assert r.level == lvl.id
             assert r.mos == s.mos and r.latency == s.latency
@@ -513,6 +511,59 @@ class TestCli:
         assert run.returncode == 1
         assert "io.metrics" in run.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, flags, key",
+        [
+            (("out_dir = out", "out_dir = afile"), (), "io.out_dir"),
+            (("out_dir = out", "out_dir = dangling"), (), "io.out_dir"),
+            (("metrics = metrics.csv", "metrics = afile/metrics.csv"), (), "io.metrics"),
+            (("seed = 11", "seed = 11\n[store]\ndir = afile/store"), (), "store.dir"),
+            ((), ("--out", "afile"), "io.out_dir"),
+        ],
+        ids=["out_dir", "out_dir_dangling_link", "metrics", "store_dir", "out_flag"],
+    )
+    def test_uncreatable_output_path_exits_one(self, tmp_path, edit, flags, key):
+        # an output path under (or at) a regular file or a dangling link cannot
+        # be created; the run must refuse it before the first frame, not later
+        cfg_path = workspace(tmp_path, frames=3)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere" / "x")
+        if edit:
+            cfg_path.write_text(BASE_CFG.replace(*edit))
+            validate = run_cli("validate-config", str(cfg_path))
+            assert validate.returncode == 1
+            assert f"invalid value for {key}:" in validate.stderr
+        flags = tuple(str(tmp_path / f) if f == "afile" else f for f in flags)
+        run = run_cli("run", "--config", str(cfg_path), *flags)
+        assert run.returncode == 1
+        assert f"invalid value for {key}:" in run.stderr
+        assert not list(tmp_path.rglob("out_*.ppm"))
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_policy_override_selects_the_policys_level(self, tmp_path):
+        from dataclasses import replace
+
+        from emr.qoeqos import Policy
+        from test_qoeqos import oracle_select
+
+        # with a mos floor of 1.5, qos takes med (the faster of high and med)
+        # while the configured balance policy takes high
+        cfg_path = workspace(tmp_path, frames=3, extra="[encoding]\nmos_min = 1.5\n")
+        validate = run_cli("validate-config", str(cfg_path))
+        assert validate.returncode == 0 and "policy balance" in validate.stderr
+        run = run_cli("run", "--config", str(cfg_path), "--policy", "qos")
+        assert run.returncode == 0
+        cfg = load(cfg_path)
+        usable = [l.resolved(64, 64, 3) for l in cfg.levels]
+        want, degraded = oracle_select(
+            usable, cfg.channel, replace(cfg.encoding, policy=Policy.OPT_QOS)
+        )
+        configured, _ = oracle_select(usable, cfg.channel, cfg.encoding)
+        assert (want.id, degraded, configured.id) == ("med", False, "high")
+        rows = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
+        level, flag = rows[0].index("level"), rows[0].index("degraded")
+        assert [(r[level], r[flag]) for r in rows[1:]] == [(want.id, "0")] * 3
 
     def test_unreadable_config_exits_two(self, tmp_path):
         assert run_cli("validate-config", str(tmp_path / "nope.cfg")).returncode == 2

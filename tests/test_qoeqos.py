@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from emr.errors import DimensionMismatch, NoLevels
 from emr.qoeqos import (
     ChannelModel,
-    Constraints,
     EncodingLevel,
-    MosModel,
+    EncodingParams,
     Policy,
     latency_of,
     level_bits,
@@ -20,14 +20,17 @@ from emr.qoeqos import (
 )
 from emr.raster import Frame
 
-MODEL = MosModel(b0=1e6, bmax=8e6)
+# the experience law at 1 frame/s: bits per frame read as bits per second
+AT_1FPS = EncodingParams(fps=1.0, b0=1e6, bmax=8e6)
 
 
-def oracle_select(levels, channel, fps, model, policy, w, constraints):
+def oracle_select(levels, channel, params):
     """Independent exhaustive evaluation straight from the scoring formulas."""
+    policy, w = params.policy, params.w
+
     def mos(lvl):
-        b = lvl.bits_per_frame * fps
-        raw = 1 + 4 * math.log(1 + b / model.b0) / math.log(1 + model.bmax / model.b0)
+        b = lvl.bits_per_frame * params.fps
+        raw = 1 + 4 * math.log(1 + b / params.b0) / math.log(1 + params.bmax / params.b0)
         return min(5.0, max(1.0, raw))
 
     def lat(lvl):
@@ -37,15 +40,15 @@ def oracle_select(levels, channel, fps, model, policy, w, constraints):
         return (mos(lvl) - 1) / 4
 
     def qos(lvl):
-        span = constraints.l_max - constraints.l_min
-        return min(1.0, max(0.0, (constraints.l_max - lat(lvl)) / span))
+        span = params.l_max - params.l_min
+        return min(1.0, max(0.0, (params.l_max - lat(lvl)) / span))
 
     indexed = list(enumerate(levels))
     if policy is Policy.OPT_QOE:
-        feasible = [(i, l) for i, l in indexed if lat(l) <= constraints.l_max]
+        feasible = [(i, l) for i, l in indexed if lat(l) <= params.l_max]
         keyfn = lambda il: (-mos(il[1]), il[1].bits_per_frame, il[0])
     elif policy is Policy.OPT_QOS:
-        feasible = [(i, l) for i, l in indexed if mos(l) >= constraints.mos_min]
+        feasible = [(i, l) for i, l in indexed if mos(l) >= params.mos_min]
         keyfn = lambda il: (lat(il[1]), -mos(il[1]), il[0])
     else:
         feasible = indexed
@@ -71,19 +74,19 @@ def random_levels(rng, n):
 
 class TestMos:
     def test_zero_bitrate_anchors_at_one(self):
-        assert mos_of(0, 30, MODEL) == 1.0
+        assert mos_of(0, EncodingParams(fps=30)) == 1.0
 
     def test_bmax_anchors_at_five(self):
-        assert mos_of(8e6, 1.0, MODEL) == 5.0
+        assert mos_of(8e6, AT_1FPS) == 5.0
 
     def test_closed_form_value(self):
         # 1 + 4*ln(4)/ln(9)
         expected = 1 + 4 * math.log(4) / math.log(9)
-        assert mos_of(3e6, 1.0, MODEL) == pytest.approx(expected, abs=1e-12)
-        assert mos_of(3e6, 1.0, MODEL) == pytest.approx(3.5237190142858297, abs=1e-9)
+        assert mos_of(3e6, AT_1FPS) == pytest.approx(expected, abs=1e-12)
+        assert mos_of(3e6, AT_1FPS) == pytest.approx(3.5237190142858297, abs=1e-9)
 
     def test_clamps_above_bmax(self):
-        assert mos_of(1e9, 1.0, MODEL) == 5.0
+        assert mos_of(1e9, AT_1FPS) == 5.0
 
     def test_monotone_in_bitrate(self):
         rng = random.Random(0)
@@ -91,7 +94,7 @@ class TestMos:
             a = rng.uniform(0, 2e7)
             b = rng.uniform(0, 2e7)
             lo, hi = min(a, b), max(a, b)
-            assert mos_of(lo, 1.0, MODEL) <= mos_of(hi, 1.0, MODEL) + 1e-12
+            assert mos_of(lo, AT_1FPS) <= mos_of(hi, AT_1FPS) + 1e-12
 
     @pytest.mark.parametrize(
         "kw",
@@ -104,7 +107,30 @@ class TestMos:
     )
     def test_invalid_model_rejected(self, kw):
         with pytest.raises(ValueError, match="bmax > b0"):
-            mos_of(1e6, 1.0, MosModel(**kw))
+            EncodingParams(fps=1.0, **kw)
+
+
+class TestEncodingParams:
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(fps=0.0), "fps"),
+            (dict(fps=math.nan), "fps"),
+            (dict(w=1.5), "w"),
+            (dict(w=-0.1), "w"),
+            (dict(w=math.nan), "w"),
+        ],
+    )
+    def test_invalid_params_rejected(self, kw, field):
+        # each field is checked here alone: mos_of and select_encoding take it as given
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            EncodingParams(**kw)
+
+    def test_defaults_match_the_config_defaults(self):
+        assert EncodingParams() == EncodingParams(
+            fps=30.0, b0=1e6, bmax=8e6, policy=Policy.BALANCE, w=0.5,
+            mos_min=2.0, l_max=0.5, l_min=0.0,
+        )
 
 
 class TestLatency:
@@ -159,29 +185,29 @@ class TestLatency:
 class TestScore:
     def test_norms_at_bounds(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.0)
-        bounds = Constraints(l_min=0.0, l_max=0.5)
+        bounds = EncodingParams(fps=1.0, l_min=0.0, l_max=0.5)
         at_max = EncodingLevel(id="a", bits_per_frame=int(0.5 * 1e7))
-        assert score(at_max, ch, 1.0, MODEL, bounds).qos_norm == 0.0
+        assert score(at_max, ch, bounds).qos_norm == 0.0
         tiny = EncodingLevel(id="b", bits_per_frame=1)
-        assert score(tiny, ch, 1.0, MODEL, bounds).qos_norm == pytest.approx(1.0, abs=1e-6)
+        assert score(tiny, ch, bounds).qos_norm == pytest.approx(1.0, abs=1e-6)
 
     def test_qoe_norm_is_rescaled_mos(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.01)
-        s = score(EncodingLevel(id="a", bits_per_frame=3_000_000), ch, 1.0, MODEL,
-                  Constraints(l_max=1.0))
+        s = score(EncodingLevel(id="a", bits_per_frame=3_000_000), ch,
+                  EncodingParams(fps=1.0, l_max=1.0))
         assert s.qoe_norm == pytest.approx((s.mos - 1) / 4, abs=1e-12)
         assert s.qoe_norm == pytest.approx(0.6309297535714574, abs=1e-9)
 
     def test_bad_bounds_rejected(self):
         ch = ChannelModel(capacity=1e7)
         with pytest.raises(ValueError, match="l_max > l_min"):
-            score(EncodingLevel(id="a", bits_per_frame=1), ch, 1.0, MODEL,
-                  Constraints(l_min=0.5, l_max=0.5))
+            score(EncodingLevel(id="a", bits_per_frame=1), ch,
+                  EncodingParams(fps=1.0, l_min=0.5, l_max=0.5))
 
     @pytest.mark.parametrize("kw", [dict(l_min=math.nan), dict(l_max=math.nan)])
     def test_nan_bounds_rejected(self, kw):
         with pytest.raises(ValueError, match="l_max > l_min"):
-            Constraints(**kw)
+            EncodingParams(**kw)
 
 
 class TestLevelBits:
@@ -216,39 +242,40 @@ class TestSelectEncoding:
     def test_qoe_policy_respects_latency_bound(self):
         # C has the top mos but 0.81 s latency; B wins under the 0.5 s bound
         lvl, degraded = select_encoding(
-            self.abc(), self.CH, 1.0, MODEL, Policy.OPT_QOE,
-            constraints=Constraints(l_max=0.5),
+            self.abc(), self.CH, EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5)
         )
         assert lvl.id == "B" and not degraded
 
     def test_single_level_degrades_when_infeasible(self):
         only = [EncodingLevel(id="big", bits_per_frame=8_000_000)]
         lvl, degraded = select_encoding(
-            only, self.CH, 1.0, MODEL, Policy.OPT_QOE, constraints=Constraints(l_max=0.5)
+            only, self.CH, EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5)
         )
         assert lvl.id == "big" and degraded
 
     def test_qos_policy_picks_fastest_feasible(self):
         lvl, degraded = select_encoding(
-            self.abc(), self.CH, 1.0, MODEL, Policy.OPT_QOS,
-            constraints=Constraints(mos_min=3.0, l_max=0.5),
+            self.abc(), self.CH,
+            EncodingParams(fps=1.0, policy=Policy.OPT_QOS, mos_min=3.0, l_max=0.5),
         )
         # A's mos 2.26 misses the floor; B is the fastest of {B, C}
         assert lvl.id == "B" and not degraded
 
     def test_empty_level_set_rejected(self):
         with pytest.raises(NoLevels):
-            select_encoding([], self.CH, 1.0, MODEL, Policy.BALANCE)
+            select_encoding([], self.CH, EncodingParams(fps=1.0))
 
     def test_balance_with_full_weight_reduces_to_qoe(self):
         rng = random.Random(1)
-        unconstrained = Constraints(l_max=1e9)
+        unconstrained = EncodingParams(l_max=1e9)
         for _ in range(100):
             levels = random_levels(rng, rng.randrange(1, 9))
-            got, _ = select_encoding(levels, self.CH, 30.0, MODEL, Policy.BALANCE,
-                                     w=1.0, constraints=unconstrained)
-            want, _ = select_encoding(levels, self.CH, 30.0, MODEL, Policy.OPT_QOE,
-                                      constraints=unconstrained)
+            got, _ = select_encoding(
+                levels, self.CH, replace(unconstrained, policy=Policy.BALANCE, w=1.0)
+            )
+            want, _ = select_encoding(
+                levels, self.CH, replace(unconstrained, policy=Policy.OPT_QOE)
+            )
             assert got.id == want.id
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -259,13 +286,12 @@ class TestSelectEncoding:
             channel = ChannelModel(
                 capacity=rng.uniform(1e5, 1e8), base_delay=rng.uniform(0, 0.1)
             )
-            constraints = Constraints(
-                mos_min=rng.uniform(1.0, 5.0),
-                l_max=rng.uniform(0.05, 1.0),
+            mos_min, l_max = rng.uniform(1.0, 5.0), rng.uniform(0.05, 1.0)
+            params = EncodingParams(
+                policy=policy, w=rng.random(), mos_min=mos_min, l_max=l_max
             )
-            w = rng.random()
-            got = select_encoding(levels, channel, 30.0, MODEL, policy, w, constraints)
-            want = oracle_select(levels, channel, 30.0, MODEL, policy, w, constraints)
+            got = select_encoding(levels, channel, params)
+            want = oracle_select(levels, channel, params)
             assert (got[0].id, got[1]) == (want[0].id, want[1])
 
     def test_scaling_invariance(self):
@@ -281,12 +307,12 @@ class TestSelectEncoding:
             scaled_channel = ChannelModel(capacity=channel.capacity * 8, base_delay=0.0)
             for policy in Policy:
                 base, _ = select_encoding(
-                    levels, channel, 1.0, MosModel(b0=1e6, bmax=8e6), policy, 0.5,
-                    Constraints(mos_min=2.0, l_max=0.5),
+                    levels, channel,
+                    EncodingParams(fps=1.0, b0=1e6, bmax=8e6, policy=policy, mos_min=2.0),
                 )
                 after, _ = select_encoding(
-                    scaled, scaled_channel, 1.0, MosModel(b0=8e6, bmax=64e6), policy, 0.5,
-                    Constraints(mos_min=2.0, l_max=0.5),
+                    scaled, scaled_channel,
+                    EncodingParams(fps=1.0, b0=8e6, bmax=64e6, policy=policy, mos_min=2.0),
                 )
                 assert base.id == after.id
 

@@ -16,9 +16,10 @@ again after a command-line override.
 Sections and keys (defaults in parentheses):
 
     [io]       frames_dir (required), background (required),
-               out_dir (out), metrics (metrics.csv)  -- an output
-               path is a directory, or creatable under one; metrics
-               names a file --
+               out_dir (out), metrics (metrics.csv)  -- frames_dir
+               holds frame_NNNNNN.ppm; an output path is a directory,
+               or creatable under one; metrics names a file that is
+               not an input --
     [encoding] levels (high:1:1,med:2:8,low:4:32)  -- comma list of
                id:scale:quant[:bits] entries -- fps (30), b0 (1e6),
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
@@ -50,6 +51,10 @@ from .layering import GmmParams
 from .matting import MattingParams
 from .qoeqos import ChannelModel, EncodingLevel, EncodingParams, Policy
 from .store import StoreParams
+
+
+# the name of an input frame in io.frames_dir; the group is its index
+FRAME_RE = re.compile(r"^frame_([0-9]{6})\.ppm$")
 
 
 @dataclass
@@ -219,10 +224,17 @@ def check_output_paths(config: PipelineConfig) -> None:
     io.out_dir and store.dir must each be a directory, or lie under one
     with nothing but missing names between (a dangling link is not
     missing: ``mkdir`` cannot replace it); io.metrics must not be a
-    directory, and its parent must pass the same rule.
+    directory or an input (io.background or a frame of io.frames_dir, also
+    through a link), and its parent must pass the same rule.
     """
     metrics = config.metrics_path
     _check(not metrics.is_dir(), "io.metrics", f"{metrics} is a directory")
+    target = metrics.resolve()
+    _check(
+        target != config.background.resolve()
+        and not (target.parent == config.frames_dir.resolve() and FRAME_RE.match(target.name)),
+        "io.metrics", f"{metrics} is an input of the run",
+    )
     outputs = [("io.out_dir", config.out_dir), ("io.metrics", metrics.parent)]
     if config.store.directory is not None:
         outputs.append(("store.dir", config.store.directory))

@@ -24,7 +24,7 @@ in-place ufuncs with ``where=``, and every intermediate plane the size of
 the mixture (deviations, distances, match flags, rank order, the background
 set) is a scratch plane the model allocates once, filled with ``out=`` on
 each frame.  A caller that needs the state from before an update copies
-the model first.
+the state arrays first.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class LayerModel:
     holds the scratch planes that update writes into (``_x`` and the
     ``(K, P)`` planes below), so a frame allocates nothing of the model's
     size; their contents between calls mean nothing.  A caller that needs
-    the state from before an update takes ``copy()`` first.
+    the state from before an update copies the state arrays first.
     """
 
     def __init__(self, width, height, channels, params, weights, means, variances, n_active):
@@ -99,12 +99,6 @@ class LayerModel:
     @property
     def shape(self):
         return (self.height, self.width, self.channels)
-
-    def copy(self) -> "LayerModel":
-        return LayerModel(
-            self.width, self.height, self.channels, self.params,
-            self._w.copy(), self._mu.copy(), self._var.copy(), self._n.copy(),
-        )
 
 
 def layer_init(frame: Frame, params: GmmParams = GmmParams()) -> LayerModel:

@@ -83,8 +83,7 @@ class AlphaSolveResult:
     matte: AlphaMatte
     iterations: int
     converged: bool
-    degenerate: frozenset  # flat pixel indices that fell back to alpha = 0.5
-    changes: tuple = ()    # max per-pixel change after each iteration
+    degenerate: int  # band pixels that fell back to alpha = 0.5 in the last round
 
 
 def _stacked_table(fg: np.ndarray, bg: np.ndarray, colors: np.ndarray) -> np.ndarray:
@@ -146,8 +145,8 @@ def alpha_solve(
     rounds run, and a round whose largest change is under ``params.eps``
     ends the solve as converged.  FG pixels get alpha exactly 1 and BG
     exactly 0.  Pixels whose local foreground and background estimates
-    coincide (squared separation < 1) default to 0.5 and are reported in
-    ``degenerate``.
+    coincide (squared separation < 1) default to 0.5; ``degenerate`` counts
+    them in the last round.
 
     Work stays near the band's bounding box.  One summed-area table of
     2 + 2C channels (FG count, BG count, FG colors, BG colors) covers it
@@ -160,8 +159,8 @@ def alpha_solve(
     and so is every ``a - b - c + d`` window sum, whatever the table's
     extent or channel stacking.  Each channel is still accumulated rows then
     columns and combined in that corner order, as the four separate
-    tables were, so the matte, iteration count, ``converged``,
-    ``degenerate`` and ``changes`` are bit-identical to theirs.
+    tables were, so the matte, iteration count, ``converged`` and
+    ``degenerate`` are identical to theirs.
     """
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
@@ -175,7 +174,7 @@ def alpha_solve(
     alpha[fg_lab] = 1.0
     if not unk.any():
         return AlphaSolveResult(
-            matte=AlphaMatte.from_array(alpha), iterations=0, converged=True, degenerate=frozenset()
+            matte=AlphaMatte.from_array(alpha), iterations=0, converged=True, degenerate=0
         )
     if not fg_lab.any() or not bg_lab.any():
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
@@ -198,7 +197,6 @@ def alpha_solve(
     margin = params.window
     iterations = 0
     converged = False
-    changes = []
 
     for _ in range(params.max_iters):
         fg_src = fg_lab | (alpha > _FG_CONF)
@@ -246,7 +244,6 @@ def alpha_solve(
         smoothed = _sum3x3(projected)[sy, sx] / neighbor_cnt
 
         change = float(np.abs(smoothed - alpha[ys, xs]).max())
-        changes.append(change)
         alpha[ys, xs] = smoothed
         iterations += 1
         if change < params.eps:
@@ -256,7 +253,7 @@ def alpha_solve(
     matte = AlphaMatte.from_array(np.clip(alpha, 0.0, 1.0))
     return AlphaSolveResult(
         matte=matte, iterations=iterations, converged=converged,
-        degenerate=frozenset((ys[degen] * w + xs[degen]).tolist()), changes=tuple(changes),
+        degenerate=int(np.count_nonzero(degen)),
     )
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import FRAME_RE, PipelineConfig
 from .errors import (
     DegenerateTemplate,
     DimensionMismatch,
@@ -53,8 +52,10 @@ from .layering import layer_init, layer_update_classify, mask_postprocess
 from .matting import MattingParams, alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
 from .qoeqos import reencode, score as level_score, select_encoding
-from .raster import AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm
-from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template, write_atomic
+from .raster import (
+    AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm, write_atomic,
+)
+from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template
 from .tunnel import (
     decode_envelope,
     decrypt_verify,
@@ -66,7 +67,6 @@ from .tunnel import (
 
 log = logging.getLogger("emr.pipeline")
 
-_FRAME_RE = re.compile(r"^frame_([0-9]{6})\.ppm$")
 _NO_IDENTITY = "-"
 _UNKNOWN_IDENTITY = "UNKNOWN"
 # the metrics column each alarm sets
@@ -118,7 +118,7 @@ class PipelineResult:
 def _list_frames(frames_dir: Path):
     found = []
     for path in frames_dir.iterdir():
-        m = _FRAME_RE.match(path.name)
+        m = FRAME_RE.match(path.name)
         if m:
             found.append((int(m.group(1)), path))
     return sorted(found)
@@ -187,11 +187,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     seed_link = seeder.getrandbits(64)
     seed_adversary = seeder.getrandbits(64)
 
-    sender, sender_priv = make_agent("camera", seed_sender)
-    receiver, receiver_priv = make_agent("hub", seed_receiver)
+    sender, sender_priv = make_agent(seed_sender)
+    receiver, receiver_priv = make_agent(seed_receiver)
     registry = {sender.fingerprint, receiver.fingerprint}
-    send_tunnel = handshake(sender_priv, sender.public_key, receiver.public_key, registry)
-    recv_tunnel = handshake(receiver_priv, receiver.public_key, sender.public_key, registry)
+    send_tunnel = handshake(sender_priv, receiver.public_key, registry)
+    recv_tunnel = handshake(receiver_priv, sender.public_key, registry)
 
     link = Link(config.channel, seed=seed_link)
     adversary = None
@@ -321,7 +321,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
     metrics_text = emit_metrics(records)
     config.metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(config.metrics_path, metrics_text)
+    write_atomic(config.metrics_path, metrics_text.encode("utf-8"))
     if store_dir:
         store.save(store_dir)
     return PipelineResult(

@@ -122,6 +122,8 @@ class EncodingParams:
             raise ValueError("w must lie in [0, 1]")
         if not self.bmax > self.b0 > 0:
             raise ValueError("need bmax > b0 > 0")
+        if math.isnan(self.mos_min):
+            raise ValueError("mos_min must be a number, not NaN")
         if not self.l_max > self.l_min >= 0:
             raise ValueError("need l_max > l_min >= 0")
 

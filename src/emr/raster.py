@@ -11,12 +11,16 @@ Conventions used throughout the package:
 
 ``bytes`` appear only at the file codec, binary PPM (``P6``, 3 channels) and
 PGM (``P5``, 1 channel), bit-exact: ``decode(encode(frame)) == frame``.
+Every output file of a run (composites, metrics, the identity table) is
+written whole by ``write_atomic``, or not at all.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import prod
+from pathlib import Path
 
 import numpy as np
 
@@ -261,6 +265,25 @@ def load_pnm(path, index: int = 0) -> Frame:
         return decode_pnm(fh.read(), index=index)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at path with data, or leave it as it was.
+
+    The data goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over the target in one step.  A failure
+    before the rename removes the temporary file and leaves the target
+    untouched.  Nothing is fsynced: the guarantee covers a process that
+    fails mid-write, not a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_pnm(frame: Frame, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_pnm(frame))
+    write_atomic(path, encode_pnm(frame))

@@ -7,46 +7,25 @@ templates; queries match by cosine distance against every user and return the
 best one under the threshold, or nothing.
 
 Persistence: one text file, ``identities.csv``, one record per line:
-``user_id,sample_count,v0,...,v255`` with full-precision decimal reals.
-``save`` replaces it whole in one ``write_atomic`` call, so a save that fails
-part way leaves the previous table in place.
+``user_id,sample_count,v0,...,v255`` with full-precision decimal reals,
+in UTF-8.  ``save`` replaces it whole in one call of ``raster.write_atomic``,
+so a save that fails part way leaves the previous table in place.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateTemplate
-from .raster import Frame, to_grayscale
+from .raster import Frame, to_grayscale, write_atomic
 
 TEMPLATE_SIDE = 16
 TEMPLATE_DIM = TEMPLATE_SIDE * TEMPLATE_SIDE
 
 _TABLE_FILE = "identities.csv"
-
-
-def write_atomic(path, text: str) -> None:
-    """Replace the file at path with text, or leave it as it was.
-
-    The text goes to a temporary file in the same directory, which
-    ``os.replace`` then renames over the target in one step.  A failure
-    before the rename removes the temporary file and leaves the target
-    untouched.  Nothing is fsynced: the guarantee covers a process that
-    fails mid-write, not a power cut.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _check_user_id(user_id: str, name: str = "user_id") -> None:
@@ -137,7 +116,7 @@ class KnowledgeStore:
             entry.centroid = (n * entry.centroid + template) / (n + 1)
             entry.sample_count = n + 1
 
-    def identify(self, template: np.ndarray, theta: float = 0.35):
+    def identify(self, template: np.ndarray, theta: float):
         """Best cosine match over every user, or None when over the threshold.
 
         Ties on distance resolve to the lexicographically smallest user id.
@@ -169,7 +148,7 @@ class KnowledgeStore:
             entry = self.templates[user_id]
             values = ",".join(repr(float(v)) for v in entry.centroid)
             lines.append(f"{user_id},{entry.sample_count},{values}\n")
-        write_atomic(directory / _TABLE_FILE, "".join(lines))
+        write_atomic(directory / _TABLE_FILE, "".join(lines).encode("utf-8"))
 
     @classmethod
     def load(cls, directory) -> "KnowledgeStore":
@@ -185,7 +164,7 @@ class KnowledgeStore:
         path = directory / _TABLE_FILE
         if not path.exists():
             return store
-        for line in path.read_text().splitlines():
+        for line in path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
             parts = line.split(",")

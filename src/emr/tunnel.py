@@ -19,13 +19,12 @@ together for ceil(n / L) steps, and byte i is taken from lane i mod L at
 step i div L + 1.  Identical seeds produce identical byte streams within this
 implementation; bit-exactness across implementations is not promised.
 
-The rate r = 3.99 is a constant, and runs use ``DEFAULT_GROUP``; the
-``group`` parameters let tests substitute a small group.  At this r no orbit
-can collapse to the fixed points 0 or 1: the map sends [f(r/4), r/4] into
-itself (May, 1976), and every seed in (0.01, 0.99) lands in it after one
-step.  In double precision one rounding can reach T = 0.9975000000000002,
-one ulp above r/4, so computed states lie in [f(T), T] =
-[0.009950062499999348, 0.9975000000000002]; no state is checked.
+The rate r = 3.99 and the group (``DH_P``, ``DH_G``) are constants.  At
+this r no orbit can collapse to the fixed points 0 or 1: the map sends
+[f(r/4), r/4] into itself (May, 1976), and every seed in (0.01, 0.99) lands
+in it after one step.  In double precision one rounding can reach
+T = 0.9975000000000002, one ulp above r/4, so computed states lie in
+[f(T), T] = [0.009950062499999348, 0.9975000000000002]; no state is checked.
 
 This is a protocol model for anomaly-detection experiments, NOT production
 cryptography: no forward secrecy, no padding, no side-channel hardening, and
@@ -72,63 +71,43 @@ _SEED_HIGH = 0.99
 _TWO64 = 2 ** 64
 
 
-@dataclass(frozen=True)
-class DhGroup:
-    """Multiplicative group modulo a prime, with a fixed generator."""
-
-    p: int
-    g: int
-
-    def __post_init__(self):
-        if not self.p >= 5:
-            raise ValueError(f"modulus p = {self.p} leaves no usable exponent range")
-        if not 1 < self.g < self.p:
-            raise ValueError("generator must satisfy 1 < g < p")
-
-    @property
-    def key_width(self) -> int:
-        return (self.p.bit_length() + 7) // 8
-
-
 # 61-bit safe prime (p = 2q + 1, q prime); 3 generates the order-q subgroup.
-DEFAULT_GROUP = DhGroup(p=1152921504606849707, g=3)
+DH_P = 1152921504606849707
+DH_G = 3
+KEY_WIDTH = (DH_P.bit_length() + 7) // 8  # bytes of a key or secret on the wire
 
 
 @dataclass(frozen=True)
 class AgentIdentity:
-    id: str
     public_key: int
     fingerprint: bytes
 
 
-def _encode_int(value: int, group: DhGroup) -> bytes:
-    return value.to_bytes(group.key_width, "big")
+def _encode_int(value: int) -> bytes:
+    return value.to_bytes(KEY_WIDTH, "big")
 
 
 def _hash(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def keypair_gen(seed: int, group: DhGroup = DEFAULT_GROUP):
+def keypair_gen(seed: int):
     """Deterministic keypair from a seed: x in [2, p-2], y = g^x mod p."""
-    rng = random.Random(seed)
-    private = rng.randrange(2, group.p - 1)
-    public = pow(group.g, private, group.p)
-    return private, public
+    private = random.Random(seed).randrange(2, DH_P - 1)
+    return private, pow(DH_G, private, DH_P)
 
 
-def fingerprint(public_key: int, group: DhGroup = DEFAULT_GROUP) -> bytes:
+def fingerprint(public_key: int) -> bytes:
     """SHA-256 digest of the fixed-width big-endian key encoding."""
-    if not 1 <= public_key <= group.p - 1:
+    if not 1 <= public_key <= DH_P - 1:
         raise ValueError(f"public key {public_key} outside [1, p-1]")
-    return _hash(_encode_int(public_key, group))
+    return _hash(_encode_int(public_key))
 
 
-def make_agent(agent_id: str, seed: int, group: DhGroup = DEFAULT_GROUP):
+def make_agent(seed: int):
     """Convenience: generate a keypair and identity; returns (identity, private)."""
-    private, public = keypair_gen(seed, group)
-    ident = AgentIdentity(id=agent_id, public_key=public, fingerprint=fingerprint(public, group))
-    return ident, private
+    private, public = keypair_gen(seed)
+    return AgentIdentity(public_key=public, fingerprint=fingerprint(public)), private
 
 
 @dataclass
@@ -138,7 +117,6 @@ class SessionTunnel:
     local_fingerprint: bytes
     peer_fingerprint: bytes
     shared_secret: int
-    group: DhGroup
     chaos_x: float
     send_seq: int = 0
 
@@ -203,31 +181,26 @@ def _lane_orbit(seeds: np.ndarray, steps: int) -> np.ndarray:
     return orbit
 
 
-def handshake(
-    local_private: int,
-    local_public: int,
-    peer_public: int,
-    registry,
-    group: DhGroup = DEFAULT_GROUP,
-) -> SessionTunnel:
+def handshake(local_private: int, peer_public: int, registry) -> SessionTunnel:
     """Authenticate the peer against the registry and derive session state.
 
-    Both directions of a session derive the same shared secret and the same
-    base chaos state: the SHA-256 seed of the secret.  A peer key outside
+    The local public key is derived from ``local_private``, so the local
+    fingerprint always belongs to the key that computes the secret.  Both
+    directions of a session derive the same shared secret and the same base
+    chaos state: the SHA-256 seed of the secret.  A peer key outside
     [1, p-1] raises ValueError (from :func:`fingerprint`).  An unknown peer
     fingerprint raises UnauthorizedAgent; that alarm is the anomalous-node
     signal.
     """
-    peer_fp = fingerprint(peer_public, group)
+    peer_fp = fingerprint(peer_public)
     if peer_fp not in registry:
         raise UnauthorizedAgent(f"peer fingerprint {peer_fp.hex()[:16]}... not trusted")
-    shared = pow(peer_public, local_private, group.p)
+    shared = pow(peer_public, local_private, DH_P)
     return SessionTunnel(
-        local_fingerprint=fingerprint(local_public, group),
+        local_fingerprint=fingerprint(pow(DH_G, local_private, DH_P)),
         peer_fingerprint=peer_fp,
         shared_secret=shared,
-        group=group,
-        chaos_x=_seed_from_material(_encode_int(shared, group)),
+        chaos_x=_seed_from_material(_encode_int(shared)),
     )
 
 
@@ -248,7 +221,7 @@ def _envelope_keystream(tunnel: SessionTunnel, sender_fp: bytes, seq: int, n: in
 
 def _envelope_digest(tunnel: SessionTunnel, sender_fp: bytes, seq: int, ciphertext: bytes) -> bytes:
     """HMAC-SHA256 keyed with the shared secret over the wire header and ciphertext."""
-    key = _encode_int(tunnel.shared_secret, tunnel.group)
+    key = _encode_int(tunnel.shared_secret)
     header = sender_fp + seq.to_bytes(8, "big") + len(ciphertext).to_bytes(4, "big")
     return hmac.digest(key, header + ciphertext, "sha256")
 

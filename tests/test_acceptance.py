@@ -22,7 +22,6 @@ from emr.raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, load_pnm, rou
 from emr.store import KnowledgeStore
 from emr.errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
 from emr.tunnel import (
-    DEFAULT_GROUP,
     Envelope,
     decrypt_verify,
     encrypt_envelope,
@@ -187,11 +186,11 @@ def test_a4_policy_oracle_and_properties():
 
 
 def session_pair_61bit(seed_a, seed_b):
-    priv_a, pub_a = keypair_gen(seed_a, DEFAULT_GROUP)
-    priv_b, pub_b = keypair_gen(seed_b, DEFAULT_GROUP)
+    priv_a, pub_a = keypair_gen(seed_a)
+    priv_b, pub_b = keypair_gen(seed_b)
     registry = {fingerprint(pub_a), fingerprint(pub_b)}
-    a = handshake(priv_a, pub_a, pub_b, registry, DEFAULT_GROUP)
-    b = handshake(priv_b, pub_b, pub_a, registry, DEFAULT_GROUP)
+    a = handshake(priv_a, pub_b, registry)
+    b = handshake(priv_b, pub_a, registry)
     return a, b, registry
 
 

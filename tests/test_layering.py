@@ -17,6 +17,14 @@ from emr.layering import (
 from emr.raster import Frame
 
 
+def copy_model(model):
+    """A model holding copies of another's state arrays."""
+    return LayerModel(
+        model.width, model.height, model.channels, model.params,
+        model._w.copy(), model._mu.copy(), model._var.copy(), model._n.copy(),
+    )
+
+
 def gray_frame(values, index=0):
     return Frame.from_array(np.asarray(values, dtype=np.uint8), index=index)
 
@@ -176,7 +184,7 @@ class TestUpdateRules:
         prm = GmmParams(alpha_lr=0.0)
         base = np.full((4, 4), 100, dtype=np.uint8)
         model = layer_init(gray_frame(base), prm)
-        before = model.copy()
+        before = copy_model(model)
         moved = base.copy()
         moved[0, 0] = 255
         mask, updated = layer_update_classify(model, gray_frame(moved))
@@ -189,7 +197,7 @@ class TestUpdateRules:
     def test_update_is_in_place(self):
         rng = np.random.RandomState(5)
         model = layer_init(gray_frame(rng.randint(0, 256, (8, 8))))
-        before = model.copy()
+        before = copy_model(model)
         planes = (model._w, model._mu, model._var, model._n)
         _, updated = layer_update_classify(model, gray_frame(rng.randint(0, 256, (8, 8))))
         assert updated is model

@@ -145,8 +145,8 @@ class TestAlphaSolve:
         labels[0, 4] = BG
         labels[4, 0] = FG
         res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
-        center = 2 * 5 + 2
-        assert center in res.degenerate
+        # one flat color: every UNKNOWN pixel's F and B estimates coincide
+        assert res.degenerate == 21
         assert res.matte.to_array()[2, 2] == 0.5
 
     def test_missing_anchor_rejected(self):
@@ -178,9 +178,13 @@ class TestAlphaSolve:
 
     def test_change_non_increasing_after_second_iteration(self):
         frame, trimap, _ = ramp_scene()
-        # the smallest positive eps stops only at an exact fixed point
-        res = alpha_solve(frame, trimap, MattingParams(max_iters=20, eps=5e-324))
-        changes = res.changes[1:]
+        # the smallest positive eps stops only at an exact fixed point, so the
+        # solve capped at k rounds returns the matte after round k
+        mattes = [
+            alpha_solve(frame, trimap, MattingParams(max_iters=k, eps=5e-324)).matte.alpha
+            for k in range(1, 21)
+        ]
+        changes = [np.abs(b - a).max() for a, b in zip(mattes, mattes[1:])]  # rounds 2..20
         assert all(a >= b for a, b in zip(changes, changes[1:]))
 
     def test_dimension_mismatch_rejected(self):

@@ -410,6 +410,21 @@ class TestFrameOutcomes:
         assert self.written(tmp_path) == [0, 1, 2, 3, 5]
         assert "frame 000004 stopped: DimensionMismatch: " in caplog.text
 
+    def test_failed_composite_write_leaves_no_file(self, tmp_path, monkeypatch, caplog):
+        from test_store import fail_writes_midway
+
+        cfg = load(workspace(tmp_path, frames=4))
+        fail_writes_midway(monkeypatch, "out_000002.ppm")
+        with caplog.at_level(logging.WARNING, logger="emr.pipeline"):
+            result = run_pipeline(cfg)
+        assert result.traces[2][-1] == "fuse"
+        assert result.outputs_written == 3
+        # neither the truncated composite nor the temporary file is left
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "out_000000.ppm", "out_000001.ppm", "out_000003.ppm",
+        ]
+        assert "frame 000002 stopped: OSError: no space left on device" in caplog.text
+
     def test_model_reset_logged(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="emr.pipeline"):
             run_pipeline(load(self.resized_workspace(tmp_path, frames=6, first=4)))
@@ -540,6 +555,35 @@ class TestCli:
         assert f"invalid value for {key}:" in run.stderr
         assert not list(tmp_path.rglob("out_*.ppm"))
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "metrics, flag",
+        [
+            ("data/scene.ppm", False),
+            ("data/frame_000001.ppm", False),
+            ("out/../data/frame_000007.ppm", False),  # not yet there: the next run would read it
+            ("scene_link.ppm", False),
+            ("data/scene.ppm", True),
+        ],
+        ids=["background", "frame", "future_frame", "link_to_background", "metrics_flag"],
+    )
+    def test_metrics_path_naming_an_input_exits_one(self, tmp_path, metrics, flag):
+        # a metrics file written over an input breaks the next run
+        cfg_path = workspace(tmp_path, frames=3)
+        (tmp_path / "scene_link.ppm").symlink_to(tmp_path / "data" / "scene.ppm")
+        inputs = {p: p.read_bytes() for p in (tmp_path / "data").iterdir()}
+        if flag:
+            run = run_cli("run", "--config", str(cfg_path), "--metrics", str(tmp_path / metrics))
+        else:
+            cfg_path.write_text(BASE_CFG.replace("metrics.csv", metrics))
+            validate = run_cli("validate-config", str(cfg_path))
+            assert validate.returncode == 1
+            assert "invalid value for io.metrics:" in validate.stderr
+            run = run_cli("run", "--config", str(cfg_path))
+        assert run.returncode == 1
+        assert "invalid value for io.metrics:" in run.stderr
+        assert {p: p.read_bytes() for p in (tmp_path / "data").iterdir()} == inputs
+        assert not (tmp_path / "out").exists()
 
     def test_policy_override_selects_the_policys_level(self, tmp_path):
         from dataclasses import replace

@@ -119,6 +119,8 @@ class TestEncodingParams:
             (dict(w=1.5), "w"),
             (dict(w=-0.1), "w"),
             (dict(w=math.nan), "w"),
+            # NaN fails every comparison, so each qos selection would read degraded
+            (dict(mos_min=math.nan), "mos_min"),
         ],
     )
     def test_invalid_params_rejected(self, kw, field):

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emr.raster
 import emr.store
 
 from emr.errors import DegenerateTemplate
-from emr.raster import Frame
+from emr.raster import Frame, write_atomic
 from emr.store import (
     TEMPLATE_DIM,
     IdentityTemplate,
     KnowledgeStore,
     StoreParams,
     extract_template,
-    write_atomic,
 )
 
 
@@ -40,12 +40,13 @@ class HalfWriter:
         raise OSError("no space left on device")
 
 
-def fail_writes_midway(monkeypatch):
+def fail_writes_midway(monkeypatch, name=""):
+    """Make each file write of ``write_atomic`` whose path holds name fail half way."""
     def half_open(path, mode="r", *args, **kwargs):
         fh = builtins.open(path, mode, *args, **kwargs)
-        return HalfWriter(fh) if "w" in mode else fh
+        return HalfWriter(fh) if "w" in mode and name in str(path) else fh
 
-    monkeypatch.setattr(emr.store, "open", half_open, raising=False)
+    monkeypatch.setattr(emr.raster, "open", half_open, raising=False)
 
 
 def region(seed=0, side=20, channels=3):
@@ -159,7 +160,8 @@ class TestIdentify:
         assert store.identify(t, theta=0.35) == "erin"
 
     def test_empty_store_returns_nothing(self):
-        assert KnowledgeStore().identify(random_template(np.random.RandomState(0))) is None
+        template = random_template(np.random.RandomState(0))
+        assert KnowledgeStore().identify(template, theta=0.35) is None
 
     def test_orthogonal_template_unmatched(self):
         store = KnowledgeStore()
@@ -261,7 +263,7 @@ class TestPersistence:
     def test_write_atomic_replaces_whole_file(self, tmp_path):
         target = tmp_path / "f.txt"
         target.write_text("old contents\n")
-        write_atomic(target, "new\n")
+        write_atomic(target, b"new\n")
         assert target.read_text() == "new\n"
         assert [f.name for f in tmp_path.iterdir()] == ["f.txt"]
 

@@ -21,9 +21,10 @@ from emr.tunnel import (
     _lane_orbit,
     _lane_seeds,
     _seed_from_material,
-    DEFAULT_GROUP,
+    DH_G,
+    DH_P,
+    KEY_WIDTH,
     LOGISTIC_R,
-    DhGroup,
     Envelope,
     SessionTunnel,
     decode_envelope,
@@ -36,7 +37,7 @@ from emr.tunnel import (
     make_agent,
 )
 
-TOY = DhGroup(p=23, g=5)
+key_seeds = st.integers(min_value=0, max_value=2 ** 64 - 1)
 
 
 def reference_orbit(x, steps):
@@ -105,7 +106,6 @@ def bare_tunnel(chaos_x=0.4321):
         local_fingerprint=b"\x01" * 32,
         peer_fingerprint=b"\x02" * 32,
         shared_secret=12345,
-        group=DEFAULT_GROUP,
         chaos_x=chaos_x,
     )
 
@@ -123,12 +123,12 @@ def plant_seeds(monkeypatch, planted):
     monkeypatch.setattr(tunnel, "_lane_seeds", seeds)
 
 
-def session_pair(seed_a=1, seed_b=2, group=DEFAULT_GROUP):
-    priv_a, pub_a = keypair_gen(seed_a, group)
-    priv_b, pub_b = keypair_gen(seed_b, group)
-    registry = {fingerprint(pub_a, group), fingerprint(pub_b, group)}
-    a = handshake(priv_a, pub_a, pub_b, registry, group)
-    b = handshake(priv_b, pub_b, pub_a, registry, group)
+def session_pair(seed_a=1, seed_b=2):
+    priv_a, pub_a = keypair_gen(seed_a)
+    priv_b, pub_b = keypair_gen(seed_b)
+    registry = {fingerprint(pub_a), fingerprint(pub_b)}
+    a = handshake(priv_a, pub_b, registry)
+    b = handshake(priv_b, pub_a, registry)
     return a, b, registry
 
 
@@ -136,51 +136,57 @@ class TestKeypair:
     def test_deterministic_for_equal_seeds(self):
         assert keypair_gen(99) == keypair_gen(99)
 
-    def test_public_key_relation_in_toy_group(self):
-        # 5^6 mod 23 = 8 and 5^15 mod 23 = 19
-        assert pow(TOY.g, 6, TOY.p) == 8
-        assert pow(TOY.g, 15, TOY.p) == 19
+    def test_group_constants(self):
+        # keys, secrets and fingerprint inputs are 8 bytes wide on the wire
+        assert KEY_WIDTH == 8
+        assert DH_P.bit_length() == 61 and 1 < DH_G < DH_P
 
-    def test_private_in_valid_range(self):
-        for seed in range(50):
-            priv, pub = keypair_gen(seed, TOY)
-            assert 2 <= priv <= TOY.p - 2
-            assert 1 <= pub <= TOY.p - 1
+    @given(key_seeds)
+    def test_public_key_is_the_generator_power(self, seed):
+        priv, pub = keypair_gen(seed)
+        assert pub == pow(DH_G, priv, DH_P)
 
-    def test_tiny_group_rejected(self):
-        with pytest.raises(ValueError, match="modulus p"):
-            keypair_gen(0, DhGroup(p=3, g=2))
+    @given(key_seeds)
+    def test_private_in_valid_range(self, seed):
+        priv, pub = keypair_gen(seed)
+        assert 2 <= priv <= DH_P - 2
+        assert 1 <= pub <= DH_P - 1
 
 
 class TestFingerprint:
     def test_deterministic(self):
-        assert fingerprint(8, TOY) == fingerprint(8, TOY)
-        assert len(fingerprint(8, TOY)) == 32
+        assert fingerprint(8) == fingerprint(8)
+        assert len(fingerprint(8)) == 32
+
+    def test_is_sha256_of_the_fixed_width_key(self):
+        assert fingerprint(8) == hashlib.sha256((8).to_bytes(KEY_WIDTH, "big")).digest()
 
     def test_distinct_keys_distinct_digests(self):
         rng = random.Random(0)
-        keys = rng.sample(range(1, DEFAULT_GROUP.p - 1), 10_000)
+        keys = rng.sample(range(1, DH_P - 1), 10_000)
         digests = {fingerprint(k) for k in keys}
         assert len(digests) == len(keys)
 
     @pytest.mark.parametrize("key", [0, -1])
     def test_out_of_range_rejected(self, key):
         with pytest.raises(ValueError, match="public key"):
-            fingerprint(key, TOY)
+            fingerprint(key)
 
     def test_modulus_sized_key_rejected(self):
         with pytest.raises(ValueError, match="public key"):
-            fingerprint(TOY.p, TOY)
+            fingerprint(DH_P)
 
 
 class TestHandshake:
-    def test_toy_group_shared_secret(self):
-        # x_a = 6 (y = 8), x_b = 15 (y = 19): both sides land on 2
-        registry = {fingerprint(8, TOY), fingerprint(19, TOY)}
-        a = handshake(6, 8, 19, registry, TOY)
-        b = handshake(15, 19, 8, registry, TOY)
-        assert a.shared_secret == b.shared_secret == 2
+    @given(key_seeds, key_seeds)
+    def test_both_sides_agree_on_the_secret(self, seed_a, seed_b):
+        priv_a, pub_a = keypair_gen(seed_a)
+        priv_b, pub_b = keypair_gen(seed_b)
+        a, b, _ = session_pair(seed_a, seed_b)
+        assert a.shared_secret == b.shared_secret == pow(DH_G, priv_a * priv_b, DH_P)
         assert a.chaos_x == b.chaos_x
+        assert (a.local_fingerprint, a.peer_fingerprint) == (fingerprint(pub_a), fingerprint(pub_b))
+        assert (b.local_fingerprint, b.peer_fingerprint) == (fingerprint(pub_b), fingerprint(pub_a))
 
     def test_symmetry_over_random_keypairs(self):
         rng = random.Random(5)
@@ -194,12 +200,12 @@ class TestHandshake:
         priv_b, pub_b = keypair_gen(2)
         registry = {fingerprint(pub_a)}  # peer missing
         with pytest.raises(UnauthorizedAgent):
-            handshake(priv_a, pub_a, pub_b, registry)
+            handshake(priv_a, pub_b, registry)
 
     def test_out_of_range_peer_rejected(self):
-        priv_a, pub_a = keypair_gen(1)
+        priv_a, _ = keypair_gen(1)
         with pytest.raises(ValueError, match="public key"):
-            handshake(priv_a, pub_a, DEFAULT_GROUP.p, {b"x"})
+            handshake(priv_a, DH_P, {b"x"})
 
     def test_chaos_seed_in_open_interval(self):
         for seed in range(30):
@@ -358,7 +364,7 @@ class TestEnvelopes:
         priv_a, pub_a = keypair_gen(1)
         priv_b, pub_b = keypair_gen(2)
         registry = {fingerprint(pub_a), fingerprint(pub_b)}
-        a = handshake(priv_a, pub_a, pub_b, registry)
+        a = handshake(priv_a, pub_b, registry)
         env = encrypt_envelope(a, bytes(range(256)) * 16)
         assert hashlib.sha256(env.ciphertext).hexdigest() == (
             "437d309ea2747cb88fcd68413e32f259cf7b6353dfbd815c7db84067970aee55"
@@ -370,7 +376,7 @@ class TestEnvelopes:
     def test_digest_is_hmac_over_header_and_ciphertext(self):
         a, _, _ = session_pair()
         env = encrypt_envelope(a, b"authenticated")
-        secret = a.shared_secret.to_bytes(DEFAULT_GROUP.key_width, "big")
+        secret = a.shared_secret.to_bytes(KEY_WIDTH, "big")
         message = a.local_fingerprint + (1).to_bytes(8, "big") + (13).to_bytes(4, "big")
         assert env.digest == hmac.digest(secret, message + env.ciphertext, "sha256")
 
@@ -497,6 +503,6 @@ class TestWireFormat:
 
 class TestAgents:
     def test_make_agent_binds_fingerprint(self):
-        ident, priv = make_agent("cam", seed=4)
+        ident, priv = make_agent(seed=4)
         assert ident.fingerprint == fingerprint(ident.public_key)
-        assert pow(DEFAULT_GROUP.g, priv, DEFAULT_GROUP.p) == ident.public_key
+        assert pow(DH_G, priv, DH_P) == ident.public_key

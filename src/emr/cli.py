@@ -12,13 +12,12 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from . import synthetic
-from .config import check_output_paths, parse_config
+from .config import parse_config
 from .errors import ConfigError, EmrError
 from .netsim import AdversaryMode
 from .pipeline import run_pipeline
@@ -38,13 +37,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the pipeline over a frame directory")
     run.add_argument("--config", required=True, help="path to the pipeline config file")
-    run.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    run.add_argument("--policy", choices=[p.value for p in Policy], default=None,
-                     help="override [encoding] policy")
+    # a flag whose dest is "section.key" sets that config entry; a path is
+    # made absolute, so it stays relative to the working directory
+    run.add_argument("--seed", dest="run.seed", help="set [run] seed")
+    run.add_argument("--policy", dest="encoding.policy", metavar="|".join(p.value for p in Policy),
+                     help="set [encoding] policy")
     run.add_argument("--adversary", choices=[m.value for m in AdversaryMode] + ["none"],
                      default="none", help="interpose an adversarial node")
-    run.add_argument("--out", default=None, help="override [io] out_dir")
-    run.add_argument("--metrics", default=None, help="override [io] metrics path")
+    run.add_argument("--out", dest="io.out_dir", type=lambda v: str(Path(v).absolute()),
+                     help="set [io] out_dir")
+    run.add_argument("--metrics", dest="io.metrics", type=lambda v: str(Path(v).absolute()),
+                     help="set [io] metrics")
     run.add_argument("--timings", action="store_true",
                      help="record wall-clock ms in metrics (breaks byte-identical reruns)")
 
@@ -58,25 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path_text: str, args=None):
+def _load_config(path_text: str, args):
     path = Path(path_text)
     try:
         text = path.read_text()
     except OSError as exc:
         log.error("cannot read config %s: %s", path, exc)
         return None, EXIT_IO
+    overrides = {tuple(dest.split(".")): value for dest, value in vars(args).items()
+                 if "." in dest and value is not None}
     try:
-        config = parse_config(text, base_dir=path.parent)
-        if args is not None:
-            if args.seed is not None:
-                config.seed = args.seed
-            if args.policy is not None:
-                config.encoding = dataclasses.replace(config.encoding, policy=Policy(args.policy))
-            if args.out is not None:
-                config.out_dir = Path(args.out)
-            if args.metrics is not None:
-                config.metrics_path = Path(args.metrics)
-            check_output_paths(config)
+        config = parse_config(text, base_dir=path.parent, overrides=overrides, source=path)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return None, EXIT_CONFIG
@@ -103,7 +98,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "validate-config":
-        config, status = _load_config(args.path)
+        config, status = _load_config(args.path, args)
         if config is not None:
             log.info("config OK: %d levels, policy %s",
                      len(config.levels), config.encoding.policy.value)

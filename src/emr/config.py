@@ -10,8 +10,12 @@ in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
 the type checks its own fields, and its ``ValueError`` becomes
 ``InvalidValue`` naming the config key.  ``_check`` covers the five keys no
 type carries: the inputs io.frames_dir and io.background, and the outputs
-io.out_dir, io.metrics and store.dir, which ``check_output_paths`` checks
-again after a command-line override.
+io.out_dir, io.metrics and store.dir.  ``emr run``'s --seed, --policy,
+--out and --metrics arrive as ``overrides`` entries (run.seed,
+encoding.policy, io.out_dir, io.metrics), checked like the file's and
+replacing them without a warning; their paths are relative to the working
+directory, as the command line makes them absolute.  The parsed
+``PipelineConfig`` is frozen.
 
 Sections and keys (defaults in parentheses):
 
@@ -19,9 +23,10 @@ Sections and keys (defaults in parentheses):
                out_dir (out), metrics (metrics.csv)  -- frames_dir
                holds frame_NNNNNN.ppm; an output path is a directory,
                or creatable under one; metrics names a file that is
-               not an input --
+               not an input or the config file; a run first removes
+               every composite out_NNNNNN.ppm from out_dir --
     [encoding] levels (high:1:1,med:2:8,low:4:32)  -- comma list of
-               id:scale:quant[:bits] entries -- fps (30), b0 (1e6),
+               id:scale:quant entries -- fps (30), b0 (1e6),
                bmax (8e6), policy (balance|qoe|qos), w (0.5),
                mos_min (2.0), l_max (0.5), l_min (0.0)
     [channel]  capacity (1e7), base_delay (0.01), loss_prob (0.0)
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InvalidValue, MissingKey, UnknownKey
@@ -55,9 +60,11 @@ from .store import StoreParams
 
 # the name of an input frame in io.frames_dir; the group is its index
 FRAME_RE = re.compile(r"^frame_([0-9]{6})\.ppm$")
+# the name of a composite in io.out_dir
+COMPOSITE_RE = re.compile(r"^out_[0-9]{6}\.ppm$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     frames_dir: Path
     background: Path
@@ -71,7 +78,7 @@ class PipelineConfig:
     store: StoreParams
     fusion: FusionParams
     seed: int
-    warnings: list = field(default_factory=list)
+    warnings: tuple = ()
 
 
 def _parse_int(text: str) -> int:
@@ -98,16 +105,14 @@ def _parse_levels(text: str):
         if not chunk:
             continue
         parts = chunk.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"{chunk!r} is not id:scale:quant[:bits]")
-        bits = _parse_int(parts[3]) if len(parts) == 4 else None
+        if len(parts) != 3:
+            raise ValueError(f"{chunk!r} is not id:scale:quant")
         try:
             levels.append(
                 EncodingLevel(
                     id=parts[0],
                     scale_factor=_parse_int(parts[1]),
                     quant_step=_parse_int(parts[2]),
-                    bits_per_frame=bits,
                 )
             )
         except ValueError as exc:
@@ -139,13 +144,19 @@ def _parse_optional(text: str):
     return text or None
 
 
+def _parse_path(text: str) -> str:
+    if "\0" in text:
+        raise ValueError(f"{text!r} holds a NUL byte")
+    return text
+
+
 # (section, key) -> (default text or None=required, parser[, field]); a row
 # names the field of its typed section when that differs from the key
 _SCHEMA = {
-    ("io", "frames_dir"): (None, str),
-    ("io", "background"): (None, str),
-    ("io", "out_dir"): ("out", str),
-    ("io", "metrics"): ("metrics.csv", str),
+    ("io", "frames_dir"): (None, _parse_path),
+    ("io", "background"): (None, _parse_path),
+    ("io", "out_dir"): ("out", _parse_path),
+    ("io", "metrics"): ("metrics.csv", _parse_path),
     ("encoding", "levels"): ("high:1:1,med:2:8,low:4:32", _parse_levels),
     ("encoding", "fps"): ("30", _parse_float),
     ("encoding", "b0"): ("1e6", _parse_float),
@@ -171,7 +182,7 @@ _SCHEMA = {
     ("matting", "eps"): (repr(1 / 255), _parse_float),
     ("matting", "lambda_t"): ("0.1", _parse_float),
     ("store", "theta"): ("0.35", _parse_float),
-    ("store", "dir"): ("", _parse_optional, "directory"),
+    ("store", "dir"): ("", _parse_path, "directory"),
     ("store", "enroll_user"): ("", _parse_optional),
     ("store", "enroll_frame"): ("0", _parse_int),
     ("fusion", "scale"): ("1.0", _parse_float),
@@ -218,22 +229,33 @@ def _check(condition: bool, key: str, reason: str) -> None:
         raise InvalidValue(key, reason)
 
 
-def check_output_paths(config: PipelineConfig) -> None:
+def _check_outputs(config: PipelineConfig, source) -> None:
     """Reject, before any frame runs, an output path the run could not create.
 
     io.out_dir and store.dir must each be a directory, or lie under one
     with nothing but missing names between (a dangling link is not
     missing: ``mkdir`` cannot replace it); io.metrics must not be a
-    directory or an input (io.background or a frame of io.frames_dir, also
-    through a link), and its parent must pass the same rule.
+    directory or an input (io.background, a frame of io.frames_dir or the
+    config file ``source``, also through a link), and its parent must pass
+    the same rule.  io.background must not be a composite of io.out_dir,
+    which a run clears before its first frame.
     """
     metrics = config.metrics_path
     _check(not metrics.is_dir(), "io.metrics", f"{metrics} is a directory")
     target = metrics.resolve()
+    inputs = {config.background.resolve()}
+    if source is not None:
+        inputs.add(Path(source).resolve())
     _check(
-        target != config.background.resolve()
+        target not in inputs
         and not (target.parent == config.frames_dir.resolve() and FRAME_RE.match(target.name)),
         "io.metrics", f"{metrics} is an input of the run",
+    )
+    out_dir = config.out_dir.resolve()
+    _check(
+        not any(p.parent.resolve() == out_dir and COMPOSITE_RE.match(p.name)
+                for p in (config.background, config.background.resolve())),
+        "io.background", f"{config.background} is a composite name in io.out_dir",
     )
     outputs = [("io.out_dir", config.out_dir), ("io.metrics", metrics.parent)]
     if config.store.directory is not None:
@@ -262,10 +284,15 @@ def _build(cls, section: str, values: dict):
         raise InvalidValue(f"{section}.{named[0]}" if named else section, str(exc))
 
 
-def parse_config(text: str, base_dir=".") -> PipelineConfig:
-    """Parse and fully validate a pipeline configuration."""
+def parse_config(text: str, base_dir=".", overrides=None, source=None) -> PipelineConfig:
+    """Parse and fully validate a pipeline configuration read from ``source``;
+    ``overrides`` maps (section, key) to the text that replaces the entry."""
     base = Path(base_dir)
     entries, warnings = _read_entries(text)
+    for full, value in (overrides or {}).items():
+        if full not in _SCHEMA:
+            raise UnknownKey(".".join(full))
+        entries[full] = value
 
     values = {}
     for (section, key), (default, parser, *_) in _SCHEMA.items():
@@ -284,8 +311,7 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
     background = base / values["io", "background"]
     _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
     _check(background.is_file(), "io.background", f"file {background} does not exist")
-    if values["store", "dir"] is not None:
-        values["store", "dir"] = base / values["store", "dir"]
+    values["store", "dir"] = base / values["store", "dir"] if values["store", "dir"] else None
 
     config = PipelineConfig(
         frames_dir=frames_dir,
@@ -300,9 +326,9 @@ def parse_config(text: str, base_dir=".") -> PipelineConfig:
         store=_build(StoreParams, "store", values),
         fusion=_build(FusionParams, "fusion", values),
         seed=values["run", "seed"],
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
-    check_output_paths(config)
+    _check_outputs(config, source)
     return config
 
 

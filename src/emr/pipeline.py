@@ -22,7 +22,9 @@ exception's class and message); none aborts the run.  With the same
 configuration and seed, output images and the metrics file are byte-identical
 across runs (stage timings are measured only when requested, since real
 timings would break that reproducibility; the ms_total column reads 0
-otherwise).
+otherwise).  Before the first frame the run removes every composite
+(``out_NNNNNN.ppm``, and nothing else) from the output directory, so after
+the run it holds this run's composites alone.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .config import FRAME_RE, PipelineConfig
+from .config import COMPOSITE_RE, FRAME_RE, PipelineConfig
 from .errors import (
     DegenerateTemplate,
     DimensionMismatch,
@@ -207,6 +209,9 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     store = KnowledgeStore.load(store_dir) if store_dir else KnowledgeStore()
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    for path in config.out_dir.iterdir():
+        if COMPOSITE_RE.match(path.name) and not path.is_dir():
+            path.unlink()
     model = None
     fuzzy = None
     records = []

@@ -35,8 +35,8 @@ from .raster import Frame, downsample, quantize
 class EncodingLevel:
     """One candidate encoding: spatial divisor, quantization step, payload bits.
 
-    ``bits_per_frame`` may be supplied directly or left None and resolved from
-    frame dimensions via :func:`level_bits`.
+    ``bits_per_frame`` may be supplied directly or left None; ``resolved``
+    sets it from frame dimensions via :func:`level_bits`.
     """
 
     id: str
@@ -53,9 +53,7 @@ class EncodingLevel:
             raise ValueError("bits_per_frame must be > 0")
 
     def resolved(self, width: int, height: int, channels: int) -> "EncodingLevel":
-        """This level with bits_per_frame filled in for the given frame shape."""
-        if self.bits_per_frame is not None:
-            return self
+        """This level with bits_per_frame set for the given frame shape."""
         return replace(self, bits_per_frame=level_bits(self, width, height, channels))
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ class TestParsing:
         assert cfg.channel.capacity == 1e7
         assert cfg.store.theta == 0.35 and cfg.store.directory is None
         assert cfg.seed == 0
-        assert cfg.warnings == []
+        assert cfg.warnings == ()
 
     def test_comments_and_blanks_ignored(self, workspace):
         text = MINIMAL_TEMPLATE + "\n# full comment\n[run]\nseed = 9  # inline comment\n"
@@ -150,12 +151,36 @@ class TestValidation:
         assert parse(MINIMAL_TEMPLATE + store.format("frames"), workspace).store.directory.is_dir()
         assert parse(MINIMAL_TEMPLATE + store.format("new"), workspace).store.directory.name == "new"
 
-    def test_levels_with_explicit_bits(self, workspace):
-        cfg = parse(
-            MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1:12345,b:2:8\n", workspace
-        )
-        assert cfg.levels[0].bits_per_frame == 12345
-        assert cfg.levels[1].bits_per_frame is None
+    @pytest.mark.parametrize(
+        "key", ["io.frames_dir", "io.background", "io.out_dir", "io.metrics", "store.dir"]
+    )
+    def test_path_with_nul_byte_rejected(self, workspace, key):
+        # no file name holds a NUL byte; resolving one raises ValueError
+        section, name = key.split(".")
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + f"[{section}]\n{name} = a\0b\n", workspace)
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("background", ["out/out_000000.ppm", "out/out_000001.ppm", "link.ppm"])
+    def test_background_named_as_a_composite_rejected(self, workspace, background):
+        # a run clears the composites of io.out_dir before its first frame
+        (workspace / "out").mkdir()
+        (workspace / "out" / "out_000000.ppm").write_bytes(b"P6 1 1 255\n\x00\x00\x00")
+        (workspace / "out" / "out_000001.ppm").symlink_to(workspace / "scene.ppm")
+        (workspace / "link.ppm").symlink_to(workspace / "out" / "out_000000.ppm")
+        text = MINIMAL_TEMPLATE.replace("scene.ppm", background)
+        with pytest.raises(InvalidValue) as info:
+            parse(text, workspace)
+        assert info.value.key == "io.background"
+        assert parse(text + "out_dir = elsewhere\n", workspace).background.name == Path(background).name
+
+    def test_level_with_a_bits_field_rejected(self, workspace):
+        # a level's bits follow from the frame geometry; a config cannot set them
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1:12345,b:2:8\n", workspace)
+        assert info.value.key == "encoding.levels"
+        cfg = parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1,b:2:8\n", workspace)
+        assert [l.bits_per_frame for l in cfg.levels] == [None, None]
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -170,6 +195,52 @@ class TestValidation:
         )
         assert cfg.fusion.views == (ViewSource("cam0", 12.5), ViewSource("cam1", 270.0))
         assert cfg.fusion.view_angle == 300.0
+
+
+class TestOverrides:
+    # a text that sets every key an emr run flag can set
+    TEXT = MINIMAL_TEMPLATE + "out_dir = o0\nmetrics = m0.csv\n[encoding]\npolicy = qoe\n[run]\nseed = 3\n"
+
+    @pytest.mark.parametrize(
+        "full, old, new",
+        [(("run", "seed"), "3", "77"), (("encoding", "policy"), "qoe", "qos"),
+         (("io", "out_dir"), "o0", "elsewhere/out"), (("io", "metrics"), "m0.csv", "frames/m.csv")],
+        ids=["seed", "policy", "out_dir", "metrics"],
+    )
+    def test_override_equals_the_file_entry(self, workspace, full, old, new):
+        # the override replaces the file's entry: same config, no duplicate warning
+        entry = f"{full[1]} = {{}}\n"
+        in_file = parse(self.TEXT.replace(entry.format(old), entry.format(new)), workspace)
+        cfg = parse_config(self.TEXT, workspace, overrides={full: new})
+        assert cfg == in_file
+        assert cfg != parse(self.TEXT, workspace)
+        assert cfg.warnings == ()
+
+    def test_override_is_checked_like_the_file(self, workspace):
+        with pytest.raises(InvalidValue) as info:
+            parse_config(MINIMAL_TEMPLATE, workspace, overrides={("run", "seed"): "x"})
+        assert info.value.key == "run.seed"
+        with pytest.raises(UnknownKey):
+            parse_config(MINIMAL_TEMPLATE, workspace, overrides={("run", "speed"): "3"})
+        with pytest.raises(InvalidValue) as info:
+            parse_config(MINIMAL_TEMPLATE, workspace,
+                         overrides={("io", "metrics"): "scene.ppm"})
+        assert info.value.key == "io.metrics"
+
+    def test_config_is_frozen(self, workspace):
+        cfg = parse(MINIMAL_TEMPLATE, workspace)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 1
+        with pytest.raises(FrozenInstanceError):
+            cfg.out_dir = workspace / "elsewhere"
+
+    def test_source_is_an_input(self, workspace):
+        source = workspace / "pipeline.cfg"
+        source.write_text(MINIMAL_TEMPLATE)
+        with pytest.raises(InvalidValue) as info:
+            parse_config(MINIMAL_TEMPLATE + "[io]\nmetrics = pipeline.cfg\n", workspace,
+                         source=source)
+        assert info.value.key == "io.metrics"
 
 
 def test_docstring_lists_the_schema_keys():

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 import subprocess
 import sys
 
@@ -474,6 +475,30 @@ class TestFrameOutcomes:
         assert self.written(tmp_path) == [0]
         assert "frame 000001 alarm: ReplayAlarm: seq 1 where 2 is expected" in caplog.text
 
+    @pytest.mark.parametrize("mode", ["tamper", "replay", "impersonate"])
+    def test_out_dir_holds_this_runs_composites_only(self, tmp_path, mode):
+        # after a clean run, a run under an adversary must not leave the clean
+        # run's composites standing for the frames it quarantined
+        cfg_path = workspace(tmp_path, frames=4)
+        run_pipeline(load(cfg_path))
+        assert self.written(tmp_path) == [0, 1, 2, 3]
+        result = run_pipeline(load(cfg_path), adversary_mode=mode)
+        wrote = [k for k, trace in result.traces.items() if trace[-1:] == ("write",)]
+        assert self.written(tmp_path) == wrote
+        assert wrote == [r.frame for r in result.records if not (r.tamper or r.replay or r.unauth)]
+        assert len(wrote) == result.outputs_written < 4
+
+    def test_clearing_removes_composites_alone(self, tmp_path):
+        cfg_path = workspace(tmp_path, frames=2)
+        run_pipeline(load(cfg_path))
+        out = tmp_path / "out"
+        others = ["out_1.ppm", "out_000001.pgm", "notes_000001.ppm", "out_0000001.ppm"]
+        for name in others:
+            (out / name).write_text("")
+        (out / "out_000009.ppm").mkdir()
+        run_pipeline(load(cfg_path), adversary_mode="tamper")
+        assert sorted(p.name for p in out.iterdir()) == sorted(others + ["out_000009.ppm"])
+
     def test_alarm_table_covers_every_alarm(self):
         from emr.errors import SecurityAlarm
         from emr.pipeline import _ALARM_COLUMNS
@@ -583,6 +608,64 @@ class TestCli:
         assert run.returncode == 1
         assert "invalid value for io.metrics:" in run.stderr
         assert {p: p.read_bytes() for p in (tmp_path / "data").iterdir()} == inputs
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, full, text",
+        [("--seed", "77", ("run", "seed"), "77"),
+         ("--policy", "qos", ("encoding", "policy"), "qos"),
+         ("--out", "rel/out", ("io", "out_dir"), "{cwd}/rel/out"),
+         ("--metrics", "rel/m.csv", ("io", "metrics"), "{cwd}/rel/m.csv")],
+        ids=["seed", "policy", "out", "metrics"],
+    )
+    def test_flag_is_the_config_entry(self, tmp_path, monkeypatch, flag, value, full, text):
+        # a flag yields the config its entry gives, in the file or as an
+        # override; a path flag is relative to the working directory
+        from emr import cli
+
+        cfg_path = workspace(tmp_path, frames=1, extra="[encoding]\npolicy = qoe\n")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        text = text.format(cwd=tmp_path / "cwd")
+        args = cli._build_parser().parse_args(["run", "--config", str(cfg_path), flag, value])
+        config, status = cli._load_config(str(cfg_path), args)
+        assert status == 0
+        entry = re.compile(rf"^{full[1]} = .*$", flags=re.M)
+        edited = entry.sub(f"{full[1]} = {text}", cfg_path.read_text())
+        assert config == parse_config(edited, base_dir=tmp_path)
+        assert config == parse_config(cfg_path.read_text(), base_dir=tmp_path,
+                                      overrides={full: text})
+        assert config.warnings == ()
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--seed", "x", "run.seed"), ("--seed", "1.5", "run.seed"),
+         ("--policy", "fastest", "encoding.policy")],
+    )
+    def test_bad_flag_value_exits_one(self, tmp_path, flag, value, key):
+        # a flag is checked by the parser that checks the file's entry
+        cfg_path = workspace(tmp_path, frames=1)
+        run = run_cli("run", "--config", str(cfg_path), flag, value)
+        assert run.returncode == 1
+        assert f"invalid value for {key}:" in run.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["entry", "metrics_flag"])
+    def test_metrics_path_naming_the_config_exits_one(self, tmp_path, flag):
+        # a metrics file written over the config breaks every later run
+        cfg_path = workspace(tmp_path, frames=3)
+        if flag:
+            run = run_cli("run", "--config", str(cfg_path), "--metrics", str(cfg_path))
+        else:
+            cfg_path.write_text(BASE_CFG.replace("metrics.csv", "pipeline.cfg"))
+            validate = run_cli("validate-config", str(cfg_path))
+            assert validate.returncode == 1
+            assert "invalid value for io.metrics:" in validate.stderr
+            run = run_cli("run", "--config", str(cfg_path))
+        before = cfg_path.read_bytes()
+        assert run.returncode == 1
+        assert "invalid value for io.metrics:" in run.stderr
+        assert cfg_path.read_bytes() == before
         assert not (tmp_path / "out").exists()
 
     def test_policy_override_selects_the_policys_level(self, tmp_path):

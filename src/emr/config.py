@@ -55,7 +55,7 @@ from .fusion import FusionParams, ViewSource
 from .layering import GmmParams
 from .matting import MattingParams
 from .qoeqos import ChannelModel, EncodingLevel, EncodingParams, Policy
-from .store import StoreParams
+from .store import _TABLE_FILE, StoreParams
 
 
 # the name of an input frame in io.frames_dir; the group is its index
@@ -235,23 +235,28 @@ def _check_outputs(config: PipelineConfig, source) -> None:
     io.out_dir and store.dir must each be a directory, or lie under one
     with nothing but missing names between (a dangling link is not
     missing: ``mkdir`` cannot replace it); io.metrics must not be a
-    directory or an input (io.background, a frame of io.frames_dir or the
-    config file ``source``, also through a link), and its parent must pass
-    the same rule.  io.background must not be a composite of io.out_dir,
-    which a run clears before its first frame.
+    directory, an input (io.background, a frame of io.frames_dir or the
+    config file ``source``) or another output (io.out_dir, a composite in
+    it, store.dir or its identity table), also through a link, and its
+    parent must pass the same rule.  io.background must not be a composite
+    of io.out_dir, which a run clears before its first frame.
     """
     metrics = config.metrics_path
     _check(not metrics.is_dir(), "io.metrics", f"{metrics} is a directory")
     target = metrics.resolve()
-    inputs = {config.background.resolve()}
-    if source is not None:
-        inputs.add(Path(source).resolve())
-    _check(
-        target not in inputs
-        and not (target.parent == config.frames_dir.resolve() and FRAME_RE.match(target.name)),
-        "io.metrics", f"{metrics} is an input of the run",
-    )
     out_dir = config.out_dir.resolve()
+    taken = {config.background.resolve(), out_dir}
+    if source is not None:
+        taken.add(Path(source).resolve())
+    if config.store.directory is not None:
+        store_dir = config.store.directory.resolve()
+        taken |= {store_dir, store_dir / _TABLE_FILE}
+    _check(
+        target not in taken
+        and not (target.parent == config.frames_dir.resolve() and FRAME_RE.match(target.name))
+        and not (target.parent == out_dir and COMPOSITE_RE.match(target.name)),
+        "io.metrics", f"{metrics} is an input or another output of the run",
+    )
     _check(
         not any(p.parent.resolve() == out_dir and COMPOSITE_RE.match(p.name)
                 for p in (config.background, config.background.resolve())),

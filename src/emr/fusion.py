@@ -95,7 +95,7 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
     src_y = np.minimum(((ys - layer.ty) / layer.scale).astype(np.int64), layer.pixels.height - 1)
     rows, cols = src_y[:, None], src_x[None, :]
     pixels = layer.pixels.data[rows, cols]
-    alpha = layer.matte.to_array()[rows, cols]
+    alpha = layer.matte.alpha[rows, cols]
     return (y0, y1, x0, x1), pixels, alpha
 
 

@@ -8,8 +8,9 @@ F-B axis, and smooths the band with one 3x3 averaging pass.  Windows grow by
 doubling until both color estimates have samples.  Iteration stops when the
 largest per-pixel change drops under ``eps``.
 
-Temporal knowledge of the keyed subject is held as a fuzzy membership grid
-blended from successive mattes at rate ``lambda_t``.
+Temporal knowledge of the keyed subject is a fuzzy membership grid, held
+as an ``AlphaMatte`` and blended from successive mattes at rate
+``lambda_t``.
 
 ``MattingParams`` holds every parameter here (trimap radii, solver window,
 iteration cap, ``eps`` and ``lambda_t``) and checks them when built;
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientLabels
 from .layering import _binary, _dilate, _erode
-from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, _frozen, _Raster
+from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap
 
 # samples with alpha beyond these thresholds join the color estimates
 _FG_CONF = 0.95
@@ -73,7 +74,7 @@ def trimap_from_mask(mask: Frame, params: MattingParams) -> Trimap:
     labels = np.full(m.shape, UNKNOWN, dtype=np.uint8)
     labels[fg] = FG
     labels[bg] = BG
-    return Trimap.from_array(labels)
+    return Trimap(labels)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def alpha_solve(
     alpha[fg_lab] = 1.0
     if not unk.any():
         return AlphaSolveResult(
-            matte=AlphaMatte.from_array(alpha), iterations=0, converged=True, degenerate=0
+            matte=AlphaMatte(alpha), iterations=0, converged=True, degenerate=0
         )
     if not fg_lab.any() or not bg_lab.any():
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
@@ -250,52 +251,24 @@ def alpha_solve(
             converged = True
             break
 
-    matte = AlphaMatte.from_array(np.clip(alpha, 0.0, 1.0))
+    matte = AlphaMatte(np.clip(alpha, 0.0, 1.0))
     return AlphaSolveResult(
         matte=matte, iterations=iterations, converged=converged,
         degenerate=int(np.count_nonzero(degen)),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzyKnowledge(_Raster):
-    """Temporal foreground membership; ``fuzzy_update`` blends mattes into it.
-
-    ``membership`` accepts any sequence of width*height values in [0, 1] and
-    is stored as a flat read-only float64 array.  The blend rate is not
-    stored: each update takes it from its ``MattingParams``.
-    """
-
-    width: int
-    height: int
-    membership: np.ndarray
-
-    def __post_init__(self):
-        membership = _frozen(
-            self.membership, (self.width * self.height,), np.float64, "membership", 1.0
-        )
-        object.__setattr__(self, "membership", membership)
-
-    def to_array(self) -> np.ndarray:
-        """The membership grid as a read-only (height, width) view."""
-        return self.membership.reshape(self.height, self.width)
+def fuzzy_init(width: int, height: int) -> AlphaMatte:
+    """An empty membership grid: no pixel is known to be foreground yet."""
+    return AlphaMatte(np.zeros((height, width)))
 
 
-def fuzzy_init(width: int, height: int) -> FuzzyKnowledge:
-    return FuzzyKnowledge(width=width, height=height, membership=np.zeros(width * height))
-
-
-def fuzzy_update(
-    knowledge: FuzzyKnowledge, matte: AlphaMatte, params: MattingParams
-) -> FuzzyKnowledge:
+def fuzzy_update(knowledge: AlphaMatte, matte: AlphaMatte, params: MattingParams) -> AlphaMatte:
     """Blend a matte into the membership grid at rate lambda = ``params.lambda_t``:
 
     m' = (1 - lambda) * m + lambda * alpha
     """
-    if (knowledge.width, knowledge.height) != (matte.width, matte.height):
+    if knowledge.alpha.shape != matte.alpha.shape:
         raise DimensionMismatch("matte dimensions do not match the knowledge grid")
     lam = params.lambda_t
-    return FuzzyKnowledge(
-        width=knowledge.width, height=knowledge.height,
-        membership=(1.0 - lam) * knowledge.membership + lam * matte.alpha,
-    )
+    return AlphaMatte((1.0 - lam) * knowledge.alpha + lam * matte.alpha)

@@ -160,7 +160,7 @@ def _solve_matte(received: Frame, trimap: Trimap, mask: Frame, params: MattingPa
     try:
         return alpha_solve(received, trimap, params).matte
     except InsufficientLabels:
-        return AlphaMatte.from_array(mask.data[:, :, 0] / 255.0)
+        return AlphaMatte(mask.data[:, :, 0] / 255.0)
 
 
 def _select_level(config: PipelineConfig, width: int, height: int, channels: int):

@@ -5,9 +5,16 @@ Conventions used throughout the package:
 * samples are unsigned 8-bit, maxval fixed at 255;
 * whenever a real value is stored back to 8 bits it is rounded half away
   from zero (for non-negative values: ``floor(x + 0.5)``), then clamped;
+  the raster types themselves round and wrap nothing: a value that is not
+  a whole number in range is refused with ``ValueError``;
 * grayscale conversion uses the 0.299 / 0.587 / 0.114 luma weights;
-* every raster type holds its samples in one read-only numpy array, so it is
-  an immutable value, safe to share between threads and to read uncopied.
+* every raster value is one read-only numpy array and nothing else, so it
+  is an immutable value, safe to share between threads and to read
+  uncopied: a frame's ``data`` is (height, width, channels) uint8, a
+  matte's ``alpha`` (height, width) float64 and a trimap's ``labels``
+  (height, width) uint8.  ``width``, ``height`` and a frame's ``channels``
+  are read from the array's shape.  The constructor copies its source, and
+  ``to_array()`` returns a writable copy of the field.
 
 ``bytes`` appear only at the file codec, binary PPM (``P6``, 3 channels) and
 PGM (``P5``, 1 channel), bit-exact: ``decode(encode(frame)) == frame``.
@@ -19,7 +26,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -40,124 +46,100 @@ def round_u8(values) -> np.ndarray:
     return np.minimum(np.floor(arr + 0.5), 255.0).astype(np.uint8)
 
 
-def _frozen(values, shape, dtype, what: str, upper=None) -> np.ndarray:
-    """``values`` as a read-only array of ``shape``; each must lie in [0, upper] if given.
+def _frozen(values, ndim: int, dtype, what: str, upper) -> np.ndarray:
+    """A read-only ``dtype`` copy of the non-empty ``ndim``-d ``values``, each in [0, upper].
 
-    ``bytes`` cannot change, so they are viewed in place.  Anything else is
-    copied, which keeps later writes to the source from reaching the value
-    that holds it.  NaN and ±inf fail the range check.
+    The copy keeps later writes to the source from reaching the value that
+    holds it.  NaN and ±inf fail the range check, and a value the cast would
+    change, such as a fraction bound for uint8, is refused rather than
+    truncated.  A uint8 source needs no scan for a bound of 255.
     """
-    a = np.frombuffer(values, dtype) if isinstance(values, bytes) else np.array(values, dtype)
-    if a.size != prod(shape):
-        raise ValueError(f"{what} has {a.size} values, expected shape {shape}")
-    if upper is not None and not ((a >= 0) & (a <= upper)).all():
+    a = np.asarray(values)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{what} must be a non-empty {ndim}-d array, got shape {a.shape}")
+    if not (a.dtype == np.uint8 and upper >= 255) and not ((a >= 0) & (a <= upper)).all():
         raise ValueError(f"{what} values must lie in [0, {upper}]")
-    a = a.reshape(shape)
-    a.flags.writeable = False
-    return a
+    held = a.astype(dtype)
+    if a.dtype != dtype and not np.array_equal(held, a):
+        raise ValueError(f"{what} values must be whole numbers")
+    held.flags.writeable = False
+    return held
 
 
 class _Raster:
-    """Equal if of one type with equal fields, arrays by value; ``__eq__`` makes it unhashable."""
+    """One read-only array, the field named ``_field``, whose shape gives the dimensions.
+
+    Equal if of one type with equal fields, arrays by value; ``__eq__``
+    makes it unhashable.
+    """
+
+    _field: str
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(v, vars(other)[k]) for k, v in vars(self).items())
 
+    @property
+    def height(self) -> int:
+        return getattr(self, self._field).shape[0]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._field).shape[1]
+
+    def to_array(self) -> np.ndarray:
+        """A writable copy of the array."""
+        return getattr(self, self._field).copy()
+
 
 @dataclass(frozen=True, eq=False)
 class Frame(_Raster):
-    """A row-major 8-bit raster with 1 (gray) or 3 (RGB) channels.
+    """A row-major 8-bit raster with 1 (gray) or 3 (RGB) channels, as (height, width, channels)."""
 
-    ``data`` accepts width*height*channels samples, as ``bytes`` or any
-    sequence, and is held as a read-only (height, width, channels) uint8 array.
-    """
-
-    width: int
-    height: int
-    channels: int
+    _field = "data"
     data: np.ndarray
     index: int = 0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be >= 1")
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
         if self.index < 0:
             raise ValueError("frame index must be >= 0")
-        shape = (self.height, self.width, self.channels)
-        object.__setattr__(self, "data", _frozen(self.data, shape, np.uint8, "data"))
+        object.__setattr__(self, "data", _frozen(self.data, 3, np.uint8, "data", 255))
+        if self.channels not in (1, 3):
+            raise ValueError("channels must be 1 or 3")
 
-    def to_array(self) -> np.ndarray:
-        """Pixel data as a writable (height, width, channels) uint8 copy."""
-        return self.data.copy()
+    @property
+    def channels(self) -> int:
+        return self.data.shape[2]
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, index: int = 0) -> "Frame":
-        """Build a frame from a copy of a (h, w) or (h, w, c) uint8 array."""
-        a = np.asarray(arr, dtype=np.uint8)
-        if a.ndim == 2:
-            a = a[:, :, None]
-        if a.ndim != 3:
-            raise ValueError("expected a 2-d or 3-d array")
-        h, w, c = a.shape
-        return cls(width=w, height=h, channels=c, data=a, index=index)
+    def from_array(cls, arr, index: int = 0) -> "Frame":
+        """A frame from a (h, w) or (h, w, c) array; a 2-d one gets one channel."""
+        a = np.asarray(arr)
+        return cls(a[:, :, None] if a.ndim == 2 else a, index)
 
 
 @dataclass(frozen=True, eq=False)
 class AlphaMatte(_Raster):
-    """Per-pixel opacity in [0, 1], row-major, held as a read-only float64 array.
+    """Per-pixel opacity in [0, 1] as a (height, width) float64 array."""
 
-    ``alpha`` accepts any sequence of width*height values and is stored flat.
-    """
-
-    width: int
-    height: int
+    _field = "alpha"
     alpha: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("matte dimensions must be >= 1")
-        alpha = _frozen(self.alpha, (self.width * self.height,), np.float64, "alpha", 1.0)
-        object.__setattr__(self, "alpha", alpha)
-
-    def to_array(self) -> np.ndarray:
-        """The opacities as a read-only (height, width) view."""
-        return self.alpha.reshape(self.height, self.width)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "AlphaMatte":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls(width=a.shape[1], height=a.shape[0], alpha=a)
+        object.__setattr__(self, "alpha", _frozen(self.alpha, 2, np.float64, "alpha", 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class Trimap(_Raster):
-    """Per-pixel FG / BG / UNKNOWN labeling as a read-only (height, width) uint8 array."""
+    """Per-pixel FG / BG / UNKNOWN labeling as a (height, width) uint8 array."""
 
-    width: int
-    height: int
+    _field = "labels"
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("trimap dimensions must be >= 1")
         # BG, UNKNOWN and FG are 0, 1 and 2
-        labels = _frozen(self.labels, (self.height, self.width), np.uint8, "labels", FG)
-        object.__setattr__(self, "labels", labels)
-
-    def to_array(self) -> np.ndarray:
-        """The labels as a writable (height, width) uint8 copy."""
-        return self.labels.copy()
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Trimap":
-        a = np.asarray(arr, dtype=np.uint8)
-        return cls(width=a.shape[1], height=a.shape[0], labels=a)
+        object.__setattr__(self, "labels", _frozen(self.labels, 2, np.uint8, "labels", FG))
 
 
 def to_grayscale(frame: Frame) -> Frame:
@@ -251,13 +233,14 @@ def decode_pnm(data: bytes, index: int = 0) -> Frame:
         raise MalformedImage(f"unsupported maxval {maxval}")
     if width < 1 or height < 1:
         raise MalformedImage("dimensions must be >= 1")
-    payload = data[pos:]
+    size = len(data) - pos
     expected = width * height * channels
-    if len(payload) < expected:
-        raise MalformedImage(f"payload has {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
+    if size < expected:
+        raise MalformedImage(f"payload has {size} bytes, expected {expected}")
+    if size > expected:
         raise MalformedImage("trailing bytes after payload")
-    return Frame(width=width, height=height, channels=channels, data=payload, index=index)
+    payload = np.frombuffer(data, np.uint8, offset=pos)
+    return Frame(payload.reshape(height, width, channels), index)
 
 
 def load_pnm(path, index: int = 0) -> Frame:

@@ -81,7 +81,7 @@ def test_a2_matting_ramp_recovery():
     labels = np.full((h, w), UNKNOWN, dtype=np.uint8)
     labels[:, :bg_end] = BG
     labels[:, fg_start:] = FG
-    trimap = Trimap.from_array(labels)
+    trimap = Trimap(labels)
     est = alpha_solve(frame, trimap).matte.to_array()
     unk = labels == UNKNOWN
     mae = float(np.abs(est - alpha_true)[unk].mean())
@@ -97,7 +97,7 @@ def test_a3_fusion_bitwise_and_depth_invariance():
     pixels = rng.integers(0, 256, (5, 5, 3), dtype=np.uint8)
     opaque = RvoLayer(
         pixels=Frame.from_array(pixels),
-        matte=AlphaMatte.from_array(np.ones((5, 5))), tx=4, ty=3,
+        matte=AlphaMatte(np.ones((5, 5))), tx=4, ty=3,
     )
     out = compose(bg, [opaque]).to_array()
     inside = np.array_equal(out[3:8, 4:9], pixels)
@@ -107,7 +107,7 @@ def test_a3_fusion_bitwise_and_depth_invariance():
 
     transparent = RvoLayer(
         pixels=Frame.from_array(pixels),
-        matte=AlphaMatte.from_array(np.zeros((5, 5))), tx=4, ty=3,
+        matte=AlphaMatte(np.zeros((5, 5))), tx=4, ty=3,
     )
     transparent_ok = compose(bg, [transparent]) == bg
 
@@ -118,7 +118,7 @@ def test_a3_fusion_bitwise_and_depth_invariance():
             side = int(rng.integers(1, 6))
             layers.append(RvoLayer(
                 pixels=Frame.from_array(rng.integers(0, 256, (side, side, 3), dtype=np.uint8)),
-                matte=AlphaMatte.from_array(rng.random((side, side))),
+                matte=AlphaMatte(rng.random((side, side))),
                 scale=float(rng.choice([0.5, 1.0, 2.0])),
                 tx=int(rng.integers(-3, 16)), ty=int(rng.integers(-3, 16)),
                 depth=float(rng.normal()),

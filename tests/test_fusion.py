@@ -10,7 +10,7 @@ from emr.raster import AlphaMatte, Frame, round_u8
 def layer_from(pixels, alpha, **kw):
     pixels = np.asarray(pixels, dtype=np.uint8)
     frame = Frame.from_array(pixels)
-    matte = AlphaMatte.from_array(np.asarray(alpha, dtype=np.float64))
+    matte = AlphaMatte(np.asarray(alpha, dtype=np.float64))
     return RvoLayer(pixels=frame, matte=matte, **kw)
 
 
@@ -41,7 +41,7 @@ def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
         (y0, y1, x0, x1), pixels, alpha = placed
         out[y0:y1, x0:x1] = pixels
         out_alpha[y0:y1, x0:x1] = alpha
-    return Frame.from_array(out, index=layer.pixels.index), AlphaMatte.from_array(out_alpha)
+    return Frame.from_array(out, index=layer.pixels.index), AlphaMatte(out_alpha)
 
 
 def full_canvas_compose(background, layers):

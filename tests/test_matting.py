@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from emr.errors import DimensionMismatch, InsufficientLabels
 from emr.matting import (
-    FuzzyKnowledge,
     MattingParams,
     alpha_solve,
     fuzzy_init,
@@ -113,14 +112,14 @@ def ramp_scene(h=32, w=64, bg_end=16, fg_start=48):
     labels = np.full((h, w), UNKNOWN, dtype=np.uint8)
     labels[:, :bg_end] = BG
     labels[:, fg_start:] = FG
-    return frame, Trimap.from_array(labels), alpha_true
+    return frame, Trimap(labels), alpha_true
 
 
 class TestAlphaSolve:
     def test_no_unknown_is_exact_and_instant(self):
         labels = np.array([[FG, BG], [BG, FG]], dtype=np.uint8)
         frame = Frame.from_array(np.array([[255, 0], [0, 255]], dtype=np.uint8))
-        res = alpha_solve(frame, Trimap.from_array(labels))
+        res = alpha_solve(frame, Trimap(labels))
         assert res.iterations == 0
         assert res.matte.to_array().tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -133,7 +132,7 @@ class TestAlphaSolve:
         labels = np.full((7, 7), UNKNOWN, dtype=np.uint8)
         labels[:, 0] = BG
         labels[:, 6] = FG
-        res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
+        res = alpha_solve(Frame.from_array(img), Trimap(labels))
         got = res.matte.to_array()[3, 3]
         assert got == pytest.approx(128.0 * 255.0 / (255.0 * 255.0), abs=1e-12)
 
@@ -144,7 +143,7 @@ class TestAlphaSolve:
         labels[4, 4] = BG
         labels[0, 4] = BG
         labels[4, 0] = FG
-        res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
+        res = alpha_solve(Frame.from_array(img), Trimap(labels))
         # one flat color: every UNKNOWN pixel's F and B estimates coincide
         assert res.degenerate == 21
         assert res.matte.to_array()[2, 2] == 0.5
@@ -154,7 +153,7 @@ class TestAlphaSolve:
         labels[0, 0] = FG  # no BG anywhere
         with pytest.raises(InsufficientLabels):
             alpha_solve(Frame.from_array(np.zeros((4, 4), dtype=np.uint8)),
-                        Trimap.from_array(labels))
+                        Trimap(labels))
 
     def test_ramp_recovery(self):
         frame, trimap, alpha_true = ramp_scene()
@@ -171,7 +170,7 @@ class TestAlphaSolve:
         labels = np.full((12, 12), UNKNOWN, dtype=np.uint8)
         labels[:2] = BG
         labels[-2:] = FG
-        res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
+        res = alpha_solve(Frame.from_array(img), Trimap(labels))
         arr = res.matte.to_array()
         assert arr.min() >= 0.0 and arr.max() <= 1.0
         assert res.iterations <= 20
@@ -189,7 +188,7 @@ class TestAlphaSolve:
 
     def test_dimension_mismatch_rejected(self):
         frame = Frame.from_array(np.zeros((3, 3), dtype=np.uint8))
-        trimap = Trimap.from_array(np.full((3, 4), BG, dtype=np.uint8))
+        trimap = Trimap(np.full((3, 4), BG, dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             alpha_solve(frame, trimap)
 
@@ -205,7 +204,7 @@ def pinned_solve(labels):
     """(sha256 of the matte's float64 bytes, iterations) on seeded random colors."""
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, labels.shape + (3,), dtype=np.uint8)
-    res = alpha_solve(Frame.from_array(img), Trimap.from_array(labels))
+    res = alpha_solve(Frame.from_array(img), Trimap(labels))
     return hashlib.sha256(res.matte.to_array().tobytes()).hexdigest(), res.iterations
 
 
@@ -240,52 +239,62 @@ class TestAlphaSolveBandBox:
 
 
 class TestFuzzyKnowledge:
+    """The membership grid is an ``AlphaMatte``; ``fuzzy_update`` blends a matte into it."""
+
+    def test_init_is_an_empty_grid(self):
+        k = fuzzy_init(3, 2)
+        assert isinstance(k, AlphaMatte)
+        assert np.array_equal(k.alpha, np.zeros((2, 3)))
+
     def test_zero_rate_keeps_membership(self):
         k = fuzzy_init(2, 1)
-        m = AlphaMatte(width=2, height=1, alpha=(1.0, 0.3))
-        assert np.array_equal(fuzzy_update(k, m, MattingParams(lambda_t=0.0)).membership,
-                              k.membership)
+        m = AlphaMatte(np.array([[1.0, 0.3]]))
+        assert fuzzy_update(k, m, MattingParams(lambda_t=0.0)) == k
 
     def test_full_rate_replaces_membership(self):
         k = fuzzy_init(2, 1)
-        m = AlphaMatte(width=2, height=1, alpha=(0.25, 0.75))
-        assert np.array_equal(fuzzy_update(k, m, MattingParams(lambda_t=1.0)).membership,
-                              [0.25, 0.75])
+        m = AlphaMatte(np.array([[0.25, 0.75]]))
+        assert fuzzy_update(k, m, MattingParams(lambda_t=1.0)) == m
 
     def test_halfway_blend(self):
-        k = FuzzyKnowledge(width=1, height=1, membership=(0.2,))
-        m = AlphaMatte(width=1, height=1, alpha=(0.8,))
-        assert fuzzy_update(k, m, MattingParams(lambda_t=0.5)).membership[0] == pytest.approx(0.5)
+        k = AlphaMatte(np.array([[0.2]]))
+        m = AlphaMatte(np.array([[0.8]]))
+        assert fuzzy_update(k, m, MattingParams(lambda_t=0.5)).alpha[0, 0] == pytest.approx(0.5)
 
     def test_nan_membership_rejected(self):
         with pytest.raises(ValueError):
-            FuzzyKnowledge(width=1, height=1, membership=(float("nan"),))
+            AlphaMatte(np.array([[float("nan")]]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_membership_rejected(self, bad):
         with pytest.raises(ValueError):
-            FuzzyKnowledge(width=2, height=1, membership=(0.5, bad))
+            AlphaMatte(np.array([[0.5, bad]]))
 
     def test_to_array_is_a_read_only_view(self):
-        m = AlphaMatte(width=2, height=1, alpha=(1.0, 0.5))
+        # the blended grid's field is the read-only view; to_array() is a writable copy
+        m = AlphaMatte(np.array([[1.0, 0.5]]))
         k = fuzzy_update(fuzzy_init(2, 1), m, MattingParams(lambda_t=0.5))
-        arr = k.to_array()
-        assert not arr.flags.writeable
+        assert not k.alpha.flags.writeable
         with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
-        assert np.array_equal(arr, [[0.5, 0.25]])
+            k.alpha[0, 0] = 0.0
+        assert np.array_equal(k.alpha, [[0.5, 0.25]])
+        arr = k.to_array()
+        arr[0, 0] = 0.0
+        assert np.array_equal(k.alpha, [[0.5, 0.25]])
 
     def test_source_array_is_copied(self):
-        src = np.array([0.2, 0.4])
-        k = FuzzyKnowledge(width=2, height=1, membership=src)
-        src[0] = 0.9
-        assert np.array_equal(k.membership, [0.2, 0.4])
+        src = np.array([[0.2, 0.4]])
+        k = AlphaMatte(src)
+        src[0, 0] = 0.9
+        assert np.array_equal(k.alpha, [[0.2, 0.4]])
 
     def test_dimension_mismatch_rejected(self):
         k = fuzzy_init(2, 2)
-        m = AlphaMatte(width=1, height=1, alpha=(0.0,))
+        m = AlphaMatte(np.array([[0.0]]))
         with pytest.raises(DimensionMismatch):
             fuzzy_update(k, m, MattingParams())
+        with pytest.raises(DimensionMismatch):
+            fuzzy_update(fuzzy_init(2, 1), AlphaMatte(np.zeros((1, 2)).T), MattingParams())
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
@@ -294,7 +303,8 @@ class TestFuzzyKnowledge:
     )
     @settings(max_examples=60)
     def test_membership_stays_in_unit_interval(self, mem, alpha, lam):
-        k = FuzzyKnowledge(width=2, height=2, membership=tuple(mem))
-        m = AlphaMatte(width=2, height=2, alpha=tuple(alpha))
+        k = AlphaMatte(np.reshape(mem, (2, 2)))
+        m = AlphaMatte(np.reshape(alpha, (2, 2)))
         out = fuzzy_update(k, m, MattingParams(lambda_t=lam))
-        assert all(0.0 <= v <= 1.0 for v in out.membership)
+        assert out.alpha.shape == (2, 2)
+        assert ((out.alpha >= 0.0) & (out.alpha <= 1.0)).all()

@@ -668,6 +668,36 @@ class TestCli:
         assert cfg_path.read_bytes() == before
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "metrics, extra, flag",
+        [
+            ("out/out_000000.ppm", "", False),
+            ("composite_link.csv", "", False),
+            ("out", "", False),  # not yet there, nor is out_dir
+            ("st/identities.csv", "[store]\ndir = st\n", False),
+            ("st", "[store]\ndir = st\n", False),
+            ("out/out_000000.ppm", "", True),
+        ],
+        ids=["composite", "link_to_composite", "out_dir", "identity_table", "store_dir",
+             "metrics_flag"],
+    )
+    def test_metrics_path_naming_another_output_exits_one(self, tmp_path, metrics, extra, flag):
+        # the run would write a composite or the identity table over the
+        # metrics, or fail to write the metrics after every frame
+        cfg_path = workspace(tmp_path, frames=3, extra=extra)
+        (tmp_path / "composite_link.csv").symlink_to(tmp_path / "out" / "out_000001.ppm")
+        if flag:
+            run = run_cli("run", "--config", str(cfg_path), "--metrics", str(tmp_path / metrics))
+        else:
+            cfg_path.write_text(BASE_CFG.replace("metrics.csv", metrics) + extra)
+            validate = run_cli("validate-config", str(cfg_path))
+            assert validate.returncode == 1
+            assert "invalid value for io.metrics:" in validate.stderr
+            run = run_cli("run", "--config", str(cfg_path))
+        assert run.returncode == 1
+        assert "invalid value for io.metrics:" in run.stderr
+        assert not (tmp_path / "out").exists() and not (tmp_path / "st").exists()
+
     def test_policy_override_selects_the_policys_level(self, tmp_path):
         from dataclasses import replace
 

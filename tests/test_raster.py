@@ -55,17 +55,33 @@ def pnm_like(draw):
 
 
 class TestFrame:
-    def test_data_length_enforced(self):
-        with pytest.raises(ValueError):
-            Frame(width=2, height=2, channels=3, data=b"\x00" * 11)
-
     def test_channels_enforced(self):
-        with pytest.raises(ValueError):
-            Frame(width=1, height=1, channels=2, data=b"\x00\x00")
+        with pytest.raises(ValueError, match="channels"):
+            Frame(np.zeros((1, 1, 2), dtype=np.uint8))
 
     def test_zero_dimensions_rejected(self):
+        for shape in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            with pytest.raises(ValueError):
+                Frame(np.zeros(shape, dtype=np.uint8))
+
+    def test_data_must_be_3d(self):
+        # Frame.from_array adds the channel axis; the constructor does not
+        with pytest.raises(ValueError, match="3-d"):
+            Frame(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="3-d"):
+            Frame.from_array(np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [-1, 256, 300, 2.7, float("nan"), float("inf")])
+    def test_samples_are_neither_wrapped_nor_truncated(self, bad):
+        arr = np.array([[0, bad]])
         with pytest.raises(ValueError):
-            Frame(width=0, height=1, channels=1, data=b"")
+            Frame.from_array(arr)
+        with pytest.raises(ValueError):
+            Frame(arr[:, :, None])
+
+    def test_whole_samples_of_any_dtype_accepted(self):
+        for arr in (np.array([[0, 255]]), np.array([[0.0, 255.0]]), np.array([[False, True]])):
+            assert Frame.from_array(arr).data.reshape(-1).tolist() == [0, int(arr[0, 1])]
 
     def test_array_roundtrip(self):
         arr = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
@@ -89,7 +105,7 @@ class TestGrayscale:
         assert to_grayscale(f).data.tobytes() == bytes([76])
 
     def test_single_channel_rejected(self):
-        f = Frame(width=1, height=1, channels=1, data=b"\x10")
+        f = Frame(np.array([[[16]]], dtype=np.uint8))
         with pytest.raises(ValueError, match="3-channel"):
             to_grayscale(f)
 
@@ -168,7 +184,7 @@ class TestPnmCodec:
         f = decode_pnm(data)
         assert (f.width, f.height, f.channels) == (2, 1, 3)
         assert f.data.tobytes() == bytes([1, 2, 3, 4, 5, 6])
-        assert not f.data.flags.writeable  # a view of the immutable payload
+        assert not f.data.flags.writeable
 
     def test_pgm_decodes(self):
         f = decode_pnm(b"P5 1 2 255\n" + bytes([9, 8]))
@@ -221,58 +237,77 @@ class TestPnmCodec:
 class TestMatteAndTrimap:
     def test_alpha_bounds_enforced(self):
         with pytest.raises(ValueError):
-            AlphaMatte(width=1, height=1, alpha=(1.5,))
+            AlphaMatte(np.array([[1.5]]))
 
     def test_nan_alpha_rejected(self):
         with pytest.raises(ValueError):
-            AlphaMatte(width=1, height=1, alpha=(float("nan"),))
+            AlphaMatte(np.array([[float("nan")]]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_alpha_rejected(self, bad):
         with pytest.raises(ValueError):
-            AlphaMatte(width=2, height=1, alpha=(0.5, bad))
-        with pytest.raises(ValueError):
-            AlphaMatte.from_array(np.array([[0.5, bad]]))
+            AlphaMatte(np.array([[0.5, bad]]))
 
     def test_to_array_is_a_read_only_view(self):
-        m = AlphaMatte.from_array(np.array([[0.0, 0.25], [0.5, 1.0]]))
-        arr = m.to_array()
-        assert not arr.flags.writeable
+        # the read-only view is the field; to_array() hands out a writable copy
+        m = AlphaMatte(np.array([[0.0, 0.25], [0.5, 1.0]]))
+        assert not m.alpha.flags.writeable
         with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
-        assert np.shares_memory(arr, m.to_array())
+            m.alpha[0, 0] = 1.0
+        arr = m.to_array()
+        arr[0, 0] = 1.0
+        assert m.alpha[0, 0] == 0.0 and not np.shares_memory(arr, m.alpha)
 
     def test_source_array_is_copied(self):
         src = np.array([[0.0, 0.25], [0.5, 1.0]])
-        m = AlphaMatte.from_array(src)
+        m = AlphaMatte(src)
         src[0, 0] = 0.75
-        assert m.to_array()[0, 0] == 0.0
-        assert m == AlphaMatte(width=2, height=2, alpha=(0.0, 0.25, 0.5, 1.0))
+        assert m.alpha[0, 0] == 0.0
+        assert m == AlphaMatte(np.array([[0.0, 0.25], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("cls", [AlphaMatte, Trimap])
+    def test_matte_and_trimap_are_2d(self, cls):
+        for shape in [(4,), (2, 2, 1), (0, 2)]:
+            with pytest.raises(ValueError):
+                cls(np.zeros(shape, dtype=np.uint8))
 
     def test_trimap_label_domain_enforced(self):
-        # only the last label is out of range
+        # only the last label is out of range, or not a whole number
+        for bad in (3, 255, 258, -1, 1.5):
+            with pytest.raises(ValueError):
+                Trimap(np.array([[0, 1], [2, bad]]))
         for bad in (3, 255):
             with pytest.raises(ValueError):
-                Trimap(width=4, height=1, labels=bytes([0, 1, 2, bad]))
-            with pytest.raises(ValueError):
-                Trimap.from_array(np.array([[0, 1], [2, bad]]))
+                Trimap(np.array([[0, 1], [2, bad]], dtype=np.uint8))
 
 
-@pytest.mark.parametrize("cls, field", [(Frame, "data"), (Trimap, "labels")])
-def test_from_array_copies_into_a_read_only_array(cls, field):
-    src = np.array([[0, 1], [2, 1]], dtype=np.uint8)
-    value = cls.from_array(src)
-    src[0, 0] = 2
+@pytest.mark.parametrize("cls, field, source", [
+    (Frame, "data", np.arange(18, dtype=np.uint8).reshape(2, 3, 3)),
+    (AlphaMatte, "alpha", np.array([[0.0, 0.25, 0.5], [0.75, 1.0, 0.5]])),
+    (Trimap, "labels", np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8)),
+], ids=["Frame", "AlphaMatte", "Trimap"])
+def test_value_is_one_read_only_array(cls, field, source):
+    src = source.copy()
+    value = cls(src)
     held = getattr(value, field)
-    assert held.reshape(-1).tolist() == [0, 1, 2, 1]
-    assert value == cls.from_array([[0, 1], [2, 1]]) and value != cls.from_array(src)
+    assert list(vars(value)) == [field] + (["index"] if cls is Frame else [])
+    # the field is read-only and the source was copied
     assert not held.flags.writeable
     with pytest.raises(ValueError):
         held[0, 0] = 1
+    src[0, 0] = 1
+    assert np.array_equal(held, source) and not np.shares_memory(held, src)
+    assert value == cls(source) and value != cls(src)
     # to_array hands out a writable copy
     arr = value.to_array()
-    arr[0, 0] = 2
-    assert held.reshape(-1).tolist() == [0, 1, 2, 1]
+    arr[0, 0] = 1
+    assert np.array_equal(held, source) and not np.shares_memory(arr, held)
+    # the dimensions are the array's, and cannot be set
+    assert (value.height, value.width) == (2, 3)
+    if cls is Frame:
+        assert value.channels == 3
+    with pytest.raises(AttributeError):
+        value.width = 4
 
 
 def test_round_u8_half_away():

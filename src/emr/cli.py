@@ -101,7 +101,7 @@ def main(argv=None) -> int:
         config, status = _load_config(args.path, args)
         if config is not None:
             log.info("config OK: %d levels, policy %s",
-                     len(config.levels), config.encoding.policy.value)
+                     len(config.encoding.levels), config.encoding.policy.value)
         return status
 
     if args.command == "run":

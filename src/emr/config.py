@@ -3,19 +3,22 @@
 Grammar: blank lines and ``#`` comments are ignored (a ``#`` also starts an
 inline comment), section names sit in square brackets, and entries are
 ``key = value``.  A duplicated key keeps its last occurrence and records a
-warning.  Unknown sections or keys are errors, as are non-finite numbers
-and values violating any module precondition; every check runs up front so
-a run never aborts mid-stream over a bad parameter.  Each precondition lives
-in one place: ``_build`` makes each typed section from its ``_SCHEMA`` rows,
-the type checks its own fields, and its ``ValueError`` becomes
-``InvalidValue`` naming the config key.  ``_check`` covers the five keys no
-type carries: the inputs io.frames_dir and io.background, and the outputs
-io.out_dir, io.metrics and store.dir.  ``emr run``'s --seed, --policy,
---out and --metrics arrive as ``overrides`` entries (run.seed,
-encoding.policy, io.out_dir, io.metrics), checked like the file's and
-replacing them without a warning; their paths are relative to the working
-directory, as the command line makes them absolute.  The parsed
-``PipelineConfig`` is frozen.
+warning.  Unknown sections or keys are errors, as are non-finite numbers and
+values violating any module precondition; every check runs up front so a run
+never aborts mid-stream over a bad parameter.  Every section but [io] and
+[run] is the schema of one frozen type (``_TYPED``): the type's fields are
+its keys (``_KEY_OF`` spells three differently), a field's annotation picks
+the key's parser (``_PARSERS``), a key the file leaves out takes the field's
+default, and the type checks its own fields, its ``ValueError`` becoming
+``InvalidValue`` naming the config key; so each parameter is defaulted and
+checked in one place.  Only the five keys of [io] and [run] have their
+parser and default text here (``_UNTYPED``).  ``_check`` covers the paths:
+the inputs io.frames_dir and io.background, and the outputs io.out_dir,
+io.metrics and store.dir.  ``emr run``'s --seed, --policy, --out and
+--metrics arrive as ``overrides`` entries (run.seed, encoding.policy,
+io.out_dir, io.metrics), checked like the file's and replacing them without
+a warning; their paths are relative to the working directory, as the command
+line makes them absolute.  The parsed ``PipelineConfig`` is frozen.
 
 Sections and keys (defaults in parentheses):
 
@@ -47,8 +50,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import InvalidValue, MissingKey, UnknownKey
 from .fusion import FusionParams, ViewSource
@@ -70,7 +74,6 @@ class PipelineConfig:
     background: Path
     out_dir: Path
     metrics_path: Path
-    levels: tuple
     encoding: EncodingParams
     channel: ChannelModel
     gmm: GmmParams
@@ -98,50 +101,25 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_levels(text: str):
-    levels = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{chunk!r} is not id:scale:quant")
-        try:
-            levels.append(
-                EncodingLevel(
-                    id=parts[0],
-                    scale_factor=_parse_int(parts[1]),
-                    quant_step=_parse_int(parts[2]),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"level {parts[0]!r}: {exc}")
-    if not levels:
-        raise ValueError("at least one level is required")
-    ids = [l.id for l in levels]
-    if len(set(ids)) != len(ids):
-        raise ValueError("level ids must be distinct")
-    return tuple(levels)
+def _parse_list(form: str, make):
+    """A parser of a comma list of ``form`` entries, each one's colon-separated
+    fields passed to ``make``."""
+    def parse(text: str):
+        items = []
+        for chunk in filter(None, (chunk.strip() for chunk in text.split(","))):
+            parts = chunk.split(":")
+            if len(parts) != form.count(":") + 1:
+                raise ValueError(f"{chunk!r} is not {form}")
+            items.append(make(*parts))
+        return tuple(items)
+    return parse
 
 
-def _parse_views(text: str):
-    views = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"{chunk!r} is not id:angle")
-        views.append(ViewSource(id=parts[0], angle_deg=_parse_float(parts[1])))
-    if not views:
-        raise ValueError("at least one view is required")
-    return tuple(views)
-
-
-def _parse_optional(text: str):
-    return text or None
+def _level(id: str, scale: str, quant: str) -> EncodingLevel:
+    try:
+        return EncodingLevel(id=id, scale_factor=_parse_int(scale), quant_step=_parse_int(quant))
+    except ValueError as exc:
+        raise ValueError(f"level {id!r}: {exc}")
 
 
 def _parse_path(text: str) -> str:
@@ -150,49 +128,46 @@ def _parse_path(text: str) -> str:
     return text
 
 
-# (section, key) -> (default text or None=required, parser[, field]); a row
-# names the field of its typed section when that differs from the key
-_SCHEMA = {
+# a typed section's key takes its parser from its field's annotation; an
+# empty optional value means unset
+_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    Policy: Policy,
+    Path | None: lambda text: Path(_parse_path(text)) if text else None,
+    str | None: lambda text: text or None,
+    tuple[EncodingLevel, ...]: _parse_list("id:scale:quant", _level),
+    tuple[ViewSource, ...]: _parse_list(
+        "id:angle", lambda id, angle: ViewSource(id=id, angle_deg=_parse_float(angle))),
+}
+
+# section -> the type whose fields are its keys; a key is spelled as its
+# field unless _KEY_OF renames it
+_TYPED = {
+    "encoding": EncodingParams,
+    "channel": ChannelModel,
+    "gmm": GmmParams,
+    "matting": MattingParams,
+    "store": StoreParams,
+    "fusion": FusionParams,
+}
+_KEY_OF = {"lam": "lambda", "t_bg": "t", "directory": "dir"}
+
+# the keys no type carries: (section, key) -> (default text or None=required, parser)
+_UNTYPED = {
     ("io", "frames_dir"): (None, _parse_path),
     ("io", "background"): (None, _parse_path),
     ("io", "out_dir"): ("out", _parse_path),
     ("io", "metrics"): ("metrics.csv", _parse_path),
-    ("encoding", "levels"): ("high:1:1,med:2:8,low:4:32", _parse_levels),
-    ("encoding", "fps"): ("30", _parse_float),
-    ("encoding", "b0"): ("1e6", _parse_float),
-    ("encoding", "bmax"): ("8e6", _parse_float),
-    ("encoding", "policy"): ("balance", Policy),
-    ("encoding", "w"): ("0.5", _parse_float),
-    ("encoding", "mos_min"): ("2.0", _parse_float),
-    ("encoding", "l_max"): ("0.5", _parse_float),
-    ("encoding", "l_min"): ("0.0", _parse_float),
-    ("channel", "capacity"): ("1e7", _parse_float),
-    ("channel", "base_delay"): ("0.01", _parse_float),
-    ("channel", "loss_prob"): ("0.0", _parse_float),
-    ("gmm", "k"): ("3", _parse_int),
-    ("gmm", "lambda"): ("2.5", _parse_float, "lam"),
-    ("gmm", "alpha_lr"): ("0.02", _parse_float),
-    ("gmm", "t"): ("0.7", _parse_float, "t_bg"),
-    ("gmm", "var_init"): ("225", _parse_float),
-    ("gmm", "var_min"): ("4", _parse_float),
-    ("matting", "r_fg"): ("2", _parse_int),
-    ("matting", "r_bg"): ("4", _parse_int),
-    ("matting", "window"): ("3", _parse_int),
-    ("matting", "max_iters"): ("20", _parse_int),
-    ("matting", "eps"): (repr(1 / 255), _parse_float),
-    ("matting", "lambda_t"): ("0.1", _parse_float),
-    ("store", "theta"): ("0.35", _parse_float),
-    ("store", "dir"): ("", _parse_path, "directory"),
-    ("store", "enroll_user"): ("", _parse_optional),
-    ("store", "enroll_frame"): ("0", _parse_int),
-    ("fusion", "scale"): ("1.0", _parse_float),
-    ("fusion", "tx"): ("0", _parse_int),
-    ("fusion", "ty"): ("0", _parse_int),
-    ("fusion", "view_angle"): ("0.0", _parse_float),
-    ("fusion", "views"): ("front:0,profile:90", _parse_views),
     ("run", "seed"): ("0", _parse_int),
 }
 
+# (section, key) -> (parser, field of the section's type or None)
+_SCHEMA = {
+    **{full: (parser, None) for full, (_, parser) in _UNTYPED.items()},
+    **{(section, _KEY_OF.get(name, name)): (_PARSERS[hint], name)
+       for section, cls in _TYPED.items() for name, hint in get_type_hints(cls).items()},
+}
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 
@@ -271,19 +246,17 @@ def _check_outputs(config: PipelineConfig, source) -> None:
 
 
 def _build(cls, section: str, values: dict):
-    """``cls`` from the parsed values of the section's rows that name its fields.
+    """``cls`` from the parsed values given for the section; a field with no
+    value takes its default.
 
     A ``ValueError`` of the type becomes ``InvalidValue`` for the config
     key of the first field its message names, or for the section if none.
     """
-    names = {f.name for f in fields(cls)}
-    keys = {}
-    for (row_section, key), row in _SCHEMA.items():
-        name = row[2] if len(row) > 2 else key
-        if row_section == section and name in names:
-            keys[name] = key
+    keys = {name: key for (row_section, key), (_, name) in _SCHEMA.items()
+            if row_section == section}
     try:
-        return cls(**{name: values[(section, key)] for name, key in keys.items()})
+        return cls(**{name: values[section, key] for name, key in keys.items()
+                      if (section, key) in values})
     except ValueError as exc:
         named = [keys[word] for word in re.findall(r"\w+", str(exc)) if word in keys]
         raise InvalidValue(f"{section}.{named[0]}" if named else section, str(exc))
@@ -298,38 +271,32 @@ def parse_config(text: str, base_dir=".", overrides=None, source=None) -> Pipeli
         if full not in _SCHEMA:
             raise UnknownKey(".".join(full))
         entries[full] = value
+    for full, (default, _) in _UNTYPED.items():
+        if full not in entries:
+            if default is None:
+                raise MissingKey(".".join(full))
+            entries[full] = default
 
     values = {}
-    for (section, key), (default, parser, *_) in _SCHEMA.items():
-        if (section, key) in entries:
-            raw = entries[(section, key)]
-        elif default is None:
-            raise MissingKey(f"{section}.{key}")
-        else:
-            raw = default
+    for full, raw in entries.items():
         try:
-            values[(section, key)] = parser(raw)
+            values[full] = _SCHEMA[full][0](raw)
         except ValueError as exc:
-            raise InvalidValue(f"{section}.{key}", str(exc))
+            raise InvalidValue(".".join(full), str(exc))
 
     frames_dir = base / values["io", "frames_dir"]
     background = base / values["io", "background"]
     _check(frames_dir.is_dir(), "io.frames_dir", f"directory {frames_dir} does not exist")
     _check(background.is_file(), "io.background", f"file {background} does not exist")
-    values["store", "dir"] = base / values["store", "dir"] if values["store", "dir"] else None
+    if values.get(("store", "dir")) is not None:
+        values["store", "dir"] = base / values["store", "dir"]
 
     config = PipelineConfig(
         frames_dir=frames_dir,
         background=background,
         out_dir=base / values["io", "out_dir"],
         metrics_path=base / values["io", "metrics"],
-        levels=values["encoding", "levels"],
-        encoding=_build(EncodingParams, "encoding", values),
-        channel=_build(ChannelModel, "channel", values),
-        gmm=_build(GmmParams, "gmm", values),
-        matting=_build(MattingParams, "matting", values),
-        store=_build(StoreParams, "store", values),
-        fusion=_build(FusionParams, "fusion", values),
+        **{section: _build(cls, section, values) for section, cls in _TYPED.items()},
         seed=values["run", "seed"],
         warnings=tuple(warnings),
     )

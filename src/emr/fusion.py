@@ -63,9 +63,11 @@ class FusionParams:
     tx: int = 0
     ty: int = 0
     view_angle: float = 0.0
-    views: tuple = (ViewSource("front", 0.0), ViewSource("profile", 90.0))
+    views: tuple[ViewSource, ...] = (ViewSource("front", 0.0), ViewSource("profile", 90.0))
 
     def __post_init__(self):
+        if not self.views:
+            raise ValueError("views must hold at least one view")
         _check_scale(self.scale)
         _check_angle("view_angle", self.view_angle)
 

@@ -59,6 +59,8 @@ class Adversary:
     last_seen: Envelope | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.mode, AdversaryMode):
+            raise TypeError(f"mode must be an AdversaryMode, got {self.mode!r}")
         self.rng = random.Random(self.seed)
 
     @property
@@ -86,12 +88,11 @@ def interpose(adversary: Adversary, envelope: Envelope) -> Envelope:
         out = adversary.last_seen if adversary.last_seen is not None else envelope
         adversary.last_seen = envelope
         return out
-    if adversary.mode is AdversaryMode.IMPERSONATE:
-        return Envelope(
-            sender_fingerprint=adversary.fingerprint,
-            seq=envelope.seq,
-            ciphertext=envelope.ciphertext,
-            digest=envelope.digest,
-        )
-    raise ValueError(f"unknown adversary mode {adversary.mode!r}")
+    # AdversaryMode.IMPERSONATE
+    return Envelope(
+        sender_fingerprint=adversary.fingerprint,
+        seq=envelope.seq,
+        ciphertext=envelope.ciphertext,
+        digest=envelope.digest,
+    )
 

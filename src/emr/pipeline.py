@@ -171,7 +171,7 @@ def _select_level(config: PipelineConfig, width: int, height: int, channels: int
     """
     usable = [
         lvl.resolved(width, height, channels)
-        for lvl in config.levels
+        for lvl in config.encoding.levels
         if width % lvl.scale_factor == 0 and height % lvl.scale_factor == 0
     ]
     level, degraded = select_encoding(usable, config.channel, config.encoding)

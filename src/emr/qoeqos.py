@@ -16,9 +16,9 @@ A policy whose feasible set is empty degrades to the lowest-bits level and
 flags it, so a caller never stalls on an overloaded channel.
 
 Every parameter of the law and the policies (fps, b0, bmax, policy, w,
-mos_min, l_max, l_min) lives in one frozen ``EncodingParams`` that checks its
-fields when built; ``mos_of``, ``score`` and ``select_encoding`` take it whole
-and check none of them again.
+mos_min, l_max, l_min) and the candidate levels of a run live in one frozen
+``EncodingParams`` that checks its fields when built; ``mos_of``, ``score``
+and ``select_encoding`` take it whole and check none of them again.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def level_bits(level: EncodingLevel, width: int, height: int, channels: int) -> 
 class ChannelModel:
     """Transport abstraction: serialization capacity, fixed delay, loss."""
 
-    capacity: float  # bits/second
-    base_delay: float = 0.0
+    capacity: float = 1e7  # bits/second
+    base_delay: float = 0.01  # seconds
     loss_prob: float = 0.0
 
     def __post_init__(self):
@@ -97,13 +97,18 @@ class Policy(enum.Enum):
 
 @dataclass(frozen=True)
 class EncodingParams:
-    """Frame rate, experience-law anchors, policy and its feasibility limits.
+    """Candidate levels, frame rate, experience-law anchors, policy and its
+    feasibility limits.
 
+    ``levels`` are the encodings a run picks from, with distinct ids;
     ``mos_of`` maps bitrate onto [1, 5] between ``b0`` and ``bmax``;
     ``[l_min, l_max]`` normalizes latency; ``w`` weighs experience against
     service under BALANCE.
     """
 
+    levels: tuple[EncodingLevel, ...] = (
+        EncodingLevel("high", 1, 1), EncodingLevel("med", 2, 8), EncodingLevel("low", 4, 32),
+    )
     fps: float = 30.0
     b0: float = 1e6
     bmax: float = 8e6
@@ -114,6 +119,13 @@ class EncodingParams:
     l_min: float = 0.0
 
     def __post_init__(self):
+        if not self.levels:
+            raise ValueError("levels must hold at least one level")
+        ids = [level.id for level in self.levels]
+        if len(set(ids)) != len(ids):
+            raise ValueError("levels must have distinct ids")
+        if not isinstance(self.policy, Policy):
+            raise TypeError(f"policy must be a Policy, got {self.policy!r}")
         if not self.fps > 0:
             raise ValueError("fps must be > 0")
         if not 0.0 <= self.w <= 1.0:
@@ -172,13 +184,11 @@ def select_encoding(levels, channel: ChannelModel, params: EncodingParams):
         def key(item):
             i, lvl, s = item
             return (s.latency, -s.mos, i)
-    elif policy is Policy.BALANCE:
+    else:  # Policy.BALANCE
         feasible = scored
         def key(item):
             i, lvl, s = item
             return (-(w * s.qoe_norm + (1.0 - w) * s.qos_norm), lvl.bits_per_frame, i)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
 
     if not feasible:
         _, lvl, _ = min(scored, key=lambda item: (item[1].bits_per_frame, item[0]))

@@ -28,11 +28,11 @@ _BASE_HIGH = 150
 _SCENE_SIZE = 128
 
 
-def square_position(frame_index: int, start: int = 0, width: int = WIDTH, square: int = SQUARE) -> int:
+def square_position(frame_index: int, width: int = WIDTH, square: int = SQUARE) -> int:
     """Left edge of the square at a frame: triangle-wave bounce in [0, width-square]."""
     span = width - square
     period = 2 * span
-    t = (start + frame_index) % period
+    t = frame_index % period
     return t if t <= span else period - t
 
 

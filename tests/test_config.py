@@ -33,11 +33,23 @@ class TestParsing:
         cfg = parse(MINIMAL_TEMPLATE, workspace)
         assert cfg.encoding.policy is Policy.BALANCE
         assert cfg.gmm.k == 3 and cfg.gmm.alpha_lr == 0.02
-        assert [l.id for l in cfg.levels] == ["high", "med", "low"]
+        assert [l.id for l in cfg.encoding.levels] == ["high", "med", "low"]
         assert cfg.channel.capacity == 1e7
         assert cfg.store.theta == 0.35 and cfg.store.directory is None
         assert cfg.seed == 0
         assert cfg.warnings == ()
+        # a section the file leaves out is its type's defaults
+        for section in ("encoding", "channel", "gmm", "matting", "store", "fusion"):
+            value = getattr(cfg, section)
+            assert value == type(value)()
+
+    @pytest.mark.parametrize("full", [("store", "dir"), ("store", "enroll_user")])
+    def test_empty_optional_value_is_unset(self, workspace, full):
+        section, key = full
+        in_file = parse(MINIMAL_TEMPLATE + f"[{section}]\n{key} =\n", workspace)
+        overridden = parse_config(MINIMAL_TEMPLATE, workspace, overrides={full: ""})
+        for cfg in (in_file, overridden):
+            assert cfg.store.directory is None and cfg.store.enroll_user is None
 
     def test_comments_and_blanks_ignored(self, workspace):
         text = MINIMAL_TEMPLATE + "\n# full comment\n[run]\nseed = 9  # inline comment\n"
@@ -120,6 +132,8 @@ class TestValidation:
             ("[encoding]\nfps = 0\n", "encoding.fps"),
             ("[encoding]\nw = 1.5\n", "encoding.w"),
             ("[fusion]\nscale = 0\n", "fusion.scale"),
+            ("[fusion]\nviews = ,\n", "fusion.views"),
+            ("[encoding]\nlevels = a:1:1,a:2:2\n", "encoding.levels"),
             ("[io]\nmetrics = frames\n", "io.metrics"),  # a directory
         ],
     )
@@ -180,7 +194,7 @@ class TestValidation:
             parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1:12345,b:2:8\n", workspace)
         assert info.value.key == "encoding.levels"
         cfg = parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1,b:2:8\n", workspace)
-        assert [l.bits_per_frame for l in cfg.levels] == [None, None]
+        assert [l.bits_per_frame for l in cfg.encoding.levels] == [None, None]
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

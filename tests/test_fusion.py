@@ -210,6 +210,7 @@ class TestFusionParams:
             pytest.param(dict(scale=math.nan), "scale", id="kw1-InvalidTransform"),
             pytest.param(dict(view_angle=360.0), "view_angle", id="kw2-ValueError"),
             pytest.param(dict(view_angle=math.nan), "view_angle", id="kw3-ValueError"),
+            pytest.param(dict(views=()), "views", id="kw4-ValueError"),
         ],
     )
     def test_invalid_params_rejected(self, kw, field):

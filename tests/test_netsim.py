@@ -68,6 +68,11 @@ class TestTransmit:
 
 
 class TestAdversary:
+    def test_mode_must_be_an_adversary_mode(self):
+        # a mode's value in place of the member would fail only at the first envelope
+        with pytest.raises(TypeError, match="mode"):
+            Adversary("m", "tamper")
+
     def test_tamper_flips_exactly_one_bit(self):
         a, _, _ = session_pair()
         env = encrypt_envelope(a, b"some payload")

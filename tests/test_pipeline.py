@@ -278,7 +278,7 @@ class TestRunPipeline:
         cfg = load(workspace(tmp_path, frames=5))
         result = run_pipeline(cfg)
         # frames are 64x64x3; recompute the expected choice independently
-        usable = [l.resolved(64, 64, 3) for l in cfg.levels]
+        usable = [l.resolved(64, 64, 3) for l in cfg.encoding.levels]
         lvl, degraded = select_encoding(usable, cfg.channel, cfg.encoding)
         s = score(lvl, cfg.channel, cfg.encoding)
         for r in result.records:
@@ -712,7 +712,7 @@ class TestCli:
         run = run_cli("run", "--config", str(cfg_path), "--policy", "qos")
         assert run.returncode == 0
         cfg = load(cfg_path)
-        usable = [l.resolved(64, 64, 3) for l in cfg.levels]
+        usable = [l.resolved(64, 64, 3) for l in cfg.encoding.levels]
         want, degraded = oracle_select(
             usable, cfg.channel, replace(cfg.encoding, policy=Policy.OPT_QOS)
         )

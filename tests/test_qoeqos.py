@@ -121,12 +121,19 @@ class TestEncodingParams:
             (dict(w=math.nan), "w"),
             # NaN fails every comparison, so each qos selection would read degraded
             (dict(mos_min=math.nan), "mos_min"),
+            (dict(levels=()), "levels"),
+            (dict(levels=(EncodingLevel("a"), EncodingLevel("a", scale_factor=2))), "levels"),
         ],
     )
     def test_invalid_params_rejected(self, kw, field):
         # each field is checked here alone: mos_of and select_encoding take it as given
         with pytest.raises(ValueError, match=rf"^{field} must"):
             EncodingParams(**kw)
+
+    def test_policy_must_be_a_policy(self):
+        # a policy's value in place of the member would fail only at the first selection
+        with pytest.raises(TypeError, match="policy"):
+            EncodingParams(policy="qoe")
 
     def test_defaults_match_the_config_defaults(self):
         assert EncodingParams() == EncodingParams(

@@ -91,6 +91,9 @@ def main(argv=None) -> int:
     if args.command == "gen-synthetic":
         try:
             written = synthetic.generate(args.out, args.frames, args.seed)
+        except ValueError as exc:
+            log.error("invalid argument: %s", exc)
+            return EXIT_CONFIG
         except OSError as exc:
             log.error("cannot write synthetic data: %s", exc)
             return EXIT_IO

@@ -6,7 +6,9 @@ confidently-labeled pixels (trimap labels, plus pixels whose current alpha
 has converged past 0.95 / below 0.05), projects the observed color onto the
 F-B axis, and smooths the band with one 3x3 averaging pass.  Windows grow by
 doubling until both color estimates have samples.  Iteration stops when the
-largest per-pixel change drops under ``eps``.
+largest per-pixel change drops under ``eps``.  A round whose confident pixels
+equal an earlier round's is not computed: from there the rounds cycle, so the
+capped iteration's result is already known.
 
 Temporal knowledge of the keyed subject is a fuzzy membership grid, held
 as an ``AlphaMatte`` and blended from successive mattes at rate
@@ -162,6 +164,20 @@ def alpha_solve(
     columns and combined in that corner order, as the four separate
     tables were, so the matte, iteration count, ``converged`` and
     ``degenerate`` are identical to theirs.
+
+    Repeated rounds: a round's outcome (smoothed band alpha and degenerate
+    count) depends only on its confident sets, the band pixels above 0.95
+    and below 0.05, since the labels outside the band, the colors, the band
+    and its smoothing box are fixed and every window sum is exact.  So when
+    round k's sets equal an earlier round j's, round k returns round j's
+    alpha and the rounds cycle with period ``p = k - j``; no table is built
+    for it.  If that alpha is within ``eps`` of the current one the solve
+    ends converged at round k.  Otherwise every later change repeats one of
+    rounds j+1 .. k, each at least ``eps``, so none converges and the solve
+    returns round ``j + (max_iters - 1 - j) % p``.  ``iterations`` and
+    ``converged`` describe the ``max_iters``-capped iteration as if every
+    round ran: ``iterations`` counts the rounds up to the converged one, or
+    is ``max_iters``.
     """
     if (frame.width, frame.height) != (trimap.width, trimap.height):
         raise DimensionMismatch("frame and trimap dimensions differ")
@@ -194,12 +210,24 @@ def alpha_solve(
     sy, sx = ys - sy0, xs - sx0
     neighbor_cnt = _sum3x3(np.ones((sy1 - sy0, sx1 - sx0)))[sy, sx]  # in-bounds neighbors
 
-    degen = np.zeros(n, dtype=bool)
     margin = params.window
-    iterations = 0
+    iterations = params.max_iters
     converged = False
+    seen = {}  # a round's confident band sets, as bytes -> that round's index
+    rounds = []  # per round: (band alpha, degenerate count)
 
-    for _ in range(params.max_iters):
+    for k in range(params.max_iters):
+        band_alpha = alpha[ys, xs]
+        sets = (band_alpha > _FG_CONF).tobytes() + (band_alpha < _BG_CONF).tobytes()
+        j = seen.setdefault(sets, k)
+        if j < k:
+            # rounds k, k+1, ... repeat rounds j .. k-1 in turn; if this one
+            # does not converge, none of them does
+            if float(np.abs(rounds[j][0] - band_alpha).max()) < params.eps:
+                iterations, converged, last = k + 1, True, j
+            else:
+                last = j + (params.max_iters - 1 - j) % (k - j)
+            break
         fg_src = fg_lab | (alpha > _FG_CONF)
         bg_src = bg_lab | (alpha < _BG_CONF)
 
@@ -244,17 +272,18 @@ def alpha_solve(
         projected[sy, sx] = proj
         smoothed = _sum3x3(projected)[sy, sx] / neighbor_cnt
 
-        change = float(np.abs(smoothed - alpha[ys, xs]).max())
-        alpha[ys, xs] = smoothed
-        iterations += 1
-        if change < params.eps:
-            converged = True
+        rounds.append((smoothed, int(np.count_nonzero(degen))))
+        last = k
+        if float(np.abs(smoothed - band_alpha).max()) < params.eps:
+            iterations, converged = k + 1, True
             break
+        alpha[ys, xs] = smoothed
 
+    band_alpha, degenerate = rounds[last]
+    alpha[ys, xs] = band_alpha
     matte = AlphaMatte(np.clip(alpha, 0.0, 1.0))
     return AlphaSolveResult(
-        matte=matte, iterations=iterations, converged=converged,
-        degenerate=int(np.count_nonzero(degen)),
+        matte=matte, iterations=iterations, converged=converged, degenerate=degenerate
     )
 
 

@@ -66,7 +66,15 @@ def make_scene() -> Frame:
 
 
 def generate(out_dir, frames: int, seed: int = 0) -> list:
-    """Write the sequence, ground truth, and target scene; returns file paths."""
+    """Write the sequence, ground truth, and target scene; returns file paths.
+
+    Raises ``ValueError``, before anything is written, unless ``frames >= 1``
+    and ``seed >= 0``.
+    """
+    if not frames >= 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -268,6 +268,42 @@ def test_docstring_lists_the_schema_keys():
     assert listed == set(_SCHEMA)
 
 
+def documented_defaults():
+    """(section, key) -> the default text the config docstring gives it in parentheses."""
+    block = config.__doc__.split("Sections and keys (defaults in parentheses):", 1)[1]
+    parts = re.split(r"^    \[(\w+)\]", block, flags=re.M)[1:]
+    found = {}
+    for section, body in zip(parts[::2], parts[1::2]):
+        body = re.sub(r"--.*?(--|$)", "", body, flags=re.S)
+        found.update({(section, key): text for key, text in re.findall(r"(\w+) \(([^()]*)\)", body)})
+    return found
+
+
+DOCUMENTED = documented_defaults()
+
+
+def test_docstring_gives_every_key_a_default():
+    assert set(DOCUMENTED) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("full", sorted(DOCUMENTED), ids=".".join)
+def test_documented_default_is_the_parsed_default(workspace, full):
+    section, key = full
+    text = DOCUMENTED[full]
+    if text == "required":
+        lines = MINIMAL_TEMPLATE.splitlines(keepends=True)
+        without = "".join(line for line in lines if not line.startswith(f"{key} ="))
+        assert without != MINIMAL_TEMPLATE
+        with pytest.raises(MissingKey, match=f"{section}.{key}"):
+            parse(without, workspace)
+        return
+    if "|" in text:  # the choices, the default first
+        assert set(text.split("|")) == {policy.value for policy in Policy}
+    literal = {"unset": "", "1/255": repr(1 / 255)}.get(text, text.split("|")[0])
+    given = parse(MINIMAL_TEMPLATE + f"[{section}]\n{key} = {literal}\n", workspace)
+    assert given == parse(MINIMAL_TEMPLATE, workspace)
+
+
 # small numbers land on both sides of most bounds
 VALUES = st.one_of(
     st.integers(-2, 8).map(str),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emr import matting
 from emr.errors import DimensionMismatch, InsufficientLabels
 from emr.matting import (
     MattingParams,
@@ -200,12 +201,22 @@ class TestAlphaSolve:
             MattingParams(window=window)
 
 
-def pinned_solve(labels):
-    """(sha256 of the matte's float64 bytes, iterations) on seeded random colors."""
+def seeded_solve(labels, params=MattingParams()):
+    """The solve of the trimap on seeded random colors."""
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, labels.shape + (3,), dtype=np.uint8)
-    res = alpha_solve(Frame.from_array(img), Trimap(labels))
-    return hashlib.sha256(res.matte.to_array().tobytes()).hexdigest(), res.iterations
+    return alpha_solve(Frame.from_array(img), Trimap(labels), params)
+
+
+def matte_digest(res):
+    """sha256 of the matte's float64 bytes."""
+    return hashlib.sha256(res.matte.to_array().tobytes()).hexdigest()
+
+
+def pinned_solve(labels):
+    """(sha256 of the matte's float64 bytes, iterations) on seeded random colors."""
+    res = seeded_solve(labels)
+    return matte_digest(res), res.iterations
 
 
 class TestAlphaSolveBandBox:
@@ -236,6 +247,54 @@ class TestAlphaSolveBandBox:
         assert pinned_solve(labels) == (
             "1c61d202548fc1b64144f6cfe4a70760db1ec9ad2021ce287a0893e00fae109a", 2
         )
+
+
+def cycling_labels():
+    # from the first round on the confident sets alternate with period 2
+    labels = np.full((8, 8), BG, dtype=np.uint8)
+    labels[1:8, 1:8] = UNKNOWN
+    labels[4, 4] = FG
+    return labels
+
+
+def counting_tables(monkeypatch):
+    """A list that gets one entry per summed-area table the solver builds."""
+    builds = []
+    build = matting._stacked_table
+
+    def counted(*args):
+        builds.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(matting, "_stacked_table", counted)
+    return builds
+
+
+class TestRepeatedRounds:
+    """Digests and counts recorded with a solver that ran every round."""
+
+    @pytest.mark.parametrize("max_iters", range(1, 26))
+    def test_cycle_returns_the_capped_round(self, max_iters):
+        res = seeded_solve(cycling_labels(), MattingParams(max_iters=max_iters))
+        assert matte_digest(res) == (
+            "9fa394a88a5115496fccff97c47e2004337a30def046e9c7d0068cd7f330bfbb" if max_iters % 2
+            else "32d6dd23c1d701dd8d050eafc4abda3f8084ae843025cc4fc1d1996a5c14f95d"
+        )
+        assert (res.iterations, res.converged, res.degenerate) == (max_iters, False, 0)
+
+    def test_cycle_stops_building_tables(self, monkeypatch):
+        builds = counting_tables(monkeypatch)
+        assert seeded_solve(cycling_labels()).iterations == 20  # 22 tables if every round ran
+        assert len(builds) <= 5
+
+    def test_repeated_sets_converge_without_a_table(self, monkeypatch):
+        labels = np.full((12, 12), BG, dtype=np.uint8)
+        labels[1:11, 1:11] = UNKNOWN
+        labels[4:8, 4:8] = FG
+        builds = counting_tables(monkeypatch)
+        res = seeded_solve(labels)
+        assert (res.iterations, res.converged) == (2, True)
+        assert len(builds) == 1  # the second round repeats the first one's sets
 
 
 class TestFuzzyKnowledge:

@@ -105,11 +105,10 @@ class TestRunPipeline:
         assert result.outputs_written == 3
 
     def test_no_frames_is_a_clean_run(self, tmp_path):
+        from emr.raster import save_pnm
+
         (tmp_path / "data").mkdir()
-        synthetic.generate(tmp_path / "scene_only", frames=0, seed=0)
-        (tmp_path / "data" / "scene.ppm").write_bytes(
-            (tmp_path / "scene_only" / "scene.ppm").read_bytes()
-        )
+        save_pnm(synthetic.make_scene(), tmp_path / "data" / "scene.ppm")
         cfg_path = tmp_path / "pipeline.cfg"
         cfg_path.write_text(BASE_CFG)
         result = run_pipeline(load(cfg_path))
@@ -520,6 +519,16 @@ class TestCli:
         run = run_cli("run", "--config", str(cfg_path))
         assert run.returncode == 0
         assert len(list((tmp_path / "out").glob("out_*.ppm"))) == 5
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--frames", "0"),
+                                             ("--frames", "-3")])
+    def test_gen_synthetic_bad_count_exits_one(self, tmp_path, flag, value):
+        args = {"--frames": "2", "--seed": "0", flag: value}
+        gen = run_cli("gen-synthetic", "--out", str(tmp_path / "data"),
+                      *(part for item in args.items() for part in item))
+        assert gen.returncode == 1
+        assert f"{flag[2:]} must be >= " in gen.stderr
+        assert not (tmp_path / "data").exists()
 
     def test_huge_fusion_scale_runs(self, tmp_path):
         cfg_path = workspace(tmp_path, frames=2, extra="[fusion]\nscale = 1e308\n")

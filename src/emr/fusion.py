@@ -32,6 +32,8 @@ class RvoLayer:
         if (self.pixels.width, self.pixels.height) != (self.matte.width, self.matte.height):
             raise ValueError("layer pixels and matte dimensions differ")
         _check_scale(self.scale)
+        _check_offset("tx", self.tx)
+        _check_offset("ty", self.ty)
 
 
 def _check_angle(name: str, degrees: float) -> None:
@@ -42,6 +44,15 @@ def _check_angle(name: str, degrees: float) -> None:
 def _check_scale(scale: float) -> None:
     if not scale > 0:
         raise ValueError(f"scale must be > 0, got {scale}")
+
+
+# an offset below this in magnitude keeps ``_resample``'s int64 arithmetic in range
+_OFFSET_LIMIT = 2 ** 62
+
+
+def _check_offset(name: str, offset: int) -> None:
+    if not -_OFFSET_LIMIT < offset < _OFFSET_LIMIT:
+        raise ValueError(f"{name} must lie strictly between -2**62 and 2**62, got {offset}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,8 @@ class FusionParams:
         if not self.views:
             raise ValueError("views must hold at least one view")
         _check_scale(self.scale)
+        _check_offset("tx", self.tx)
+        _check_offset("ty", self.ty)
         _check_angle("view_angle", self.view_angle)
 
 
@@ -104,9 +117,10 @@ def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
 def compose(background: Frame, layers) -> Frame:
     """Blend layers over the background, far first (ascending depth).
 
-    Only each layer's clipped footprint is blended.  Everywhere else the
-    placed alpha is 0, and ``round_u8(0*0 + 1*c) == c`` for every integer
-    sample c, so the result is byte-identical to a full-canvas blend.
+    Only the rows and columns of each layer's clipped footprint that hold
+    some alpha > 0 are blended, and a layer with none is skipped.  Everywhere
+    else the placed alpha is 0, and ``round_u8(0*f + 1*c) == c`` for every
+    integer sample c, so the result is byte-identical to a full-canvas blend.
     """
     canvas = background.to_array()
     ordered = sorted(layers, key=lambda l: l.depth)  # stable: equal depths keep input order
@@ -116,10 +130,17 @@ def compose(background: Frame, layers) -> Frame:
         placed = _resample(layer, background.width, background.height)
         if placed is None:
             continue
-        (y0, y1, x0, x1), pixels, alpha = placed
-        a = alpha[:, :, None]
-        region = canvas[y0:y1, x0:x1].astype(np.float64)
-        canvas[y0:y1, x0:x1] = round_u8(a * pixels.astype(np.float64) + (1.0 - a) * region)
+        (y0, _, x0, _), pixels, alpha = placed
+        support = alpha > 0
+        rows = np.flatnonzero(support.any(axis=1))
+        if rows.size == 0:
+            continue
+        cols = np.flatnonzero(support.any(axis=0))
+        box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+        a = alpha[box][:, :, None]
+        y, x = y0 + rows[0], x0 + cols[0]
+        target = canvas[y:y + a.shape[0], x:x + a.shape[1]]
+        target[...] = round_u8(a * pixels[box].astype(np.float64) + (1.0 - a) * target)
     return Frame.from_array(canvas, index=background.index)
 
 

@@ -8,23 +8,26 @@ authenticated by HMAC-SHA256 (RFC 2104), keyed with the shared secret, over
 (sender fingerprint, sequence number, ciphertext length, ciphertext).
 Tamper, replay, and unknown-agent conditions each raise their own alarm.
 
-Keystream scheduling: the handshake derives a base chaos state, the SHA-256
-seed of the shared secret; each envelope then derives its own stream from
-(base state, sender fingerprint, sequence number).  Envelopes therefore
-decrypt independently of delivery gaps, and the two directions of a session
-never share keystream.  An n-byte stream runs on L = ceil(sqrt(n)) lanes,
-like the independent counter blocks of CTR mode: lane i starts from the
-SHA-256 seed of the envelope material followed by i, all lanes advance
+Keystream scheduling: seeds come from one SHAKE-256 read (FIPS 202) of
+some material, 8 bytes per seed, each big-endian 64-bit word w mapped to
+0.01 + 0.98 * (w >> 11) / 2**53 in [0.01, 0.99].  The handshake derives a
+base chaos state, the first seed of the shared secret; each envelope then
+derives its own stream from (base state, sender fingerprint, sequence
+number).  Envelopes therefore decrypt independently of delivery gaps, and
+the two directions of a session never share keystream.  An n-byte stream
+runs on L = ceil(sqrt(n)) lanes, like the independent counter blocks of CTR
+mode: lane i starts from seed i of the envelope material, all lanes advance
 together for ceil(n / L) steps, and byte i is taken from lane i mod L at
 step i div L + 1.  Identical seeds produce identical byte streams within this
 implementation; bit-exactness across implementations is not promised.
 
 The rate r = 3.99 and the group (``DH_P``, ``DH_G``) are constants.  At
 this r no orbit can collapse to the fixed points 0 or 1: the map sends
-[f(r/4), r/4] into itself (May, 1976), and every seed in (0.01, 0.99) lands
-in it after one step.  In double precision one rounding can reach
-T = 0.9975000000000002, one ulp above r/4, so computed states lie in
-[f(T), T] = [0.009950062499999348, 0.9975000000000002]; no state is checked.
+[f(r/4), r/4] into itself (May, 1976), and every seed in [0.01, 0.99] lands
+in it after one step, since f(0.01) = f(0.99) = 0.0395...  In double
+precision one rounding can reach T = 0.9975000000000002, one ulp above r/4,
+so computed states lie in [f(T), T] = [0.009950062499999348,
+0.9975000000000002]; no state is checked.
 
 This is a protocol model for anomaly-detection experiments, NOT production
 cryptography: no forward secrecy, no padding, no side-channel hardening, and
@@ -64,12 +67,6 @@ from .errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
 
 LOGISTIC_R = 3.99
 DIGEST_SIZE = 32
-
-# chaos seeds are rejected outside this open interval
-_SEED_LOW = 0.01
-_SEED_HIGH = 0.99
-_TWO64 = 2 ** 64
-
 
 # 61-bit safe prime (p = 2q + 1, q prime); 3 generates the order-q subgroup.
 DH_P = 1152921504606849707
@@ -131,37 +128,15 @@ class Envelope:
     digest: bytes
 
 
-def _seed_from_material(material: bytes) -> float:
-    """Map hash material to a chaos seed in (0.01, 0.99), re-hashing as needed."""
-    h = _hash(material)
-    x = int.from_bytes(h[:8], "big") / _TWO64
-    counter = 1
-    while not _SEED_LOW < x < _SEED_HIGH:
-        h = _hash(material + counter.to_bytes(8, "big"))
-        x = int.from_bytes(h[:8], "big") / _TWO64
-        counter += 1
-    return x
-
-
 def _lane_seeds(material: bytes, lanes: int) -> np.ndarray:
-    """``_seed_from_material(material + i.to_bytes(4, "big"))`` for lanes i = 0 .. lanes-1.
+    """Chaos seeds in [0.01, 0.99] for lanes 0 .. lanes-1 from one SHAKE-256 read.
 
-    The material is hashed once and the hash state copied for each lane.
-    All first digests are divided by 2**64 in one array operation, which
-    rounds as the scalar division does (the 64-bit integer is rounded to a
-    double, then scaled by a power of two); only the lanes that fall
-    outside (0.01, 0.99) go through ``_seed_from_material``.
+    Seed i comes from bytes 8i .. 8i+7 read as a big-endian word: its top
+    53 bits over 2**53 are an exact double in [0, 1), scaled onto
+    [0.01, 0.99], so no seed needs a check.
     """
-    base = hashlib.sha256(material)
-    digests = []
-    for i in range(lanes):
-        h = base.copy()
-        h.update(i.to_bytes(4, "big"))
-        digests.append(h.digest())
-    seeds = np.frombuffer(b"".join(digests), ">u8")[::4] / float(_TWO64)
-    for i in np.flatnonzero(~((seeds > _SEED_LOW) & (seeds < _SEED_HIGH))):
-        seeds[i] = _seed_from_material(material + int(i).to_bytes(4, "big"))
-    return seeds
+    words = np.frombuffer(hashlib.shake_256(material).digest(8 * lanes), ">u8")
+    return 0.01 + 0.98 * ((words >> np.uint64(11)) * 2.0 ** -53)
 
 
 def _lane_orbit(seeds: np.ndarray, steps: int) -> np.ndarray:
@@ -187,7 +162,7 @@ def handshake(local_private: int, peer_public: int, registry) -> SessionTunnel:
     The local public key is derived from ``local_private``, so the local
     fingerprint always belongs to the key that computes the secret.  Both
     directions of a session derive the same shared secret and the same base
-    chaos state: the SHA-256 seed of the secret.  A peer key outside
+    chaos state: the first SHAKE-256 seed of the secret.  A peer key outside
     [1, p-1] raises ValueError (from :func:`fingerprint`).  An unknown peer
     fingerprint raises UnauthorizedAgent; that alarm is the anomalous-node
     signal.
@@ -200,7 +175,7 @@ def handshake(local_private: int, peer_public: int, registry) -> SessionTunnel:
         local_fingerprint=fingerprint(pow(DH_G, local_private, DH_P)),
         peer_fingerprint=peer_fp,
         shared_secret=shared,
-        chaos_x=_seed_from_material(_encode_int(shared)),
+        chaos_x=float(_lane_seeds(_encode_int(shared), 1)[0]),
     )
 
 

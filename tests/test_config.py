@@ -143,6 +143,15 @@ class TestValidation:
         assert info.value.key == key
         assert str(info.value).startswith(f"invalid value for {key}:")
 
+    @pytest.mark.parametrize("key", ["tx", "ty"])
+    def test_offset_beyond_the_int64_range_rejected(self, workspace, key):
+        # a huge scale with a huge offset once passed and then overflowed int64
+        # in fusion._resample at the first frame
+        snippet = f"[fusion]\nscale = 1e300\n{key} = -1000000000000000000000000000000\n"
+        with pytest.raises(InvalidValue) as info:
+            parse(MINIMAL_TEMPLATE + snippet, workspace)
+        assert info.value.key == f"fusion.{key}"
+
     def test_cross_field_error_names_one_of_its_keys(self, workspace):
         with pytest.raises(InvalidValue) as info:
             parse(MINIMAL_TEMPLATE + "[matting]\nr_fg = 5\nr_bg = 2\n", workspace)

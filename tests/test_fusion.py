@@ -55,6 +55,35 @@ def full_canvas_compose(background, layers):
     return Frame.from_array(canvas, index=background.index)
 
 
+def full_footprint_compose(background, layers):
+    """Reference blend over each layer's whole clipped footprint, alpha 0 or not."""
+    canvas = background.to_array()
+    for layer in sorted(layers, key=lambda l: l.depth):
+        placed = _resample(layer, background.width, background.height)
+        if placed is None:
+            continue
+        (y0, y1, x0, x1), pixels, alpha = placed
+        a = alpha[:, :, None]
+        region = canvas[y0:y1, x0:x1].astype(np.float64)
+        canvas[y0:y1, x0:x1] = round_u8(a * pixels.astype(np.float64) + (1.0 - a) * region)
+    return Frame.from_array(canvas, index=background.index)
+
+
+def sparse_layer(rng, canvas=16):
+    """A layer whose alpha is 0 on most pixels, often on whole edge rows and columns."""
+    h, w = (int(v) for v in rng.integers(1, 9, 2))
+    pixels = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    alpha = rng.random((h, w)) * (rng.random((h, w)) < 0.3)
+    return layer_from(
+        pixels,
+        alpha,
+        scale=float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])),
+        tx=int(rng.integers(-8, canvas)),
+        ty=int(rng.integers(-8, canvas)),
+        depth=float(rng.normal()),
+    )
+
+
 class TestPlaceLayer:
     def test_identity_transform_keeps_layer(self):
         rng = np.random.default_rng(0)
@@ -99,8 +128,9 @@ class TestCompose:
 
     def test_transparent_layer_is_identity(self):
         bg = self.background()
-        layer = layer_from(np.full((8, 8, 3), 200), np.zeros((8, 8)))
-        assert compose(bg, [layer]) == bg
+        for scale, tx, ty in [(1.0, 0, 0), (0.5, -3, 5), (3.0, 6, -2)]:
+            layer = layer_from(np.full((8, 8, 3), 200), np.zeros((8, 8)), scale=scale, tx=tx, ty=ty)
+            assert compose(bg, [layer]) == bg
 
     def test_opaque_layer_overwrites_its_region(self):
         bg = self.background()
@@ -162,6 +192,19 @@ class TestCompose:
                                    tx=tx, ty=ty, depth=off.depth))
             assert compose(bg, layers) == full_canvas_compose(bg, layers)
 
+    def test_support_blend_matches_full_footprint_blend(self):
+        # blending only where the placed alpha is > 0 gives the same bytes as
+        # blending the whole footprint: non-unit scales, offsets off the
+        # canvas edges, and alpha that is 0 on every pixel of a layer
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            bg = self.background(rng, side=16)
+            layers = [sparse_layer(rng) for _ in range(int(rng.integers(1, 4)))]
+            blank = layers[0]
+            layers.append(RvoLayer(pixels=blank.pixels, matte=AlphaMatte(np.zeros(blank.matte.alpha.shape)),
+                                   scale=2.0, tx=-1, ty=3, depth=float(rng.normal())))
+            assert compose(bg, layers) == full_footprint_compose(bg, layers)
+
     def test_depth_offset_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -211,6 +254,8 @@ class TestFusionParams:
             pytest.param(dict(view_angle=360.0), "view_angle", id="kw2-ValueError"),
             pytest.param(dict(view_angle=math.nan), "view_angle", id="kw3-ValueError"),
             pytest.param(dict(views=()), "views", id="kw4-ValueError"),
+            pytest.param(dict(tx=2 ** 62), "tx", id="kw5-ValueError"),
+            pytest.param(dict(ty=-2 ** 62), "ty", id="kw6-ValueError"),
         ],
     )
     def test_invalid_params_rejected(self, kw, field):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from emr import synthetic
+from emr import synthetic, tunnel
 from emr.config import parse_config
 from emr.pipeline import FrameMetrics, METRICS_COLUMNS, emit_metrics, run_pipeline
 
@@ -155,6 +155,37 @@ class TestRunPipeline:
         }
         assert first.metrics_text == second.metrics_text
         assert images_first == images_second
+
+    def test_outputs_do_not_depend_on_the_keystream(self, tmp_path, monkeypatch):
+        # composites and metrics depend on the plaintext alone, so a change of
+        # keystream format moves no output byte: run with every chaos seed x
+        # replaced by 1 - x.  f(1 - x) = f(x), so a lane's orbit alone would
+        # not change, but the mirrored base state changes every envelope's
+        # seed material and so its keystream
+        cfg_path = workspace(tmp_path, frames=6)
+
+        def ciphertext():
+            priv_a, _ = tunnel.keypair_gen(1)
+            _, pub_b = tunnel.keypair_gen(2)
+            session = tunnel.handshake(priv_a, pub_b, {tunnel.fingerprint(pub_b)})
+            return tunnel.encrypt_envelope(session, bytes(64)).ciphertext
+
+        def outputs():
+            result = run_pipeline(load(cfg_path))
+            composites = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("out_*.ppm")}
+            return result.metrics_text, composites
+
+        as_is, as_is_ciphertext = outputs(), ciphertext()
+        assert len(as_is[1]) == 6
+        lane_seeds, calls = tunnel._lane_seeds, []
+
+        def mirrored(material, lanes):
+            calls.append(lanes)
+            return 1.0 - lane_seeds(material, lanes)
+        monkeypatch.setattr(tunnel, "_lane_seeds", mirrored)
+        assert ciphertext() != as_is_ciphertext
+        assert outputs() == as_is
+        assert len(calls) > 6  # the handshake's and every envelope's seeds
 
     def test_a7_outputs_pinned(self, tmp_path):
         # any change to keying, matting, fusion or the tunnel that moves a

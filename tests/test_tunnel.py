@@ -20,7 +20,6 @@ from emr.tunnel import (
     _envelope_keystream,
     _lane_orbit,
     _lane_seeds,
-    _seed_from_material,
     DH_G,
     DH_P,
     KEY_WIDTH,
@@ -60,6 +59,17 @@ ORBIT_TOP = 0.9975000000000002
 ORBIT_BOTTOM = 0.009950062499999348
 
 
+def reference_seed(word):
+    """A 64-bit word's chaos seed: its top 53 bits as a fraction, scaled onto [0.01, 0.99]."""
+    return 0.01 + 0.98 * ((word >> 11) * 2.0 ** -53)
+
+
+def reference_seeds(material, count):
+    """Seed i from bytes 8i .. 8i+7 of the SHAKE-256 output, read big-endian."""
+    stream = hashlib.shake_256(material).digest(8 * count)
+    return [reference_seed(int.from_bytes(stream[8 * i:8 * i + 8], "big")) for i in range(count)]
+
+
 def reference_keystream(tunnel_state, sender_fp, seq, n):
     """Byte i from lane i mod L at step i div L + 1, each lane a scalar orbit."""
     if n == 0:
@@ -69,10 +79,7 @@ def reference_keystream(tunnel_state, sender_fp, seq, n):
         lanes += 1
     steps = (n + lanes - 1) // lanes
     material = struct.pack(">d", tunnel_state.chaos_x) + sender_fp + seq.to_bytes(8, "big")
-    orbits = [
-        reference_orbit(_seed_from_material(material + i.to_bytes(4, "big")), steps)
-        for i in range(lanes)
-    ]
+    orbits = [reference_orbit(x, steps) for x in reference_seeds(material, lanes)]
     return bytes(int(orbits[i % lanes][i // lanes + 1] * 256.0) for i in range(n))
 
 
@@ -210,7 +217,11 @@ class TestHandshake:
     def test_chaos_seed_in_open_interval(self):
         for seed in range(30):
             a, b, _ = session_pair(seed * 2 + 1, seed * 2 + 2)
-            assert 0.0 < a.chaos_x < 1.0
+            assert 0.01 <= a.chaos_x <= 0.99
+
+    def test_base_state_is_the_first_seed_of_the_secret(self):
+        a, _, _ = session_pair()
+        assert a.chaos_x == reference_seeds(a.shared_secret.to_bytes(KEY_WIDTH, "big"), 1)[0]
 
     def test_chaos_state_is_a_python_float(self):
         a, _, _ = session_pair()
@@ -230,15 +241,29 @@ class TestKeystream:
         assert stream == _envelope_keystream(b, a.local_fingerprint, 7, 64)
 
     def test_lane_seeds_match_per_lane_derivation(self):
-        # of 961 lanes, those whose first digest maps outside (0.01, 0.99)
-        # take the re-hashing path; the rest share one vectorised division
         material = bytes(range(48))
-        suffixes = [i.to_bytes(4, "big") for i in range(961)]
-        first = [int.from_bytes(hashlib.sha256(material + s).digest()[:8], "big") / 2 ** 64
-                 for s in suffixes]
-        assert sum(not 0.01 < x < 0.99 for x in first) > 0
-        expected = np.array([_seed_from_material(material + s) for s in suffixes])
+        expected = np.array(reference_seeds(material, 961))
         assert _lane_seeds(material, 961).tobytes() == expected.tobytes()
+        assert _lane_seeds(material, 5).tobytes() == expected[:5].tobytes()
+
+    # the ends of the word range, the last words of equal top 53 bits, the midpoint
+    EDGE_WORDS = [0, 2 ** 11 - 1, 2 ** 11, 2 ** 63, 2 ** 64 - 2 ** 11, 2 ** 64 - 1]
+
+    def test_edge_words_map_into_the_closed_seed_interval(self, monkeypatch):
+        assert reference_seed(0) == 0.01
+        assert reference_seed(2 ** 64 - 1) <= 0.99
+        stream = b"".join(w.to_bytes(8, "big") for w in self.EDGE_WORDS)
+
+        class Shake:
+            def __init__(self, material):
+                pass
+
+            def digest(self, length):
+                return stream[:length]
+        monkeypatch.setattr(hashlib, "shake_256", Shake)
+        seeds = _lane_seeds(b"", len(self.EDGE_WORDS))
+        assert seeds.tolist() == [reference_seed(w) for w in self.EDGE_WORDS]
+        assert 0.01 == seeds.min() and seeds.max() <= 0.99
 
     @given(
         x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -248,16 +273,18 @@ class TestKeystream:
     def test_orbit_matches_per_step_loop(self, x, steps):
         assert one_lane_orbit(x, steps).tobytes() == reference_orbit(x, steps).tobytes()
 
-    @given(x=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True))
+    @given(x=st.floats(0.01, 0.99))
+    @example(x=0.01)
     @example(x=math.nextafter(0.01, 1.0))
     @example(x=0.5)
     @example(x=math.nextafter(0.99, 0.0))
+    @example(x=0.99)
     # f(x) rounds to T, then f(T) is the bottom: both ends are reached
     @example(x=0.49999999988897775)
     @settings(max_examples=50, deadline=None)
     def test_orbit_stays_off_the_fixed_points(self, x):
         # the float map sends [f(T), T] into itself and any seed in
-        # (0.01, 0.99) lands there in one step: no state nears 0 or 1
+        # [0.01, 0.99] lands there in one step: no state nears 0 or 1
         states = one_lane_orbit(x, 13301)[1:]
         assert ORBIT_BOTTOM <= states.min() and states.max() <= ORBIT_TOP
 
@@ -304,7 +331,7 @@ class TestKeystream:
         a, _, _ = session_pair()
         stream = _envelope_keystream(a, a.local_fingerprint, 1, 4096)
         assert hashlib.sha256(stream).hexdigest() == (
-            "c5dc7ba35119f8db17bb79155f4de679cabdf242b696992298e25c4d89fcad8f"
+            "3c4079f6eaba5c067b28f22af77e82ec1cf3ee6aaca27d8e6b5136fd6ba8681e"
         )
 
     def test_chi2_statistic_computes_known_cases(self):
@@ -367,10 +394,10 @@ class TestEnvelopes:
         a = handshake(priv_a, pub_b, registry)
         env = encrypt_envelope(a, bytes(range(256)) * 16)
         assert hashlib.sha256(env.ciphertext).hexdigest() == (
-            "437d309ea2747cb88fcd68413e32f259cf7b6353dfbd815c7db84067970aee55"
+            "20eede509f3eabd2444ff17db4cfcc13028418d1bab1a3a97d0fed0c64f844e0"
         )
         assert env.digest.hex() == (
-            "1bfe65f1f265697d92243fdef86d60edada1282c3d4a7ab5920c0ad405db72b6"
+            "e4273ca8e0a6e430a74072ddeea402221042da450688b834cc15c00ee2d5ffe7"
         )
 
     def test_digest_is_hmac_over_header_and_ciphertext(self):

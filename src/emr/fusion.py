@@ -3,7 +3,9 @@
 Layers are real-virtual objects: a pixel rectangle with its matte, a
 scale/translate transform, and a depth (larger = nearer).  Composition sorts
 far-to-near and blends ``C = round(alpha*F + (1-alpha)*C)`` per channel.
-Resampling is nearest-neighbor so results are integer-exact.
+Resampling is nearest-neighbor so results are integer-exact, and it reads
+only the box of the source matte's support (alpha > 0), since alpha 0
+leaves every sample unchanged.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _check_scale(scale: float) -> None:
         raise ValueError(f"scale must be > 0, got {scale}")
 
 
-# an offset below this in magnitude keeps ``_resample``'s int64 arithmetic in range
+# an offset below this in magnitude keeps ``_span``'s int64 arithmetic in range
 _OFFSET_LIMIT = 2 ** 62
 
 
@@ -86,61 +88,52 @@ class FusionParams:
 
 
 def _extent(size: int, scale: float, room: int) -> int:
-    """size * scale rounded half up, clipped first to the room left on the canvas
-    (so a huge finite scale cannot overflow; what lies past it is clipped anyway)."""
-    return int(math.floor(min(size * scale, room) + 0.5))
+    """size * scale rounded half up, clipped to the room left on the canvas; the clip
+    comes first, so a huge scale cannot overflow and a room past 2**53 stays exact."""
+    return room if size * scale >= room else int(math.floor(size * scale + 0.5))
 
 
-def _resample(layer: RvoLayer, canvas_w: int, canvas_h: int):
-    """Nearest-neighbor placement of a layer, clipped to the canvas.
+def _span(used, offset: int, scale: float, limit: int):
+    """One axis of a nearest-neighbor placement, cut to the lines flagged in ``used``.
 
-    Returns ``((y0, y1, x0, x1), pixels, alpha)``: the covered canvas rectangle
-    and the layer's uint8 pixels and float alpha resampled onto it, or None
-    when the layer falls entirely outside the canvas.
+    Of the canvas run ``[offset, offset + extent)`` clipped to ``[0, limit)``,
+    returns ``(start, src)``: the position of the first line placed from a
+    flagged source line, and the source index of each position from it to the
+    last such line; or None when no flagged line lands on the canvas.
     """
-    sw = _extent(layer.pixels.width, layer.scale, canvas_w - layer.tx)
-    sh = _extent(layer.pixels.height, layer.scale, canvas_h - layer.ty)
-    x0, x1 = max(0, layer.tx), min(canvas_w, layer.tx + sw)
-    y0, y1 = max(0, layer.ty), min(canvas_h, layer.ty + sh)
-    if x0 >= x1 or y0 >= y1:
+    start = max(0, offset)
+    stop = min(limit, offset + _extent(used.size, scale, limit - offset))
+    src = np.minimum(((np.arange(start, stop) - offset) / scale).astype(np.int64), used.size - 1)
+    hit = np.flatnonzero(used[src])
+    if hit.size == 0:
         return None
-    xs = np.arange(x0, x1)
-    ys = np.arange(y0, y1)
-    src_x = np.minimum(((xs - layer.tx) / layer.scale).astype(np.int64), layer.pixels.width - 1)
-    src_y = np.minimum(((ys - layer.ty) / layer.scale).astype(np.int64), layer.pixels.height - 1)
-    rows, cols = src_y[:, None], src_x[None, :]
-    pixels = layer.pixels.data[rows, cols]
-    alpha = layer.matte.alpha[rows, cols]
-    return (y0, y1, x0, x1), pixels, alpha
+    return start + int(hit[0]), src[hit[0]:hit[-1] + 1]
 
 
 def compose(background: Frame, layers) -> Frame:
     """Blend layers over the background, far first (ascending depth).
 
-    Only the rows and columns of each layer's clipped footprint that hold
-    some alpha > 0 are blended, and a layer with none is skipped.  Everywhere
-    else the placed alpha is 0, and ``round_u8(0*f + 1*c) == c`` for every
-    integer sample c, so the result is byte-identical to a full-canvas blend.
+    Each layer's support (alpha > 0) is found on its source matte first, and
+    only the canvas box of placed rows and columns whose source row or column
+    holds some is gathered and blended; a layer with none on the canvas is
+    skipped.  The box may hold pixels of alpha 0, as does all outside it, and
+    ``round_u8(0*f + 1*c) == c`` for every integer sample c, so the result is
+    byte-identical to a full-canvas blend.
     """
     canvas = background.to_array()
-    ordered = sorted(layers, key=lambda l: l.depth)  # stable: equal depths keep input order
-    for layer in ordered:
+    for layer in sorted(layers, key=lambda l: l.depth):  # stable: equal depths keep input order
         if layer.pixels.channels != background.channels:
             raise DimensionMismatch("layer channel count differs from background")
-        placed = _resample(layer, background.width, background.height)
-        if placed is None:
+        support = layer.matte.alpha > 0
+        rows = _span(support.any(axis=1), layer.ty, layer.scale, background.height)
+        cols = _span(support.any(axis=0), layer.tx, layer.scale, background.width)
+        if rows is None or cols is None:
             continue
-        (y0, _, x0, _), pixels, alpha = placed
-        support = alpha > 0
-        rows = np.flatnonzero(support.any(axis=1))
-        if rows.size == 0:
-            continue
-        cols = np.flatnonzero(support.any(axis=0))
-        box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        a = alpha[box][:, :, None]
-        y, x = y0 + rows[0], x0 + cols[0]
-        target = canvas[y:y + a.shape[0], x:x + a.shape[1]]
-        target[...] = round_u8(a * pixels[box].astype(np.float64) + (1.0 - a) * target)
+        (y, src_y), (x, src_x) = rows, cols
+        box = np.ix_(src_y, src_x)
+        a = layer.matte.alpha[box][:, :, None]
+        target = canvas[y:y + src_y.size, x:x + src_x.size]
+        target[...] = round_u8(a * layer.pixels.data[box].astype(np.float64) + (1.0 - a) * target)
     return Frame.from_array(canvas, index=background.index)
 
 

@@ -210,6 +210,8 @@ def decode_pnm(data: bytes, index: int = 0) -> Frame:
         channels = 1
     else:
         raise MalformedImage(f"unsupported magic {magic!r}")
+    if len(data) < 3 or data[2] not in _WHITESPACE:
+        raise MalformedImage("no whitespace after the magic number")
 
     pos = 2
     fields = []

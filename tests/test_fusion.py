@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from emr.fusion import FusionParams, RvoLayer, ViewSource, _resample, compose, select_view
-from emr.raster import AlphaMatte, Frame, round_u8
+from emr.fusion import FusionParams, RvoLayer, ViewSource, compose, select_view
+from emr.raster import AlphaMatte, Frame
 
 
 def layer_from(pixels, alpha, **kw):
@@ -28,44 +28,52 @@ def random_layer(rng, canvas=16):
     )
 
 
-def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
-    """Resample and translate a layer onto a canvas; returns (Frame, AlphaMatte).
+def reference_source(layer: RvoLayer, x: int, y: int):
+    """The source (row, col) that placement puts at canvas pixel (x, y), or None.
 
-    Pixels falling outside the canvas are clipped; uncovered canvas pixels get
-    alpha 0 (and black pixels).
+    Written per pixel from the placement rule alone: along each axis the
+    layer covers ``size * scale`` canvas pixels rounded half up from its
+    offset, and the pixel at distance d from the offset shows source line
+    ``floor(d / scale)``, capped at the last line.
     """
+
+    def axis(pos, offset, size):
+        d = pos - offset
+        # d < round_half_up(size * scale)  <=>  d + 1/2 <= size * scale, compared exactly
+        if d < 0 or 2 * d + 1 > 2 * size * layer.scale:
+            return None
+        return min(int(d / layer.scale), size - 1)
+
+    row = axis(y, layer.ty, layer.pixels.height)
+    col = axis(x, layer.tx, layer.pixels.width)
+    return None if row is None or col is None else (row, col)
+
+
+def place_layer(layer: RvoLayer, canvas_w: int, canvas_h: int):
+    """The layer placed on a canvas, as (Frame, AlphaMatte); alpha 0 and black where it is not."""
     out = np.zeros((canvas_h, canvas_w, layer.pixels.channels), dtype=np.uint8)
     out_alpha = np.zeros((canvas_h, canvas_w))
-    placed = _resample(layer, canvas_w, canvas_h)
-    if placed is not None:
-        (y0, y1, x0, x1), pixels, alpha = placed
-        out[y0:y1, x0:x1] = pixels
-        out_alpha[y0:y1, x0:x1] = alpha
+    for y in range(canvas_h):
+        for x in range(canvas_w):
+            source = reference_source(layer, x, y)
+            if source is not None:
+                out[y, x] = layer.pixels.data[source]
+                out_alpha[y, x] = layer.matte.alpha[source]
     return Frame.from_array(out, index=layer.pixels.index), AlphaMatte(out_alpha)
 
 
 def full_canvas_compose(background, layers):
-    """Reference blend over the whole canvas, one placed layer at a time."""
+    """Reference "over" blend of every canvas pixel, one placed layer at a time, far first.
+
+    Each canvas pixel outside a layer's footprint blends with alpha 0, so
+    this also blends the whole footprint, alpha 0 or not.
+    """
     canvas = background.to_array()
     for layer in sorted(layers, key=lambda l: l.depth):
         placed, matte = place_layer(layer, background.width, background.height)
-        a = matte.to_array()[:, :, None]
-        fg = placed.to_array().astype(np.float64)
-        canvas = round_u8(a * fg + (1.0 - a) * canvas.astype(np.float64))
-    return Frame.from_array(canvas, index=background.index)
-
-
-def full_footprint_compose(background, layers):
-    """Reference blend over each layer's whole clipped footprint, alpha 0 or not."""
-    canvas = background.to_array()
-    for layer in sorted(layers, key=lambda l: l.depth):
-        placed = _resample(layer, background.width, background.height)
-        if placed is None:
-            continue
-        (y0, y1, x0, x1), pixels, alpha = placed
-        a = alpha[:, :, None]
-        region = canvas[y0:y1, x0:x1].astype(np.float64)
-        canvas[y0:y1, x0:x1] = round_u8(a * pixels.astype(np.float64) + (1.0 - a) * region)
+        a = matte.alpha[:, :, None]
+        blend = a * placed.data.astype(np.float64) + (1.0 - a) * canvas.astype(np.float64)
+        canvas = np.minimum(np.floor(blend + 0.5), 255).astype(np.uint8)  # half up
     return Frame.from_array(canvas, index=background.index)
 
 
@@ -85,6 +93,9 @@ def sparse_layer(rng, canvas=16):
 
 
 class TestPlaceLayer:
+    # each case checks the reference placement, then that compose places the
+    # layer the same way: by exact values, and against the reference blend
+
     def test_identity_transform_keeps_layer(self):
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)
@@ -92,25 +103,41 @@ class TestPlaceLayer:
         layer = layer_from(pixels, alpha)
         placed, matte = place_layer(layer, 4, 4)
         assert np.array_equal(placed.to_array(), pixels)
-        assert np.allclose(matte.to_array(), alpha)
+        assert np.array_equal(matte.to_array(), alpha)
+        bg = rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)
+        a = alpha[:, :, None]
+        expected = np.floor(a * pixels + (1.0 - a) * bg + 0.5)
+        out = compose(Frame.from_array(bg), [layer])
+        assert np.array_equal(out.to_array(), expected)
+        assert out == full_canvas_compose(Frame.from_array(bg), [layer])
 
     def test_upscale_replicates_nearest(self):
-        layer = layer_from([[[9, 8, 7]]], [[0.25]], scale=2.0)
+        layer = layer_from([[[200, 100, 40]]], [[0.25]], scale=2.0)
         placed, matte = place_layer(layer, 2, 2)
-        assert np.all(placed.to_array() == (9, 8, 7))
+        assert np.all(placed.to_array() == (200, 100, 40))
         assert np.all(matte.to_array() == 0.25)
+        bg = Frame.from_array(np.zeros((2, 2, 3), dtype=np.uint8))
+        out = compose(bg, [layer])
+        assert np.all(out.to_array() == (50, 25, 10))
+        assert out == full_canvas_compose(bg, [layer])
 
     def test_fully_clipped_is_transparent_not_an_error(self):
         layer = layer_from([[[1, 2, 3]]], [[1.0]], tx=10)
         placed, matte = place_layer(layer, 4, 4)
         assert np.count_nonzero(matte.to_array()) == 0
         assert np.count_nonzero(placed.to_array()) == 0
+        bg = Frame.from_array(np.full((4, 4, 3), 9, dtype=np.uint8))
+        assert compose(bg, [layer]) == bg == full_canvas_compose(bg, [layer])
 
     def test_negative_offset_clips_partially(self):
         layer = layer_from([[[5, 5, 5]], [[6, 6, 6]]], [[1.0], [1.0]], ty=-1)
         placed, matte = place_layer(layer, 1, 1)
         assert placed.to_array()[0, 0, 0] == 6
         assert matte.to_array()[0, 0] == 1.0
+        bg = Frame.from_array(np.zeros((1, 1, 3), dtype=np.uint8))
+        out = compose(bg, [layer])
+        assert np.all(out.to_array() == 6)
+        assert out == full_canvas_compose(bg, [layer])
 
     def test_non_positive_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
@@ -193,7 +220,7 @@ class TestCompose:
             assert compose(bg, layers) == full_canvas_compose(bg, layers)
 
     def test_support_blend_matches_full_footprint_blend(self):
-        # blending only where the placed alpha is > 0 gives the same bytes as
+        # blending only the box of the support gives the same bytes as
         # blending the whole footprint: non-unit scales, offsets off the
         # canvas edges, and alpha that is 0 on every pixel of a layer
         rng = np.random.default_rng(6)
@@ -203,7 +230,44 @@ class TestCompose:
             blank = layers[0]
             layers.append(RvoLayer(pixels=blank.pixels, matte=AlphaMatte(np.zeros(blank.matte.alpha.shape)),
                                    scale=2.0, tx=-1, ty=3, depth=float(rng.normal())))
-            assert compose(bg, layers) == full_footprint_compose(bg, layers)
+            assert compose(bg, layers) == full_canvas_compose(bg, layers)
+
+    def test_support_the_placement_never_shows_changes_nothing(self):
+        # alpha > 0 only at source pixels whose row or column no canvas pixel
+        # shows: skipped by a scale < 1 or placed off the canvas.  The flagged
+        # rows and columns can still span a box, which then holds only alpha 0
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            bg = self.background(rng, side=int(rng.integers(3, 12)))
+            layers = []
+            for _ in range(int(rng.integers(1, 4))):
+                h, w = (int(v) for v in rng.integers(1, 12, 2))
+                layer = layer_from(rng.integers(0, 256, (h, w, 3)), np.zeros((h, w)),
+                                   scale=float(rng.choice([0.3, 0.5, 0.77, 1.0, 2.0])),
+                                   tx=int(rng.integers(-12, bg.width + 3)),
+                                   ty=int(rng.integers(-12, bg.height + 3)),
+                                   depth=float(rng.normal()))
+                shown = {reference_source(layer, x, y) for y in range(bg.height) for x in range(bg.width)}
+                rows = {s[0] for s in shown if s is not None}
+                cols = {s[1] for s in shown if s is not None}
+                hidden = np.array([[r not in rows or c not in cols for c in range(w)] for r in range(h)])
+                alpha = rng.random((h, w)) * hidden * (rng.random((h, w)) < 0.5)
+                layers.append(RvoLayer(pixels=layer.pixels, matte=AlphaMatte(alpha), scale=layer.scale,
+                                       tx=layer.tx, ty=layer.ty, depth=layer.depth))
+            assert compose(bg, layers) == bg == full_canvas_compose(bg, layers)
+
+    @pytest.mark.parametrize("offset", [-2 ** 61, -(2 ** 62 - 1)], ids=["-2**61", "-(2**62-1)"])
+    @pytest.mark.parametrize("axes", ["tx", "ty", "tx+ty"])
+    def test_huge_scale_at_an_offset_past_2_53_covers_the_canvas(self, offset, axes):
+        # the extent reaches the room left on the canvas, which lies past
+        # 2**53 and must not be rounded through a float on the way
+        bg = Frame.from_array(np.zeros((4, 5, 3), dtype=np.uint8))
+        pixels = np.arange(1, 19).reshape(3, 2, 3)
+        kw = {axis: offset for axis in axes.split("+")}
+        layer = layer_from(pixels, np.ones((3, 2)), scale=1e308, **kw)
+        out = compose(bg, [layer])
+        assert np.all(out.to_array() == pixels[0, 0])
+        assert out == full_canvas_compose(bg, [layer])
 
     def test_depth_offset_invariance(self):
         rng = np.random.default_rng(3)

@@ -220,6 +220,12 @@ class TestPnmCodec:
         with pytest.raises(MalformedImage, match="bad header token"):
             decode_pnm(b"P6 " + b"1" * 5000 + b" 1 255\n\x00\x00\x00")
 
+    @pytest.mark.parametrize("magic, payload", [(b"P5", bytes(2)), (b"P6", bytes(6))], ids=["P5", "P6"])
+    def test_no_whitespace_after_magic_rejected(self, magic, payload):
+        # netpbm requires whitespace between the magic number and the width
+        with pytest.raises(MalformedImage, match="whitespace after the magic"):
+            decode_pnm(magic + b"2 1 255\n" + payload)
+
     def test_zero_padded_header_number_accepted(self):
         f = decode_pnm(b"P5 " + b"0" * 30 + b"1 1 255\n\x07")
         assert (f.width, f.height, f.data.tobytes()) == (1, 1, b"\x07")

@@ -90,15 +90,14 @@ class AlphaSolveResult:
 
 
 def _stacked_table(fg: np.ndarray, bg: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Raveled summed-area table of FG count, BG count, FG colors and BG colors.
+    """Raveled int64 summed-area table of FG count, BG count, FG colors and BG colors.
 
     The table has a zero top row and left column and is returned as
     ``((h + 1) * (w + 1), 2 + 2C)``: row ``y * (w + 1) + x`` holds the sums
-    over ``[0, y) x [0, x)``.  Each channel is accumulated on its own, down
-    the rows first, then along the columns.
+    over ``[0, y) x [0, x)``.
     """
     h, w, c = colors.shape
-    table = np.zeros((h + 1, w + 1, 2 + 2 * c))
+    table = np.zeros((h + 1, w + 1, 2 + 2 * c), dtype=np.int64)
     cells = table[1:, 1:]
     cells[:, :, 0] = fg
     cells[:, :, 1] = bg
@@ -109,19 +108,23 @@ def _stacked_table(fg: np.ndarray, bg: np.ndarray, colors: np.ndarray) -> np.nda
     return table.reshape(-1, 2 + 2 * c)
 
 
-def _box_sums(table: np.ndarray, ys, xs, radius: int, h: int, w: int) -> np.ndarray:
-    """Every channel's sum over the radius windows at (ys, xs), clipped to h x w.
+def _corners(ys, xs, radius: int, h: int, w: int) -> np.ndarray:
+    """Table rows of the four corners of the radius windows at (ys, xs), clipped to h x w.
 
-    One gather fetches the four corners of every window from the raveled
-    table; they combine as ``a - b - c + d``, left to right.
+    They come as four blocks of ``ys.size`` rows, ``a, b, c, d`` of the
+    window sum ``a - b - c + d``.
     """
     stride = w + 1
     y0 = np.maximum(ys - radius, 0) * stride
     y1 = np.minimum(ys + radius + 1, h) * stride
     x0 = np.maximum(xs - radius, 0)
     x1 = np.minimum(xs + radius + 1, w)
-    corners = table.take(np.concatenate((y1 + x1, y0 + x1, y1 + x0, y0 + x0)), axis=0)
-    a, b, c, d = corners.reshape(4, ys.size, table.shape[1])
+    return np.concatenate((y1 + x1, y0 + x1, y1 + x0, y0 + x0))
+
+
+def _box_sums(table: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Every channel's window sum, from one gather of the ``_corners`` rows."""
+    a, b, c, d = table.take(corners, axis=0).reshape(4, -1, table.shape[1])
     return a - b - c + d
 
 
@@ -131,10 +134,9 @@ def _grow(box, margin: int, h: int, w: int):
     return max(y0 - margin, 0), min(y1 + margin, h), max(x0 - margin, 0), min(x1 + margin, w)
 
 
-def _sum3x3(arr: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 window sums: each window row left to right, then the rows."""
-    p = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2))
-    p[1:-1, 1:-1] = arr
+def _sum3x3(p: np.ndarray) -> np.ndarray:
+    """3x3 window sums over the inside of a zero-bordered array: each window
+    row left to right, then the rows."""
     rows = p[:, :-2] + p[:, 1:-1] + p[:, 2:]
     return rows[:-2] + rows[1:-1] + rows[2:]
 
@@ -151,19 +153,25 @@ def alpha_solve(
     coincide (squared separation < 1) default to 0.5; ``degenerate`` counts
     them in the last round.
 
-    Work stays near the band's bounding box.  One summed-area table of
-    2 + 2C channels (FG count, BG count, FG colors, BG colors) covers it
-    grown by the largest window radius used so far, and is rebuilt when a
-    doubling passes that margin; from radius ``max(h, w)`` on it covers the
-    whole frame.  Smoothing covers the box grown by one pixel.
+    Work stays near the band's bounding box, and each window sum has two
+    parts.  The label part counts the trimap's FG and BG, fixed for the
+    solve: one summed-area table of 2 + 2C channels (FG count, BG count, FG
+    colors, BG colors) over the band box grown by a radius gives every band
+    pixel's sums at that radius, kept for the rest of the solve.  Only the
+    first round builds these: later rounds add confident band pixels to a
+    window's counts and remove none, so no window needs a larger radius
+    than it did there.  The band part counts the band pixels above 0.95 and
+    below 0.05, the only sources that change between rounds: one table per
+    round over the band box alone, none while no band pixel is confident,
+    as in the first round.  Smoothing covers the band box grown by one
+    pixel.
 
-    Exactness: every table entry is a sum of integer counts or 8-bit colors
-    over at most h*w pixels, far below 2**53, so each is exact in float64,
-    and so is every ``a - b - c + d`` window sum, whatever the table's
-    extent or channel stacking.  Each channel is still accumulated rows then
-    columns and combined in that corner order, as the four separate
-    tables were, so the matte, iteration count, ``converged`` and
-    ``degenerate`` are identical to theirs.
+    Exactness: every table entry and window sum is an int64 sum of counts
+    or 8-bit colors over at most h*w pixels, far below 2**53, so the two
+    parts add to the sums of one table over the labels and the confident
+    band together, and each is exact once it becomes float64 for the
+    divisions.  The matte, iteration count, ``converged`` and
+    ``degenerate`` are thus those of float64 tables of any extent.
 
     Repeated rounds: a round's outcome (smoothed band alpha and degenerate
     count) depends only on its confident sets, the band pixels above 0.95
@@ -187,8 +195,7 @@ def alpha_solve(
     bg_lab = labels == BG
     unk = labels == UNKNOWN
 
-    alpha = np.zeros((h, w))
-    alpha[fg_lab] = 1.0
+    alpha = fg_lab.astype(np.float64)
     if not unk.any():
         return AlphaSolveResult(
             matte=AlphaMatte(alpha), iterations=0, converged=True, degenerate=0
@@ -196,29 +203,39 @@ def alpha_solve(
     if not fg_lab.any() or not bg_lab.any():
         raise InsufficientLabels("unknown pixels need both FG and BG labels somewhere")
 
-    colors = frame.data.astype(np.float64)
+    data = frame.data
     c = frame.channels
     ys, xs = np.nonzero(unk)
     n = ys.size
-    cvals = colors[ys, xs]  # (n, C)
-    alpha[unk] = 0.5
-    max_radius = max(h, w)
+    cvals = data[ys, xs].astype(np.float64)  # (n, C)
     band = (int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1)
+    by0, by1, bx0, bx1 = band
+    by, bx = ys - by0, xs - bx0
+    marks = np.zeros((2, by1 - by0, bx1 - bx0), dtype=bool)  # confident band pixels
 
-    # a band pixel's 3x3 neighborhood lies in the band box grown by one
+    # a band pixel's 3x3 neighborhood lies in the band box grown by one; the
+    # smoothing box borders it with zeros, which stand for out-of-frame pixels
     sy0, sy1, sx0, sx1 = _grow(band, 1, h, w)
     sy, sx = ys - sy0, xs - sx0
-    neighbor_cnt = _sum3x3(np.ones((sy1 - sy0, sx1 - sx0)))[sy, sx]  # in-bounds neighbors
+    smooth = np.zeros((sy1 - sy0 + 2, sx1 - sx0 + 2))
+    inner = smooth[1:-1, 1:-1]
+    inner[...] = 1.0
+    neighbor_cnt = _sum3x3(smooth)[sy, sx]  # in-frame neighbors
+    inner[...] = fg_lab[sy0:sy1, sx0:sx1]
 
-    margin = params.window
+    label_sums = {}  # radius -> every band pixel's label part
+    band_corners = {}  # radius -> the windows' corner rows in the band box's table
+    sums = np.empty((n, 2 + 2 * c))  # per band pixel: fcnt, bcnt, fsum, bsum
     iterations = params.max_iters
     converged = False
     seen = {}  # a round's confident band sets, as bytes -> that round's index
     rounds = []  # per round: (band alpha, degenerate count)
+    band_alpha = np.full(n, 0.5)
 
     for k in range(params.max_iters):
-        band_alpha = alpha[ys, xs]
-        sets = (band_alpha > _FG_CONF).tobytes() + (band_alpha < _BG_CONF).tobytes()
+        conf_fg = band_alpha > _FG_CONF
+        conf_bg = band_alpha < _BG_CONF
+        sets = conf_fg.tobytes() + conf_bg.tobytes()
         j = seen.setdefault(sets, k)
         if j < k:
             # rounds k, k+1, ... repeat rounds j .. k-1 in turn; if this one
@@ -228,34 +245,34 @@ def alpha_solve(
             else:
                 last = j + (params.max_iters - 1 - j) % (k - j)
             break
-        fg_src = fg_lab | (alpha > _FG_CONF)
-        bg_src = bg_lab | (alpha < _BG_CONF)
+        band_table = None
+        if conf_fg.any() or conf_bg.any():
+            marks[0, by, bx] = conf_fg
+            marks[1, by, bx] = conf_bg
+            band_table = _stacked_table(marks[0], marks[1], data[by0:by1, bx0:bx1])
 
-        sums = np.zeros((n, 2 + 2 * c))  # per band pixel: fcnt, bcnt, fsum, bsum
         unresolved = np.ones(n, dtype=bool)
         radius = params.window
-        table = None
         while unresolved.any():
-            if table is None or radius > margin:
-                # a window of radius <= margin around a band pixel stays
-                # inside the band box grown by the margin, clipped to the frame
-                margin = max(margin, radius)
-                y0, y1, x0, x1 = _grow(band, margin, h, w)
-                bh, bw = y1 - y0, x1 - x0
-                by, bx = ys - y0, xs - x0
+            # from radius max(h, w) on every window is the whole frame, which
+            # holds FG and BG labels, so this loop ends there at the latest
+            if radius not in label_sums:
+                # a window of this radius around a band pixel stays inside the
+                # band box grown by it, clipped to the frame
+                y0, y1, x0, x1 = _grow(band, radius, h, w)
                 table = _stacked_table(
-                    fg_src[y0:y1, x0:x1], bg_src[y0:y1, x0:x1], colors[y0:y1, x0:x1]
+                    fg_lab[y0:y1, x0:x1], bg_lab[y0:y1, x0:x1], data[y0:y1, x0:x1]
                 )
-            sel = np.nonzero(unresolved)[0]
-            found = _box_sums(table, by[sel], bx[sel], radius, bh, bw)
-            good = (found[:, 0] > 0) & (found[:, 1] > 0)
-            done = sel[good]
-            sums[done] = found[good]
-            unresolved[done] = False
-            if radius >= max_radius:
-                # precondition guarantees global samples; the box is the whole frame
-                sums[unresolved] = table[-1]
-                unresolved[:] = False
+                label_sums[radius] = _box_sums(
+                    table, _corners(ys - y0, xs - x0, radius, y1 - y0, x1 - x0)
+                )
+                band_corners[radius] = _corners(by, bx, radius, by1 - by0, bx1 - bx0)
+            found = label_sums[radius]
+            if band_table is not None:
+                found = found + _box_sums(band_table, band_corners[radius])
+            good = unresolved & (found[:, 0] > 0) & (found[:, 1] > 0)
+            np.copyto(sums, found, where=good[:, None])
+            unresolved &= ~good
             radius *= 2
 
         fhat = sums[:, 2:2 + c] / sums[:, 0:1]
@@ -268,16 +285,15 @@ def alpha_solve(
         np.clip(proj, 0.0, 1.0, out=proj)
 
         # one Jacobi-style 3x3 averaging pass over the UNKNOWN band only
-        projected = alpha[sy0:sy1, sx0:sx1].copy()
-        projected[sy, sx] = proj
-        smoothed = _sum3x3(projected)[sy, sx] / neighbor_cnt
+        inner[sy, sx] = proj
+        smoothed = _sum3x3(smooth)[sy, sx] / neighbor_cnt
 
         rounds.append((smoothed, int(np.count_nonzero(degen))))
         last = k
         if float(np.abs(smoothed - band_alpha).max()) < params.eps:
             iterations, converged = k + 1, True
             break
-        alpha[ys, xs] = smoothed
+        band_alpha = smoothed
 
     band_alpha, degenerate = rounds[last]
     alpha[ys, xs] = band_alpha

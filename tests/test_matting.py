@@ -258,12 +258,12 @@ def cycling_labels():
 
 
 def counting_tables(monkeypatch):
-    """A list that gets one entry per summed-area table the solver builds."""
+    """A list that gets each summed-area table's (height, width) as the solver builds it."""
     builds = []
     build = matting._stacked_table
 
     def counted(*args):
-        builds.append(None)
+        builds.append(args[2].shape[:2])  # the colors the table sums
         return build(*args)
 
     monkeypatch.setattr(matting, "_stacked_table", counted)
@@ -295,6 +295,116 @@ class TestRepeatedRounds:
         res = seeded_solve(labels)
         assert (res.iterations, res.converged) == (2, True)
         assert len(builds) == 1  # the second round repeats the first one's sets
+
+
+class TestTableExtent:
+    def test_later_rounds_build_tables_over_the_band_box_only(self, monkeypatch):
+        # band box 20 x 24 at (10, 8); the first round needs radii 3, 6 and 12
+        labels = np.full((40, 40), BG, dtype=np.uint8)
+        labels[10:30, 8:32] = UNKNOWN
+        labels[18:22, 18:22] = FG
+        builds = counting_tables(monkeypatch)
+        seeded_solve(labels)
+        # one table of the labels per radius, over the band box grown by it
+        assert builds[:3] == [(26, 30), (32, 36), (40, 40)]
+        # then one per later round that has confident band pixels, over the
+        # band box alone; rounds 2 and 3 have some
+        assert len(builds) >= 5
+        assert set(builds[3:]) == {(20, 24)}
+
+
+def reference_solve(img, labels, params):
+    """(alpha, iterations, converged, degenerate) of a solver that runs every round.
+
+    Each band pixel's window sums are slice sums of the confident masks and
+    colors, its radius doubling until both masks have samples.  Sums of
+    floats run left to right from 0.0, as the solver's channel and 3x3 row
+    sums do; out-of-frame neighbors are left out of the smoothing.
+    """
+    h, w, c = img.shape
+    colors = img.astype(np.int64)
+    band = list(zip(*np.nonzero(labels == UNKNOWN)))
+    alpha = np.where(labels == FG, 1.0, 0.0)
+    for y, x in band:
+        alpha[y, x] = 0.5
+    iterations, converged = params.max_iters, False
+    for k in range(params.max_iters):
+        fg = (labels == FG) | (alpha > 0.95)
+        bg = (labels == BG) | (alpha < 0.05)
+        fg_colors = colors * fg[:, :, None]
+        bg_colors = colors * bg[:, :, None]
+        projected = np.where(labels == FG, 1.0, 0.0)
+        degenerate = 0
+        for y, x in band:
+            radius = params.window
+            while True:
+                win = np.s_[max(y - radius, 0):y + radius + 1, max(x - radius, 0):x + radius + 1]
+                fcnt, bcnt = int(fg[win].sum()), int(bg[win].sum())
+                if fcnt and bcnt:
+                    break
+                assert radius < max(h, w)  # a window of the whole frame holds both labels
+                radius *= 2
+            fsum = fg_colors[win].sum(axis=(0, 1)).tolist()
+            bsum = bg_colors[win].sum(axis=(0, 1)).tolist()
+            denom = num = 0.0
+            for ch in range(c):
+                f, b = fsum[ch] / fcnt, bsum[ch] / bcnt
+                denom += (f - b) * (f - b)
+                num += (float(colors[y, x, ch]) - b) * (f - b)
+            if denom < 1.0:
+                degenerate += 1
+                projected[y, x] = 0.5
+            else:
+                projected[y, x] = min(max(num / denom, 0.0), 1.0)
+        change = 0.0
+        smoothed = alpha.copy()
+        for y, x in band:
+            total, count = 0.0, 0
+            for yy in range(max(y - 1, 0), min(y + 2, h)):
+                row = 0.0
+                for xx in range(max(x - 1, 0), min(x + 2, w)):
+                    row += projected[yy, xx]
+                    count += 1
+                total += row
+            smoothed[y, x] = total / count
+            change = max(change, abs(smoothed[y, x] - alpha[y, x]))
+        alpha = smoothed
+        if change < params.eps:
+            iterations, converged = k + 1, True
+            break
+    return alpha, iterations, converged, degenerate
+
+
+def random_solve_case(seed):
+    """A seeded random image, trimap and solver params for ``reference_solve``."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(3, 14, 2))
+    c = int(rng.choice((1, 3)))
+    if rng.random() < 0.3:
+        # flattened colors: separations of 0 and 1 levels leave degenerate pixels
+        img = rng.integers(0, 255, c) + rng.integers(0, 2, (h, w, c))
+    else:
+        img = rng.integers(0, 256, (h, w, c))
+    labels = rng.choice(np.array([BG, UNKNOWN, FG], dtype=np.uint8), (h, w), p=rng.dirichlet((1, 2, 1)))
+    spots = rng.permutation(h * w)[:3]
+    labels.flat[spots] = (FG, BG, UNKNOWN)
+    params = MattingParams(window=int(rng.integers(1, 4)), max_iters=int(rng.integers(1, 25)))
+    return img.astype(np.uint8), labels, params
+
+
+class TestReferenceSolver:
+    """The solver against a brute-force one that shares none of its helpers."""
+
+    @pytest.mark.parametrize("batch", range(20))
+    def test_random_trimaps_match_the_reference(self, batch):
+        for seed in range(16 * batch, 16 * batch + 16):
+            img, labels, params = random_solve_case(seed)
+            res = alpha_solve(Frame.from_array(img), Trimap(labels), params)
+            alpha, iterations, converged, degenerate = reference_solve(img, labels, params)
+            assert res.matte.alpha.tobytes() == alpha.tobytes(), seed
+            assert (res.iterations, res.converged, res.degenerate) == (
+                iterations, converged, degenerate
+            ), seed
 
 
 class TestFuzzyKnowledge:

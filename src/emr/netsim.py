@@ -3,7 +3,8 @@
 Each ``Link(channel, seed)`` takes capacity, delay and loss from a checked
 ``ChannelModel`` and owns a PRNG seeded with ``seed``, so identical seeds and
 call order reproduce identical delivery traces.  Adversaries exercise the tunnel's anomaly
-detection: bit tampering, lag-one replay, and fingerprint impersonation.
+detection: bit tampering, lag-one replay, and fingerprint impersonation.  They
+edit the wire bytes between ``transmit`` and ``decrypt_verify``, header included.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .qoeqos import ChannelModel
-from .tunnel import Envelope
+from .tunnel import DIGEST_SIZE, HEADER_SIZE
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class Adversary:
     mode: AdversaryMode
     seed: int = 0
     rng: random.Random = field(init=False, repr=False)
-    last_seen: Envelope | None = field(default=None, init=False, repr=False)
+    last_seen: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.mode, AdversaryMode):
@@ -69,30 +70,23 @@ class Adversary:
         return hashlib.sha256(b"adversary:" + self.node_id.encode("utf-8")).digest()
 
 
-def interpose(adversary: Adversary, envelope: Envelope) -> Envelope:
-    """Pass an envelope through the adversary, applying its mode."""
+def interpose(adversary: Adversary, wire: bytes) -> bytes:
+    """Pass an envelope's wire bytes through the adversary, applying its mode.
+
+    Tamper flips one drawn ciphertext bit, if there is one; replay forwards
+    the previous wire; impersonate overwrites the fingerprint, bytes 0-31.
+    """
     if adversary.mode is AdversaryMode.TAMPER:
-        ct = envelope.ciphertext
-        if not ct:
-            return envelope
-        bit = adversary.rng.randrange(len(ct) * 8)
-        tampered = bytearray(ct)
-        tampered[bit // 8] ^= 1 << (bit % 8)
-        return Envelope(
-            sender_fingerprint=envelope.sender_fingerprint,
-            seq=envelope.seq,
-            ciphertext=bytes(tampered),
-            digest=envelope.digest,
-        )
+        n = len(wire) - HEADER_SIZE - DIGEST_SIZE
+        if n <= 0:
+            return wire
+        bit = adversary.rng.randrange(8 * n)
+        tampered = bytearray(wire)
+        tampered[HEADER_SIZE + bit // 8] ^= 1 << (bit % 8)
+        return bytes(tampered)
     if adversary.mode is AdversaryMode.REPLAY:
-        out = adversary.last_seen if adversary.last_seen is not None else envelope
-        adversary.last_seen = envelope
+        out = adversary.last_seen if adversary.last_seen is not None else wire
+        adversary.last_seen = wire
         return out
     # AdversaryMode.IMPERSONATE
-    return Envelope(
-        sender_fingerprint=adversary.fingerprint,
-        seq=envelope.seq,
-        ciphertext=envelope.ciphertext,
-        digest=envelope.digest,
-    )
-
+    return adversary.fingerprint + wire[32:]

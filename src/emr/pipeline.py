@@ -4,9 +4,10 @@ Per frame, in order:
 
 1. pick an encoding level and re-encode;
 2. cipher the payload into an authenticated envelope;
-3. transmit the wire bytes over the simulated link and decode them (an
-   adversary may interpose);
-4. verify and decipher;
+3. transmit the wire bytes over the simulated link (an adversary may edit,
+   replace or relabel them on arrival);
+4. authenticate the wire bytes, then read their sequence number and
+   decipher;
 5. key the moving subject (mixture update + mask cleanup);
 6. build a trimap, solve the matte, fold it into the fuzzy knowledge;
 7. extract an identity template from the subject region and query the store;
@@ -59,7 +60,6 @@ from .raster import (
 )
 from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template
 from .tunnel import (
-    decode_envelope,
     decrypt_verify,
     encode_envelope,
     encrypt_envelope,
@@ -241,11 +241,10 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
             # 2. confidential envelope
             payload = encode_pnm(encoded)
-            envelope = encrypt_envelope(send_tunnel, payload)
+            wire = encode_envelope(encrypt_envelope(send_tunnel, payload))
             trace.append("encrypt")
 
             # 3. simulated transport of the wire bytes
-            wire = encode_envelope(envelope)
             result = transmit(link, len(wire) * 8, now)
             trace.append("transmit")
             if not result.delivered:
@@ -253,13 +252,12 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                 log.info("frame %06d dropped in transit", frame_index)
                 continue
             now = result.arrival
-            envelope = decode_envelope(wire)
             if adversary is not None:
-                envelope = interpose(adversary, envelope)
+                wire = interpose(adversary, wire)
 
             # 4. verification; an alarm ends the frame here.  In lockstep the
             # slot's fresh envelope is the one just sealed
-            payload = decrypt_verify(recv_tunnel, envelope, registry, send_tunnel.send_seq)
+            payload = decrypt_verify(recv_tunnel, wire, registry, send_tunnel.send_seq)
             received = decode_pnm(payload, index=frame_index)
             trace.append("decrypt")
 

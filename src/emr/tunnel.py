@@ -5,8 +5,8 @@ group; agents are identified by the SHA-256 fingerprint of their public key,
 checked against a registry of trusted fingerprints.  Payloads are XORed with
 a keystream drawn from the logistic map ``x <- r*x*(1-x)`` (r = 3.99) and
 authenticated by HMAC-SHA256 (RFC 2104), keyed with the shared secret, over
-(sender fingerprint, sequence number, ciphertext length, ciphertext).
-Tamper, replay, and unknown-agent conditions each raise their own alarm.
+every wire byte before the digest.  Tamper, replay, and unknown-agent
+conditions each raise their own alarm.
 
 Keystream scheduling: seeds come from one SHAKE-256 read (FIPS 202) of
 some material, 8 bytes per seed, each big-endian 64-bit word w mapped to
@@ -50,6 +50,11 @@ Envelope wire layout, bit-exact:
      4-byte big-endian ciphertext length
             ciphertext
     32-byte digest
+
+The receiver authenticates before it parses: ``decrypt_verify`` reads only
+the sender fingerprint before the digest over ``wire[:-32]`` verifies.  The
+digest covers the length field, so a truncated, extended or length-altered
+wire fails it like any other edit.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ import numpy as np
 from .errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
 
 LOGISTIC_R = 3.99
+HEADER_SIZE = 44   # sender fingerprint, sequence number, ciphertext length
 DIGEST_SIZE = 32
 
 # 61-bit safe prime (p = 2q + 1, q prime); 3 generates the order-q subgroup.
@@ -126,6 +132,12 @@ class Envelope:
     seq: int
     ciphertext: bytes
     digest: bytes
+
+    def __post_init__(self):
+        if len(self.sender_fingerprint) != DIGEST_SIZE or len(self.digest) != DIGEST_SIZE:
+            raise ValueError("fingerprint and digest must be 32 bytes")
+        if not 0 <= self.seq < 2 ** 64:
+            raise ValueError(f"seq {self.seq} outside [0, 2**64)")
 
 
 def _lane_seeds(material: bytes, lanes: int) -> np.ndarray:
@@ -194,11 +206,13 @@ def _envelope_keystream(tunnel: SessionTunnel, sender_fp: bytes, seq: int, n: in
     return (states.ravel()[:n] * 256.0).astype(np.uint8).tobytes()
 
 
-def _envelope_digest(tunnel: SessionTunnel, sender_fp: bytes, seq: int, ciphertext: bytes) -> bytes:
-    """HMAC-SHA256 keyed with the shared secret over the wire header and ciphertext."""
-    key = _encode_int(tunnel.shared_secret)
-    header = sender_fp + seq.to_bytes(8, "big") + len(ciphertext).to_bytes(4, "big")
-    return hmac.digest(key, header + ciphertext, "sha256")
+def _header(fp: bytes, seq: int, n: int) -> bytes:
+    return fp + seq.to_bytes(8, "big") + n.to_bytes(4, "big")
+
+
+def _envelope_digest(tunnel: SessionTunnel, signed: bytes) -> bytes:
+    """HMAC-SHA256 keyed with the shared secret over the wire's header and ciphertext."""
+    return hmac.digest(_encode_int(tunnel.shared_secret), signed, "sha256")
 
 
 def _xor(data: bytes, keystream: bytes) -> bytes:
@@ -212,7 +226,8 @@ def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:
     seq = tunnel.send_seq + 1
     keystream = _envelope_keystream(tunnel, tunnel.local_fingerprint, seq, len(payload))
     ciphertext = _xor(payload, keystream)
-    digest = _envelope_digest(tunnel, tunnel.local_fingerprint, seq, ciphertext)
+    header = _header(tunnel.local_fingerprint, seq, len(ciphertext))
+    digest = _envelope_digest(tunnel, header + ciphertext)
     tunnel.send_seq = seq
     return Envelope(
         sender_fingerprint=tunnel.local_fingerprint,
@@ -222,60 +237,38 @@ def encrypt_envelope(tunnel: SessionTunnel, payload: bytes) -> Envelope:
     )
 
 
-def decrypt_verify(tunnel: SessionTunnel, envelope: Envelope, registry, seq: int) -> bytes:
-    """Authenticate and decipher the envelope of the slot that expects ``seq``.
+def decrypt_verify(tunnel: SessionTunnel, wire: bytes, registry, seq: int) -> bytes:
+    """Authenticate and decipher the wire bytes of the slot that expects ``seq``.
 
-    Check order: registry membership, the session peer, digest, then the
-    sequence number, which must equal ``seq`` (a forged one fails the digest
-    first and reads as tamper).  A trusted sender other than the tunnel's
-    peer (such as the receiver's own fingerprint on a relabelled envelope)
-    is unauthorized on this tunnel.  No plaintext is ever produced on an
-    alarmed envelope.
+    Check order: the wire's length, its fingerprint's registry membership and
+    session peer, the digest, and only then the sequence number, which must
+    equal ``seq`` (a forged one fails the digest and reads as tamper).  A
+    trusted sender other than the peer (such as the receiver's own
+    fingerprint on a relabelled wire) is unauthorized on this tunnel.
     """
-    if envelope.sender_fingerprint not in registry:
+    if len(wire) < HEADER_SIZE + DIGEST_SIZE:
+        raise TamperAlarm(f"wire of {len(wire)} bytes is shorter than an envelope")
+    sender = wire[:32]
+    if sender not in registry:
+        raise UnauthorizedAgent(f"sender fingerprint {sender.hex()[:16]}... not trusted")
+    if sender != tunnel.peer_fingerprint:
         raise UnauthorizedAgent(
-            f"sender fingerprint {envelope.sender_fingerprint.hex()[:16]}... not trusted"
+            f"sender fingerprint {sender.hex()[:16]}... is not this session's peer"
         )
-    if envelope.sender_fingerprint != tunnel.peer_fingerprint:
-        raise UnauthorizedAgent(
-            f"sender fingerprint {envelope.sender_fingerprint.hex()[:16]}... "
-            "is not this session's peer"
-        )
-    expected = _envelope_digest(
-        tunnel, envelope.sender_fingerprint, envelope.seq, envelope.ciphertext
-    )
-    if not hmac.compare_digest(expected, envelope.digest):
-        raise TamperAlarm(f"digest mismatch on seq {envelope.seq}")
-    if envelope.seq != seq:
-        raise ReplayAlarm(f"seq {envelope.seq} where {seq} is expected")
-    keystream = _envelope_keystream(
-        tunnel, envelope.sender_fingerprint, envelope.seq, len(envelope.ciphertext)
-    )
-    return _xor(envelope.ciphertext, keystream)
+    signed = wire[:-DIGEST_SIZE]
+    if not hmac.compare_digest(_envelope_digest(tunnel, signed), wire[-DIGEST_SIZE:]):
+        raise TamperAlarm(f"digest mismatch on a {len(wire)}-byte wire")
+    wire_seq = int.from_bytes(wire[32:40], "big")
+    if wire_seq != seq:
+        raise ReplayAlarm(f"seq {wire_seq} where {seq} is expected")
+    ciphertext = signed[HEADER_SIZE:]
+    return _xor(ciphertext, _envelope_keystream(tunnel, sender, seq, len(ciphertext)))
 
-
-# --- wire format ---------------------------------------------------------------
 
 def encode_envelope(envelope: Envelope) -> bytes:
-    if len(envelope.sender_fingerprint) != DIGEST_SIZE or len(envelope.digest) != DIGEST_SIZE:
-        raise ValueError("fingerprint and digest must be 32 bytes")
+    """The envelope's wire bytes (layout in the module doc)."""
     return (
-        envelope.sender_fingerprint
-        + envelope.seq.to_bytes(8, "big")
-        + len(envelope.ciphertext).to_bytes(4, "big")
+        _header(envelope.sender_fingerprint, envelope.seq, len(envelope.ciphertext))
         + envelope.ciphertext
         + envelope.digest
     )
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    if len(data) < DIGEST_SIZE + 8 + 4 + DIGEST_SIZE:
-        raise ValueError("envelope too short")
-    fp = data[:32]
-    seq = int.from_bytes(data[32:40], "big")
-    ct_len = int.from_bytes(data[40:44], "big")
-    if len(data) != 44 + ct_len + DIGEST_SIZE:
-        raise ValueError("envelope length does not match its header")
-    ciphertext = data[44:44 + ct_len]
-    digest = data[44 + ct_len:]
-    return Envelope(sender_fingerprint=fp, seq=seq, ciphertext=ciphertext, digest=digest)

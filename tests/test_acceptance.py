@@ -24,6 +24,7 @@ from emr.errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
 from emr.tunnel import (
     Envelope,
     decrypt_verify,
+    encode_envelope,
     encrypt_envelope,
     fingerprint,
     handshake,
@@ -202,7 +203,7 @@ def test_a5_tunnel_roundtrip_and_detection():
     for _ in range(1000):
         payload = rng.randbytes(rng.randrange(0, 4097))
         env = encrypt_envelope(sender, payload)
-        if decrypt_verify(receiver, env, registry, sender.send_seq) != payload:
+        if decrypt_verify(receiver, encode_envelope(env), registry, sender.send_seq) != payload:
             roundtrip_failures += 1
 
     tamper_detected = 0
@@ -213,8 +214,8 @@ def test_a5_tunnel_roundtrip_and_detection():
         mutated = bytearray(env.ciphertext)
         mutated[bit // 8] ^= 1 << (bit % 8)
         try:
-            decrypt_verify(receiver, Envelope(env.sender_fingerprint, env.seq,
-                                              bytes(mutated), env.digest),
+            decrypt_verify(receiver, encode_envelope(Envelope(env.sender_fingerprint, env.seq,
+                                                              bytes(mutated), env.digest)),
                            registry, sender.send_seq)
         except TamperAlarm:
             tamper_detected += 1
@@ -222,9 +223,10 @@ def test_a5_tunnel_roundtrip_and_detection():
     replay_detected = 0
     for _ in range(100):
         env = encrypt_envelope(sender, rng.randbytes(32))
-        decrypt_verify(receiver, env, registry, sender.send_seq)
+        wire = encode_envelope(env)
+        decrypt_verify(receiver, wire, registry, sender.send_seq)
         try:  # envelope k delivered in the slot that expects seq k + 1
-            decrypt_verify(receiver, env, registry, sender.send_seq + 1)
+            decrypt_verify(receiver, wire, registry, sender.send_seq + 1)
         except ReplayAlarm:
             replay_detected += 1
 
@@ -233,7 +235,7 @@ def test_a5_tunnel_roundtrip_and_detection():
         env = encrypt_envelope(sender, rng.randbytes(16))
         forged = Envelope(bytes([i % 256]) * 32, env.seq, env.ciphertext, env.digest)
         try:
-            decrypt_verify(receiver, forged, registry, sender.send_seq)
+            decrypt_verify(receiver, encode_envelope(forged), registry, sender.send_seq)
         except UnauthorizedAgent:
             impersonation_detected += 1
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from emr.netsim import (
     transmit,
 )
 from emr.qoeqos import ChannelModel
-from emr.tunnel import decrypt_verify, encrypt_envelope
+from emr.tunnel import HEADER_SIZE, decrypt_verify, encode_envelope, encrypt_envelope
 
 from test_tunnel import session_pair
 
@@ -74,33 +75,37 @@ class TestAdversary:
             Adversary("m", "tamper")
 
     def test_tamper_flips_exactly_one_bit(self):
+        # the draw over the n ciphertext bits, past the header: the bit the
+        # adversary flipped when it edited parsed envelopes
         a, _, _ = session_pair()
-        env = encrypt_envelope(a, b"some payload")
-        out = interpose(Adversary("m", AdversaryMode.TAMPER, seed=1), env)
-        diff = [
-            bin(x ^ y).count("1") for x, y in zip(env.ciphertext, out.ciphertext)
-        ]
-        assert sum(diff) == 1
-        assert out.digest == env.digest and out.seq == env.seq
+        for seed in range(20):
+            n = seed + 1
+            wire = encode_envelope(encrypt_envelope(a, bytes(n)))
+            out = interpose(Adversary("m", AdversaryMode.TAMPER, seed=seed), wire)
+            bit = 8 * HEADER_SIZE + random.Random(seed).randrange(8 * n)
+            assert len(out) == len(wire)
+            assert int.from_bytes(out, "little") ^ int.from_bytes(wire, "little") == 1 << bit
 
     def test_tamper_passes_empty_ciphertext(self):
         a, _, _ = session_pair()
-        env = encrypt_envelope(a, b"")
-        assert interpose(Adversary("m", AdversaryMode.TAMPER, seed=1), env) == env
+        wire = encode_envelope(encrypt_envelope(a, b""))
+        mallory = Adversary("m", AdversaryMode.TAMPER, seed=1)
+        assert interpose(mallory, wire) == wire
+        assert mallory.rng.getstate() == random.Random(1).getstate()  # and draws nothing
 
     def test_tamper_raises_alarm_downstream(self):
         a, b, reg = session_pair()
         mallory = Adversary("m", AdversaryMode.TAMPER, seed=3)
         for i in range(100):
-            env = interpose(mallory, encrypt_envelope(a, bytes([i]) * (i + 1)))
+            wire = interpose(mallory, encode_envelope(encrypt_envelope(a, bytes([i]) * (i + 1))))
             with pytest.raises(TamperAlarm):
-                decrypt_verify(b, env, reg, a.send_seq)
+                decrypt_verify(b, wire, reg, a.send_seq)
 
     def test_replay_lags_by_one_and_trips_on_duplicate(self):
         a, b, reg = session_pair()
         mallory = Adversary("m", AdversaryMode.REPLAY)
-        first = encrypt_envelope(a, b"one")
-        second = encrypt_envelope(a, b"two")
+        first = encode_envelope(encrypt_envelope(a, b"one"))
+        second = encode_envelope(encrypt_envelope(a, b"two"))
         assert interpose(mallory, first) == first  # nothing to replay yet
         decrypt_verify(b, first, reg, 1)
         replayed = interpose(mallory, second)
@@ -111,8 +116,8 @@ class TestAdversary:
     def test_impersonation_rejected_by_registry(self):
         a, b, reg = session_pair()
         mallory = Adversary("m", AdversaryMode.IMPERSONATE)
-        env = interpose(mallory, encrypt_envelope(a, b"hello"))
-        assert env.sender_fingerprint == mallory.fingerprint
+        wire = encode_envelope(encrypt_envelope(a, b"hello"))
+        out = interpose(mallory, wire)
+        assert out[:32] == mallory.fingerprint and out[32:] == wire[32:]
         with pytest.raises(UnauthorizedAgent):
-            decrypt_verify(b, env, reg, a.send_seq)
-
+            decrypt_verify(b, out, reg, a.send_seq)

@@ -505,6 +505,24 @@ class TestFrameOutcomes:
         assert self.written(tmp_path) == [0]
         assert "frame 000001 alarm: ReplayAlarm: seq 1 where 2 is expected" in caplog.text
 
+    def test_malformed_wire_is_contained(self, tmp_path, monkeypatch):
+        # an adversary that flips the top bit of frame 1's length field: the
+        # wire fails its digest, that frame alone is tamper and the run goes on
+        import emr.pipeline
+
+        seen = []
+
+        def flip_length_bit(adversary, wire):
+            seen.append(wire)
+            if len(seen) == 2:
+                return wire[:40] + bytes([wire[40] ^ 0x80]) + wire[41:]
+            return wire
+        monkeypatch.setattr(emr.pipeline, "interpose", flip_length_bit)
+        result = run_pipeline(load(workspace(tmp_path, frames=4)), adversary_mode="tamper")
+        assert [(r.frame, r.tamper) for r in result.records] == [(0, 0), (1, 1), (2, 0), (3, 0)]
+        assert self.written(tmp_path) == [0, 2, 3]
+        assert (tmp_path / "metrics.csv").read_text() == result.metrics_text
+
     @pytest.mark.parametrize("mode", ["tamper", "replay", "impersonate"])
     def test_out_dir_holds_this_runs_composites_only(self, tmp_path, mode):
         # after a clean run, a run under an adversary must not leave the clean

@@ -487,6 +487,15 @@ class TestEnvelopes:
 
 
 class TestWireFormat:
+    def test_roundtrip(self):
+        a, b, reg = session_pair()
+        env = encrypt_envelope(a, b"payload bytes")
+        wire = encode_envelope(env)
+        n = int.from_bytes(wire[40:44], "big")
+        fields = wire[:32], int.from_bytes(wire[32:40], "big"), wire[44:44 + n], wire[44 + n:]
+        assert Envelope(*fields) == env
+        assert decrypt_verify(b, wire, reg, 1) == b"payload bytes"
+
     def test_layout(self):
         a, _, _ = session_pair()
         env = encrypt_envelope(a, b"abc")
@@ -497,6 +506,20 @@ class TestWireFormat:
         assert wire[44:47] == env.ciphertext
         assert wire[47:] == env.digest
         assert len(wire) == 32 + 8 + 4 + 3 + 32 == HEADER_SIZE + 3 + 32
+
+    def test_truncated_wire_rejected(self):
+        # shorter than header plus digest, behind a trusted fingerprint
+        a, b, reg = session_pair()
+        with pytest.raises(TamperAlarm):
+            decrypt_verify(b, a.local_fingerprint + b"\x00" * 8, reg, 1)
+
+    def test_length_mismatch_rejected(self):
+        # one byte past what the length field declares
+        a, b, reg = session_pair()
+        wire = encode_envelope(encrypt_envelope(a, b"abc"))
+        with pytest.raises(TamperAlarm):
+            decrypt_verify(b, wire + b"\x00", reg, 1)
+        assert decrypt_verify(b, wire, reg, 1) == b"abc"
 
     @given(st.binary(max_size=200), st.integers(0, 255))
     @settings(max_examples=50, deadline=None)

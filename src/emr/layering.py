@@ -11,7 +11,9 @@ The background set of a pixel is the smallest prefix of its components,
 ordered by weight/sigma descending, whose cumulative weight reaches ``t_bg``.
 A sample that matched no background-set component is keyed as foreground.
 The model bootstraps from the first frame alone and needs no prior knowledge
-of the scene.
+of the scene.  ``mask_postprocess`` opens the keyed mask; its erosion and
+dilation, and the trimap's in ``matting``, OR over square windows clipped to
+the frame (``_window_any``) rather than over a padded copy.
 
 The mixture state is component-major: one contiguous plane over all pixels
 per component slot (weights, variances) and per slot and channel (means).
@@ -255,50 +257,31 @@ def _binary(frame: Frame) -> np.ndarray:
     return fg
 
 
-def _window_any(padded: np.ndarray, radius: int) -> np.ndarray:
-    """OR over every (2r+1)-square window of a boolean array padded by r per side.
+def _window_any(mask: np.ndarray, radius: int) -> np.ndarray:
+    """OR over every (2r+1)-square window of a boolean array, clipped to the array.
 
-    Separable: OR along rows, then along columns of the row results.
+    Rows, then columns, by in-place ORs of shifted slices: a square is a row
+    segment times a column segment.  Clipping reads all that padding would:
+    edge replication repeats an edge pixel the clipped window holds, and False
+    adds nothing to an OR.  So this is dilation under either padding, and
+    ``~_window_any(~m, r)`` is erosion under edge replication.
     """
-    k = 2 * radius + 1
-    h = padded.shape[0] - 2 * radius
-    w = padded.shape[1] - 2 * radius
-    rows = padded[:, :w].copy()
-    for d in range(1, k):
-        rows |= padded[:, d:d + w]
-    out = rows[:h].copy()
-    for d in range(1, k):
-        out |= rows[d:d + h]
+    rows = mask.copy()
+    for d in range(1, radius + 1):
+        rows[:, d:] |= mask[:, :-d]
+        rows[:, :-d] |= mask[:, d:]
+    out = rows.copy()
+    for d in range(1, radius + 1):
+        out[d:] |= rows[:-d]
+        out[:-d] |= rows[d:]
     return out
-
-
-def _erode(mask: np.ndarray, radius: int, pad_mode: str) -> np.ndarray:
-    """Square-window binary erosion.
-
-    The complement of a dilation of the complement; complementing after
-    padding pads True in ``"constant"`` mode.  A boolean min filter equals
-    its row-then-column decomposition, so the result is exact.
-    """
-    if radius < 1:
-        return mask.copy()
-    return ~_window_any(~np.pad(mask, radius, mode=pad_mode), radius)
-
-
-def _dilate(mask: np.ndarray, radius: int, pad_mode: str) -> np.ndarray:
-    """Square-window binary dilation.
-
-    A boolean max filter over a square is the max over rows of the max over
-    columns, so the separable pass is exact.
-    """
-    if radius < 1:
-        return mask.copy()
-    return _window_any(np.pad(mask, radius, mode=pad_mode), radius)
 
 
 def mask_postprocess(mask: Frame) -> Frame:
     """Morphological 3x3 opening; image edges count as background when eroding."""
-    m = _binary(mask)
-    # zero padding makes border pixels unable to survive erosion
-    opened = _dilate(_erode(m, 1, "constant"), 1, "constant")
-    result = np.where(opened, 255, 0).astype(np.uint8)
+    core = ~_window_any(~_binary(mask), 1)
+    # the border ring's windows reach past the edge, so none of it survives
+    core[[0, -1]] = core[:, [0, -1]] = False
+    opened = _window_any(core, 1)
+    result = opened * np.uint8(255)
     return Frame.from_array(result, index=mask.index)

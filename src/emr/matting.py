@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientLabels
-from .layering import _binary, _dilate, _erode
+from .layering import _binary, _window_any
 from .raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap
 
 # samples with alpha beyond these thresholds join the color estimates
@@ -71,12 +71,10 @@ def trimap_from_mask(mask: Frame, params: MattingParams) -> Trimap:
     all-FG.
     """
     m = _binary(mask)
-    fg = _erode(m, params.r_fg, "edge")
-    bg = ~_dilate(m, params.r_bg, "edge")
-    labels = np.full(m.shape, UNKNOWN, dtype=np.uint8)
-    labels[fg] = FG
-    labels[bg] = BG
-    return Trimap(labels)
+    core = ~_window_any(~m, params.r_fg)
+    reach = _window_any(m, params.r_bg)
+    # core <= m <= reach, so the sum is BG 0 outside reach, UNKNOWN 1 or FG 2
+    return Trimap(np.add(reach, core, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,9 @@ def alpha_solve(
 
     band_alpha, degenerate = rounds[last]
     alpha[ys, xs] = band_alpha
-    matte = AlphaMatte(np.clip(alpha, 0.0, 1.0))
+    # no clip needed: labels give 0 and 1, proj is clipped, and a smoothed value is a
+    # float sum of neighbor_cnt values in [0, 1] over neighbor_cnt, which rounds into [0, 1]
+    matte = AlphaMatte(alpha)
     return AlphaSolveResult(
         matte=matte, iterations=iterations, converged=converged, degenerate=degenerate
     )

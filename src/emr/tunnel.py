@@ -201,9 +201,10 @@ def _envelope_keystream(tunnel: SessionTunnel, sender_fp: bytes, seq: int, n: in
         + seq.to_bytes(8, "big")
     )
     lanes = math.isqrt(n - 1) + 1
-    states = _lane_orbit(_lane_seeds(material, lanes), -(-n // lanes))[1:]
-    # scaling by a power of two is exact, so this is floor(256 * x) per state
-    return (states.ravel()[:n] * 256.0).astype(np.uint8).tobytes()
+    orbit = _lane_orbit(_lane_seeds(material, lanes), -(-n // lanes))
+    states = orbit[1:].reshape(-1)[:n]  # a view: the orbit is C-contiguous
+    states *= 256.0  # exact for a power of two, so the cast gives floor(256 * x)
+    return states.astype(np.uint8).tobytes()
 
 
 def _header(fp: bytes, seq: int, n: int) -> bytes:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from emr import matting
 from emr.errors import DimensionMismatch, InsufficientLabels
@@ -79,6 +80,21 @@ class TestTrimap:
             t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=1, r_bg=2)).to_array()
             assert np.array_equal(t == FG, brute_force_morph(m, 1, erode=True))
             assert np.array_equal(t == BG, ~brute_force_morph(m, 2, erode=False))
+
+    @given(
+        arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_any_mask_and_radii(self, m, r1, r2):
+        r_fg, r_bg = min(r1, r2), max(r1, r2)
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=r_fg, r_bg=r_bg)).to_array()
+        fg = brute_force_morph(m, r_fg, erode=True)
+        bg = ~brute_force_morph(m, r_bg, erode=False)
+        assert np.array_equal(t == FG, fg)
+        assert np.array_equal(t == BG, bg)
+        assert np.array_equal(t == UNKNOWN, ~fg & ~bg)
 
     def test_reversed_radii_rejected(self):
         with pytest.raises(ValueError, match="r_bg must be >= r_fg"):

@@ -46,10 +46,6 @@ class ReplayAlarm(SecurityAlarm):
     """Envelope sequence number is not the one its slot expects."""
 
 
-class DegenerateTemplate(EmrError):
-    """Feature region has zero variance; no template can be extracted."""
-
-
 # --- pipeline config ---------------------------------------------------------
 
 class ConfigError(EmrError):

@@ -63,16 +63,18 @@ class MattingParams:
             raise ValueError("lambda_t must lie in [0, 1]")
 
 
-def trimap_from_mask(mask: Frame, params: MattingParams) -> Trimap:
+def trimap_from_mask(mask: Frame, params: MattingParams, scale: int) -> Trimap:
     """Erode the mask into sure-FG, dilate into sure-BG, leave a band UNKNOWN.
 
-    Morphology uses square structuring elements of radii ``params.r_fg`` and
-    ``params.r_bg`` with edge-replication padding, so a full-frame mask stays
-    all-FG.
+    The radii ``params.r_fg`` and ``params.r_bg`` are in capture pixels: a
+    mask keyed at a level of scale factor ``scale`` is eroded and dilated by
+    square structuring elements of radii ``r_fg // scale`` and
+    ``r_bg // scale``, with edge-replication padding, so a full-frame mask
+    stays all-FG.
     """
     m = _binary(mask)
-    core = ~_window_any(~m, params.r_fg)
-    reach = _window_any(m, params.r_bg)
+    core = ~_window_any(~m, params.r_fg // scale)
+    reach = _window_any(m, params.r_bg // scale)
     # core <= m <= reach, so the sum is BG 0 outside reach, UNKNOWN 1 or FG 2
     return Trimap(np.add(reach, core, dtype=np.uint8))
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from .config import COMPOSITE_RE, FRAME_RE, PipelineConfig
 from .errors import (
-    DegenerateTemplate,
     DimensionMismatch,
     EmrError,
     InsufficientLabels,
@@ -54,11 +53,11 @@ from .fusion import RvoLayer, compose, select_view
 from .layering import layer_init, layer_update_classify, mask_postprocess
 from .matting import MattingParams, alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
-from .qoeqos import reencode, score as level_score, select_encoding
+from .qoeqos import NO_LEVEL, reencode, score as level_score, select_encoding
 from .raster import (
     AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm, write_atomic,
 )
-from .store import TEMPLATE_SIDE, KnowledgeStore, extract_template
+from .store import NO_IDENTITY, UNKNOWN_IDENTITY, KnowledgeStore, extract_template
 from .tunnel import (
     decrypt_verify,
     encode_envelope,
@@ -69,8 +68,6 @@ from .tunnel import (
 
 log = logging.getLogger("emr.pipeline")
 
-_NO_IDENTITY = "-"
-_UNKNOWN_IDENTITY = "UNKNOWN"
 # the metrics column each alarm sets
 _ALARM_COLUMNS = {TamperAlarm: "tamper", ReplayAlarm: "replay", UnauthorizedAgent: "unauth"}
 
@@ -78,7 +75,7 @@ _ALARM_COLUMNS = {TamperAlarm: "tamper", ReplayAlarm: "replay", UnauthorizedAgen
 @dataclass
 class FrameMetrics:
     frame: int
-    level: str = _NO_IDENTITY
+    level: str = NO_LEVEL
     mos: float = 0.0
     latency: float = 0.0
     degraded: bool = False
@@ -87,7 +84,7 @@ class FrameMetrics:
     unauth: int = 0
     drop: int = 0
     fg_pixels: int = 0
-    identity: str = _NO_IDENTITY
+    identity: str = NO_IDENTITY
     ms_total: float = 0.0
 
 
@@ -124,35 +121,6 @@ def _list_frames(frames_dir: Path):
         if m:
             found.append((int(m.group(1)), path))
     return sorted(found)
-
-
-def _subject_template(received: Frame, mask: Frame):
-    """Template of the mask's box grown to template size; None if empty or flat."""
-    arr = mask.data[:, :, 0]
-    ys, xs = np.nonzero(arr)
-    if ys.size == 0:
-        return None
-    y0, y1 = int(ys.min()), int(ys.max()) + 1
-    x0, x1 = int(xs.min()), int(xs.max()) + 1
-    y0, y1 = _expand_span(y0, y1, TEMPLATE_SIDE, received.height)
-    x0, x1 = _expand_span(x0, x1, TEMPLATE_SIDE, received.width)
-    if y1 - y0 < TEMPLATE_SIDE or x1 - x0 < TEMPLATE_SIDE:
-        return None  # frame itself smaller than a template
-    region = received.data[y0:y1, x0:x1]
-    try:
-        return extract_template(Frame.from_array(region, index=received.index))
-    except DegenerateTemplate:
-        return None
-
-
-def _expand_span(lo: int, hi: int, minimum: int, limit: int):
-    if hi - lo >= minimum:
-        return lo, hi
-    pad = minimum - (hi - lo)
-    lo = max(0, lo - pad // 2)
-    hi = min(limit, lo + minimum)
-    lo = max(0, hi - minimum)
-    return lo, hi
 
 
 def _solve_matte(received: Frame, trimap: Trimap, mask: Frame, params: MattingParams) -> AlphaMatte:
@@ -276,14 +244,17 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             trace.append("layer")
 
             # 6. matting
-            trimap = trimap_from_mask(mask, config.matting)
+            trimap = trimap_from_mask(mask, config.matting, level.scale_factor)
             matte = _solve_matte(received, trimap, mask, config.matting)
             fuzzy = fuzzy_update(fuzzy, matte, config.matting)
             trace.append("matte")
 
             # 7. identification
             identity = None
-            template = _subject_template(received, mask)
+            ys, xs = np.nonzero(mask.data[:, :, 0])
+            template = extract_template(
+                received, (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1)
+            ) if ys.size else None
             if template is not None:
                 if (
                     config.store.enroll_user
@@ -294,7 +265,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                     enrolled = True
                     log.info("frame %06d: enrolled %s", frame_index, config.store.enroll_user)
                 identity = store.identify(template, config.store.theta)
-            rec.identity = identity if identity is not None else _UNKNOWN_IDENTITY
+            rec.identity = identity if identity is not None else UNKNOWN_IDENTITY
             trace.append("identify")
 
             # 8. fusion into the target scene at the capture's geometry: keying

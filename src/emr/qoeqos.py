@@ -30,6 +30,9 @@ from dataclasses import dataclass, replace
 from .errors import NoLevels
 from .raster import Frame, downsample, quantize
 
+# the metrics' level of a frame that was never read; no level may take it
+NO_LEVEL = "-"
+
 
 @dataclass(frozen=True)
 class EncodingLevel:
@@ -45,6 +48,8 @@ class EncodingLevel:
     bits_per_frame: int | None = None
 
     def __post_init__(self):
+        if self.id in ("", NO_LEVEL):
+            raise ValueError(f"id must not be empty or {NO_LEVEL!r}")
         if not self.scale_factor >= 1:
             raise ValueError("scale_factor must be >= 1")
         if not 1 <= self.quant_step <= 128:

@@ -1,10 +1,10 @@
 """Identity table with incremental centroid learning.
 
-User appearance is summarized as a 256-dimensional template: the grayscale
-face region resized to 16x16 (nearest neighbor), mean-subtracted, and scaled
-to unit L2 norm.  Each user's centroid is the running mean of their enrolled
-templates; queries match by cosine distance against every user and return the
-best one under the threshold, or nothing.
+User appearance is summarized as a 256-dimensional template: the gray 16x16
+nearest-neighbor grid of the subject's box, grown to 16 px a side,
+mean-subtracted, and scaled to unit L2 norm.  Each user's centroid is the
+running mean of their enrolled templates; queries match by cosine distance
+against every user and return the best one under the threshold, or nothing.
 
 Persistence: one text file, ``identities.csv``, one record per line:
 ``user_id,sample_count,v0,...,v255`` with full-precision decimal reals,
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTemplate
 from .raster import Frame, to_grayscale, write_atomic
 
 TEMPLATE_SIDE = 16
@@ -27,11 +26,18 @@ TEMPLATE_DIM = TEMPLATE_SIDE * TEMPLATE_SIDE
 
 _TABLE_FILE = "identities.csv"
 
+# the metrics' identity of a frame with no template, and of one matching no
+# user; no user may take either
+NO_IDENTITY = "-"
+UNKNOWN_IDENTITY = "UNKNOWN"
+
 
 def _check_user_id(user_id: str, name: str = "user_id") -> None:
     # load() splits the table with splitlines(), which also yields no line for ""
     if "," in user_id or user_id.splitlines() != [user_id]:
         raise ValueError(f"{name} must be non-empty without commas or line breaks")
+    if user_id in (NO_IDENTITY, UNKNOWN_IDENTITY):
+        raise ValueError(f"{name} must not be {user_id!r}, a placeholder of the metrics")
 
 
 def _template_vector(values, name: str) -> np.ndarray:
@@ -62,24 +68,33 @@ class StoreParams:
             raise ValueError("enroll_frame must be >= 0")
 
 
-def extract_template(region: Frame) -> np.ndarray:
-    """Normalized 256-vector for a face region of at least 16x16 pixels."""
-    if region.width < TEMPLATE_SIDE or region.height < TEMPLATE_SIDE:
-        raise ValueError(
-            f"region {region.width}x{region.height} smaller than "
-            f"{TEMPLATE_SIDE}x{TEMPLATE_SIDE}"
-        )
-    gray = to_grayscale(region) if region.channels == 3 else region
-    arr = gray.data[:, :, 0]
-    rows = (np.arange(TEMPLATE_SIDE) * gray.height) // TEMPLATE_SIDE
-    cols = (np.arange(TEMPLATE_SIDE) * gray.width) // TEMPLATE_SIDE
-    small = arr[rows[:, None], cols[None, :]].astype(np.float64)
-    vec = small.reshape(-1)
+def extract_template(frame: Frame, box) -> np.ndarray | None:
+    """Unit 256-vector of the frame's gray 16x16 grid over a (y0, y1, x0, x1) box.
+
+    A side shorter than 16 px grows about its middle, kept inside the frame.
+    None when the frame is smaller than 16x16 or the samples are all equal.
+    """
+    y0, y1, x0, x1 = box
+    if not (0 <= y0 < y1 <= frame.height and 0 <= x0 < x1 <= frame.width):
+        raise ValueError(f"box {box} is empty or not inside the {frame.width}x{frame.height} frame")
+    if frame.height < TEMPLATE_SIDE or frame.width < TEMPLATE_SIDE:
+        return None
+    rows, cols = _grid(y0, y1, frame.height), _grid(x0, x1, frame.width)
+    samples = frame.data[rows[:, None], cols[None, :]]
+    if frame.channels == 3:
+        samples = to_grayscale(Frame(samples)).data
+    vec = samples.reshape(-1).astype(np.float64)
     vec = vec - vec.mean()
     norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise DegenerateTemplate("region has zero variance")
-    return vec / norm
+    return vec / norm if norm else None
+
+
+def _grid(lo: int, hi: int, limit: int) -> np.ndarray:
+    """Nearest-neighbor sample positions of [lo, hi), grown to 16 within [0, limit)."""
+    if hi - lo < TEMPLATE_SIDE:
+        lo = max(0, min(lo - (TEMPLATE_SIDE - (hi - lo)) // 2, limit - TEMPLATE_SIDE))
+        hi = lo + TEMPLATE_SIDE
+    return lo + (np.arange(TEMPLATE_SIDE) * (hi - lo)) // TEMPLATE_SIDE
 
 
 @dataclass

@@ -134,6 +134,11 @@ class TestValidation:
             ("[fusion]\nscale = 0\n", "fusion.scale"),
             ("[fusion]\nviews = ,\n", "fusion.views"),
             ("[encoding]\nlevels = a:1:1,a:2:2\n", "encoding.levels"),
+            # a level or user named as a metrics placeholder
+            ("[encoding]\nlevels = -:1:1\n", "encoding.levels"),
+            ("[encoding]\nlevels = :1:1\n", "encoding.levels"),
+            ("[store]\nenroll_user = UNKNOWN\n", "store.enroll_user"),
+            ("[store]\nenroll_user = -\n", "store.enroll_user"),
             ("[io]\nmetrics = frames\n", "io.metrics"),  # a directory
         ],
     )

@@ -45,18 +45,18 @@ def brute_force_morph(mask, radius, erode):
 class TestTrimap:
     def test_empty_mask_is_all_background(self):
         mask = mask_frame(np.zeros((8, 8), dtype=bool))
-        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4))
+        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4), 1)
         assert np.all(t.to_array() == BG)
 
     def test_full_mask_is_all_foreground(self):
         mask = mask_frame(np.ones((8, 8), dtype=bool))
-        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4))
+        t = trimap_from_mask(mask, MattingParams(r_fg=2, r_bg=4), 1)
         assert np.all(t.to_array() == FG)
 
     def test_square_produces_core_band_background(self):
         m = np.zeros((32, 32), dtype=bool)
         m[12:20, 12:20] = True
-        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=2, r_bg=4)).to_array()
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=2, r_bg=4), 1).to_array()
         expected_fg = brute_force_morph(m, 2, erode=True)
         expected_bg = ~brute_force_morph(m, 4, erode=False)
         assert np.array_equal(t == FG, expected_fg)
@@ -69,7 +69,7 @@ class TestTrimap:
     def test_radius_zero_keeps_mask(self):
         m = np.zeros((6, 6), dtype=bool)
         m[2:4, 2:4] = True
-        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=0, r_bg=0)).to_array()
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=0, r_bg=0), 1).to_array()
         assert np.array_equal(t == FG, m)
         assert np.array_equal(t == BG, ~m)
 
@@ -77,7 +77,7 @@ class TestTrimap:
         rng = np.random.RandomState(11)
         for _ in range(5):
             m = rng.rand(10, 10) < 0.5
-            t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=1, r_bg=2)).to_array()
+            t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=1, r_bg=2), 1).to_array()
             assert np.array_equal(t == FG, brute_force_morph(m, 1, erode=True))
             assert np.array_equal(t == BG, ~brute_force_morph(m, 2, erode=False))
 
@@ -85,16 +85,30 @@ class TestTrimap:
         arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
         st.integers(0, 4),
         st.integers(0, 4),
+        st.integers(1, 4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_brute_force_on_any_mask_and_radii(self, m, r1, r2):
+    def test_matches_brute_force_on_any_mask_and_radii(self, m, r1, r2, scale):
         r_fg, r_bg = min(r1, r2), max(r1, r2)
-        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=r_fg, r_bg=r_bg)).to_array()
-        fg = brute_force_morph(m, r_fg, erode=True)
-        bg = ~brute_force_morph(m, r_bg, erode=False)
+        t = trimap_from_mask(mask_frame(m), MattingParams(r_fg=r_fg, r_bg=r_bg), scale).to_array()
+        fg = brute_force_morph(m, r_fg // scale, erode=True)
+        bg = ~brute_force_morph(m, r_bg // scale, erode=False)
         assert np.array_equal(t == FG, fg)
         assert np.array_equal(t == BG, bg)
         assert np.array_equal(t == UNKNOWN, ~fg & ~bg)
+
+    @pytest.mark.parametrize("r_fg, r_bg", [(0, 1), (1, 3), (2, 4), (3, 7)])
+    def test_band_width_in_capture_pixels_does_not_grow_with_scale(self, r_fg, r_bg):
+        # a 32 px square in a 64x64 capture, keyed at scales 1, 2 and 4; the
+        # band's width is read along the middle row, in capture pixels
+        capture = np.zeros((64, 64), dtype=bool)
+        capture[16:48, 16:48] = True
+        params = MattingParams(r_fg=r_fg, r_bg=r_bg)
+        width = {}
+        for scale in (1, 2, 4):
+            labels = trimap_from_mask(mask_frame(capture[::scale, ::scale]), params, scale).labels
+            width[scale] = np.count_nonzero(labels[labels.shape[0] // 2] == UNKNOWN) * scale
+        assert width[2] <= width[1] and width[4] <= width[1]
 
     def test_reversed_radii_rejected(self):
         with pytest.raises(ValueError, match="r_bg must be >= r_fg"):

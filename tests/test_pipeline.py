@@ -590,6 +590,18 @@ class TestCli:
         cfg.write_text("[gmm]\nalpha_lr = 7\n")
         assert run_cli("validate-config", str(cfg)).returncode == 1
 
+    @pytest.mark.parametrize("extra, key", [
+        ("[encoding]\nlevels = -:1:1\n", "encoding.levels"),
+        ("[encoding]\nlevels = :1:1\n", "encoding.levels"),
+        ("[store]\nenroll_user = UNKNOWN\n", "store.enroll_user"),
+        ("[store]\nenroll_user = -\n", "store.enroll_user"),
+    ])
+    def test_placeholder_name_exits_one(self, tmp_path, extra, key):
+        cfg_path = workspace(tmp_path, frames=1, extra=extra)
+        validate = run_cli("validate-config", str(cfg_path))
+        assert validate.returncode == 1
+        assert f"invalid value for {key}:" in validate.stderr
+
     def test_legacy_shard_store_exits_one(self, tmp_path):
         cfg_path = workspace(tmp_path, frames=2, extra="[store]\ndir = store\n")
         (tmp_path / "store").mkdir()

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import emr.raster
 import emr.store
 
-from emr.errors import DegenerateTemplate
-from emr.raster import Frame, write_atomic
+from emr.raster import Frame, to_grayscale, write_atomic
 from emr.store import (
     TEMPLATE_DIM,
+    TEMPLATE_SIDE,
     IdentityTemplate,
     KnowledgeStore,
     StoreParams,
@@ -74,34 +74,102 @@ def random_template(rng):
     return v / np.linalg.norm(v)
 
 
+def region_template(frame, box):
+    """Reference template: grow each side of the box to TEMPLATE_SIDE, copy the
+    region into a Frame, convert all of it to gray, then sample the 16x16 grid."""
+
+    def grow(lo, hi, limit):
+        if hi - lo >= TEMPLATE_SIDE:
+            return lo, hi
+        lo = max(0, lo - (TEMPLATE_SIDE - (hi - lo)) // 2)
+        hi = min(limit, lo + TEMPLATE_SIDE)
+        return max(0, hi - TEMPLATE_SIDE), hi
+
+    y0, y1, x0, x1 = box
+    y0, y1 = grow(y0, y1, frame.height)
+    x0, x1 = grow(x0, x1, frame.width)
+    if y1 - y0 < TEMPLATE_SIDE or x1 - x0 < TEMPLATE_SIDE:
+        return None
+    region = Frame.from_array(frame.data[y0:y1, x0:x1])
+    gray = to_grayscale(region) if region.channels == 3 else region
+    rows = (np.arange(TEMPLATE_SIDE) * gray.height) // TEMPLATE_SIDE
+    cols = (np.arange(TEMPLATE_SIDE) * gray.width) // TEMPLATE_SIDE
+    vec = gray.data[:, :, 0][rows[:, None], cols[None, :]].astype(np.float64).reshape(-1)
+    vec = vec - vec.mean()
+    norm = np.linalg.norm(vec)
+    return None if norm == 0.0 else vec / norm
+
+
+def spans(limit):
+    """[lo, hi) inside [0, limit): any, one pixel, or touching either edge."""
+    lo = st.integers(0, limit - 1)
+    return st.one_of(
+        lo.flatmap(lambda a: st.integers(a + 1, limit).map(lambda b: (a, b))),
+        lo.map(lambda a: (a, a + 1)),
+        st.integers(1, limit).map(lambda b: (0, b)),
+        lo.map(lambda a: (a, limit)),
+    )
+
+
+@st.composite
+def frames_and_boxes(draw):
+    """A frame of sides 1-40 (16 often), 1 or 3 channels, and a box inside it.
+
+    Its samples take 1, 2 or 256 values, so flat grids occur too.
+    """
+    side = st.sampled_from([TEMPLATE_SIDE]) | st.integers(1, 40)
+    h, w, channels = draw(side), draw(side), draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 256]))
+    frame = Frame(rng.integers(0, levels, (h, w, channels), dtype=np.uint8))
+    return frame, (*draw(spans(h)), *draw(spans(w)))
+
+
 class TestExtractTemplate:
+    @given(frames_and_boxes())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_region_reference(self, case):
+        frame, box = case
+        got, want = extract_template(frame, box), region_template(frame, box)
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
-        assert np.array_equal(extract_template(region(1)), extract_template(region(1)))
+        box = (5, 9, 5, 9)
+        assert np.array_equal(extract_template(region(1), box), extract_template(region(1), box))
 
     def test_unit_norm_and_zero_mean(self):
-        t = extract_template(region(2))
+        t = extract_template(region(2), (0, 20, 0, 20))
         assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
         assert t.mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_invariance(self):
         base = np.random.RandomState(3).randint(50, 150, (16, 16), dtype=np.uint8)
         shifted = (base + 40).astype(np.uint8)  # stays within range: no clamping
-        t0 = extract_template(Frame.from_array(base))
-        t1 = extract_template(Frame.from_array(shifted))
+        t0 = extract_template(Frame.from_array(base), (0, 16, 0, 16))
+        t1 = extract_template(Frame.from_array(shifted), (0, 16, 0, 16))
         assert np.allclose(t0, t1, atol=1e-12)
 
     def test_constant_region_rejected(self):
         flat = Frame.from_array(np.full((16, 16), 77, dtype=np.uint8))
-        with pytest.raises(DegenerateTemplate):
-            extract_template(flat)
+        assert extract_template(flat, (0, 16, 0, 16)) is None
 
     def test_small_region_rejected(self):
-        with pytest.raises(ValueError):
-            extract_template(Frame.from_array(np.zeros((8, 16), dtype=np.uint8)))
+        frame = Frame.from_array(np.random.RandomState(5).randint(0, 200, (8, 16), dtype=np.uint8))
+        assert extract_template(frame, (0, 8, 0, 16)) is None
 
     def test_color_regions_accepted(self):
-        t = extract_template(region(4, channels=3))
+        t = extract_template(region(4, channels=3), (0, 20, 0, 20))
         assert t.shape == (TEMPLATE_DIM,)
+
+    @pytest.mark.parametrize("box", [
+        (3, 3, 0, 20), (0, 20, 7, 6), (-1, 4, 0, 4), (0, 4, -1, 4), (0, 21, 0, 4), (0, 4, 0, 21),
+    ])
+    def test_box_empty_or_outside_frame_rejected(self, box):
+        with pytest.raises(ValueError, match="box"):
+            extract_template(region(6), box)
 
 
 class TestEnroll:

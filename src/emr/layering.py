@@ -17,15 +17,17 @@ the frame (``_window_any``) rather than over a padded copy.
 
 The mixture state is component-major: one contiguous plane over all pixels
 per component slot (weights, variances) and per slot and channel (means).
-Steps across slots or channels are short Python loops over whole planes;
-the rank order of the background set comes from plane comparisons rather
-than a per-pixel sort.
+Steps across slots or channels are short Python loops over whole planes,
+or numpy's ``sum`` and ``argmin`` over axis 0, which add the slot planes
+left to right and give ties to the lowest slot.  The rank order of the
+background set comes from plane comparisons rather than a per-pixel sort.
 
 An update changes the model in place and returns it.  Masked steps are
 in-place ufuncs with ``where=``, and every intermediate plane the size of
 the mixture (deviations, distances, match flags, rank order, the background
 set) is a scratch plane the model allocates once, filled with ``out=`` on
-each frame.  A caller that needs the state from before an update copies
+each frame.  Replacement writes by index, to only the pixels that matched
+no component.  A caller that needs the state from before an update copies
 the state arrays first.
 """
 
@@ -122,25 +124,6 @@ def _channel_planes(frame: Frame) -> np.ndarray:
     return frame.data.reshape(-1, frame.channels).T
 
 
-def _sum_planes(planes) -> np.ndarray:
-    """Sum of a sequence of planes, added left to right."""
-    total = planes[0].copy()
-    for plane in planes[1:]:
-        total += plane
-    return total
-
-
-def _argmin_planes(planes) -> np.ndarray:
-    """Index of the smallest plane per pixel; ties go to the lowest index."""
-    best = np.zeros(planes[0].shape, dtype=np.intp)
-    low = planes[0]
-    for j in range(1, len(planes)):
-        below = planes[j] < low
-        best[below] = j
-        low = np.where(below, planes[j], low)
-    return best
-
-
 def layer_update_classify(model: LayerModel, frame: Frame):
     """Adapt the model to a frame in place and key it; returns (mask, model).
 
@@ -152,12 +135,15 @@ def layer_update_classify(model: LayerModel, frame: Frame):
     and only classification runs.
 
     Every sum over channels or components runs left to right, and every
-    argmin and rank order breaks ties by the lowest slot.  That is what
-    numpy's reductions (sequential below 8 elements) and stable argsort did
-    over the former pixel-major ``(P, K, C)`` layout, so for k < 8 the mask
-    and the model are bit-identical to it.  Each masked step rounds as the
-    whole-plane expression it replaces: ``keep * mu + alpha * x`` is one
-    in-place multiply and one in-place add, each rounded once.
+    argmin and rank order breaks ties by the lowest slot: ``argmin(axis=0)``
+    returns the first minimum, and unmatched slots hold ``inf``, never NaN.
+    That is what numpy's reductions (sequential below 8 elements) and stable
+    argsort did over the former pixel-major ``(P, K, C)`` layout, so for
+    k < 8 the mask and the model are bit-identical to it.  Each masked step
+    rounds as the whole-plane expression it replaces: ``keep * mu + alpha * x``
+    is one in-place multiply and one in-place add, each rounded once.
+    Replacement writes by index to only the pixels that matched nothing, in
+    their next free slot or, with all K in use, their lowest-weight slot.
     """
     if (frame.height, frame.width, frame.channels) != model.shape:
         raise DimensionMismatch(
@@ -180,20 +166,18 @@ def layer_update_classify(model: LayerModel, frame: Frame):
     bound = np.sqrt(var, out=model._rank)
     bound *= prm.lam
     np.copyto(matched, active)
+    dist2.fill(0.0)
     for c in range(model.channels):
         np.subtract(x[c], mu[:, c], out=diff)
         matched &= np.abs(diff, out=diff) <= bound
-        if c == 0:
-            np.multiply(diff, diff, out=dist2)
-        else:
-            diff *= diff  # |d| * |d| is d * d exactly
-            dist2 += diff
+        diff *= diff  # |d| * |d| is d * d exactly
+        dist2 += diff
     has_match = matched.any(axis=0)
     np.copyto(dist2, np.inf, where=~matched)
-    best = _argmin_planes(dist2)
 
     if alpha > 0.0:
-        hit = (best == slots) & has_match  # the component each matched pixel updates
+        # the component each matched pixel updates
+        hit = (dist2.argmin(axis=0) == slots) & has_match
         keep = 1.0 - alpha
         np.multiply(w, keep, out=w, where=has_match)
         np.add(w, alpha, out=w, where=hit)
@@ -206,16 +190,15 @@ def layer_update_classify(model: LayerModel, frame: Frame):
         np.multiply(mu, keep, out=mu, where=hit3)
         np.add(mu, alpha * x, out=mu, where=hit3)
 
-        miss = ~has_match
-        room = n < k
-        slot = np.where(room, n, _argmin_planes(w))
-        fresh = (slot == slots) & miss
-        np.copyto(w, alpha, where=fresh)
-        np.copyto(mu, x, where=fresh[:, None, :])
-        np.copyto(var, prm.var_init, where=fresh)
-        n += miss & room
+        miss = np.flatnonzero(~has_match)
+        room = n[miss] < k
+        slot = np.where(room, n[miss], w[:, miss].argmin(axis=0))
+        w[slot, miss] = alpha
+        mu[slot, :, miss] = x[:, miss].T  # indices around a slice: (M, C) result
+        var[slot, miss] = prm.var_init
+        n[miss] += room
 
-        w /= _sum_planes(w)
+        w /= w.sum(axis=0)
         active = slots < n
 
     # background set from the (updated) model: smallest weight/sigma-ordered

@@ -251,9 +251,10 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
 
             # 7. identification
             identity = None
-            ys, xs = np.nonzero(mask.data[:, :, 0])
+            fg = mask.data[:, :, 0]
+            ys, xs = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
             template = extract_template(
-                received, (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1)
+                received, (ys[0], ys[-1] + 1, xs[0], xs[-1] + 1)
             ) if ys.size else None
             if template is not None:
                 if (

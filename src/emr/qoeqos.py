@@ -48,8 +48,11 @@ class EncodingLevel:
     bits_per_frame: int | None = None
 
     def __post_init__(self):
-        if self.id in ("", NO_LEVEL):
-            raise ValueError(f"id must not be empty or {NO_LEVEL!r}")
+        # the metrics CSV writes the id raw; splitlines() also yields no line for ""
+        if "," in self.id or self.id.splitlines() != [self.id]:
+            raise ValueError("id must be non-empty without commas or line breaks")
+        if self.id == NO_LEVEL:
+            raise ValueError(f"id must not be {NO_LEVEL!r}, a placeholder of the metrics")
         if not self.scale_factor >= 1:
             raise ValueError("scale_factor must be >= 1")
         if not 1 <= self.quant_step <= 128:

@@ -373,6 +373,9 @@ def full_size_case():
 class TestPlanarMatchesReference:
     @given(gmm_cases())
     @example(full_size_case())
+    # 100 misses 0 and leaves weights (0.5, 0.5); 200 misses both, and the
+    # replacement's tie between equal weights goes to slot 0
+    @example((GmmParams(k=2, alpha_lr=1.0), [np.full((1, 1, 1), v, np.uint8) for v in (0, 100, 200)]))
     @settings(max_examples=200, deadline=None)
     def test_equal_masks_and_state(self, case):
         prm, frames = case

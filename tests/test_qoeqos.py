@@ -110,6 +110,14 @@ class TestMos:
             EncodingParams(fps=1.0, **kw)
 
 
+class TestEncodingLevel:
+    # a comma or line break in an id would split its row of the metrics CSV
+    @pytest.mark.parametrize("level_id", ["", "-", "a,b", "a\nb", "a\r\nb", "a\x0bb"])
+    def test_id_that_would_corrupt_the_metrics_rejected(self, level_id):
+        with pytest.raises(ValueError, match="^id must"):
+            EncodingLevel(id=level_id)
+
+
 class TestEncodingParams:
     @pytest.mark.parametrize(
         "kw, field",

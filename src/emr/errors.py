@@ -27,7 +27,7 @@ class InsufficientLabels(EmrError):
 
 
 class NoLevels(EmrError):
-    """Encoding selection over an empty level set."""
+    """Encoding selection where no candidate level divides the source."""
 
 
 class SecurityAlarm(EmrError):

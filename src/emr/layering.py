@@ -172,11 +172,11 @@ def layer_update_classify(model: LayerModel, frame: Frame):
         matched &= np.abs(diff, out=diff) <= bound
         diff *= diff  # |d| * |d| is d * d exactly
         dist2 += diff
-    has_match = matched.any(axis=0)
-    np.copyto(dist2, np.inf, where=~matched)
 
     if alpha > 0.0:
         # the component each matched pixel updates
+        has_match = matched.any(axis=0)
+        np.copyto(dist2, np.inf, where=~matched)
         hit = (dist2.argmin(axis=0) == slots) & has_match
         keep = 1.0 - alpha
         np.multiply(w, keep, out=w, where=has_match)

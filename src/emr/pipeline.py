@@ -53,7 +53,7 @@ from .fusion import RvoLayer, compose, select_view
 from .layering import layer_init, layer_update_classify, mask_postprocess
 from .matting import MattingParams, alpha_solve, fuzzy_init, fuzzy_update, trimap_from_mask
 from .netsim import Adversary, AdversaryMode, Link, interpose, transmit
-from .qoeqos import NO_LEVEL, reencode, score as level_score, select_encoding
+from .qoeqos import NO_LEVEL, level_bits, reencode, score as level_score, select_encoding
 from .raster import (
     AlphaMatte, Frame, Trimap, decode_pnm, encode_pnm, load_pnm, save_pnm, write_atomic,
 )
@@ -131,19 +131,14 @@ def _solve_matte(received: Frame, trimap: Trimap, mask: Frame, params: MattingPa
         return AlphaMatte(mask.data[:, :, 0] / 255.0)
 
 
-def _select_level(config: PipelineConfig, width: int, height: int, channels: int):
-    """(level, degraded, score) the policy gives a source of this geometry.
+def _select_level(config: PipelineConfig, geometry: tuple[int, int, int]):
+    """(level, degraded, score) the policy gives a (width, height, channels) source.
 
     The channel, policy and levels are fixed for a run, so the answer depends
     on the geometry alone.
     """
-    usable = [
-        lvl.resolved(width, height, channels)
-        for lvl in config.encoding.levels
-        if width % lvl.scale_factor == 0 and height % lvl.scale_factor == 0
-    ]
-    level, degraded = select_encoding(usable, config.channel, config.encoding)
-    s = level_score(level, config.channel, config.encoding)
+    level, degraded = select_encoding(config.encoding.levels, geometry, config.channel, config.encoding)
+    s = level_score(level_bits(level, *geometry), config.channel, config.encoding)
     return level, degraded, s
 
 
@@ -200,7 +195,7 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             # 1. QoE/QoS selection (once per source geometry) and re-encoding
             geometry = (source.width, source.height, source.channels)
             if geometry != selected_for:
-                selection = _select_level(config, *geometry)
+                selection = _select_level(config, geometry)
                 selected_for = geometry
             level, degraded, s = selection
             rec.level, rec.mos, rec.latency, rec.degraded = level.id, s.mos, s.latency, degraded

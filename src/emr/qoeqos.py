@@ -12,8 +12,10 @@ axes map onto [0, 1] so the three selection policies compare on one scale:
 * OPT_QOS     lowest latency among levels meeting the mos floor
 * BALANCE     best  w * qoe_norm + (1 - w) * qos_norm  over all levels
 
-A policy whose feasible set is empty degrades to the lowest-bits level and
-flags it, so a caller never stalls on an overloaded channel.
+A level's bits per frame follow from the source geometry (``level_bits``),
+and only levels whose scale factor divides the source's width and height
+compete.  A policy whose feasible set is empty degrades to the lowest-bits
+level and flags it, so a caller never stalls on an overloaded channel.
 
 Every parameter of the law and the policies (fps, b0, bmax, policy, w,
 mos_min, l_max, l_min) and the candidate levels of a run live in one frozen
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoLevels
 from .raster import Frame, downsample, quantize
@@ -36,16 +38,14 @@ NO_LEVEL = "-"
 
 @dataclass(frozen=True)
 class EncodingLevel:
-    """One candidate encoding: spatial divisor, quantization step, payload bits.
+    """One candidate encoding: spatial divisor and quantization step.
 
-    ``bits_per_frame`` may be supplied directly or left None; ``resolved``
-    sets it from frame dimensions via :func:`level_bits`.
+    Its payload bits depend on the source as well; :func:`level_bits` gives them.
     """
 
     id: str
     scale_factor: int = 1
     quant_step: int = 1
-    bits_per_frame: int | None = None
 
     def __post_init__(self):
         # the metrics CSV writes the id raw; splitlines() also yields no line for ""
@@ -57,12 +57,6 @@ class EncodingLevel:
             raise ValueError("scale_factor must be >= 1")
         if not 1 <= self.quant_step <= 128:
             raise ValueError("quant_step must lie in [1, 128]")
-        if self.bits_per_frame is not None and not self.bits_per_frame > 0:
-            raise ValueError("bits_per_frame must be > 0")
-
-    def resolved(self, width: int, height: int, channels: int) -> "EncodingLevel":
-        """This level with bits_per_frame set for the given frame shape."""
-        return replace(self, bits_per_frame=level_bits(self, width, height, channels))
 
 
 def level_bits(level: EncodingLevel, width: int, height: int, channels: int) -> int:
@@ -153,56 +147,55 @@ def mos_of(bits_per_frame: float, params: EncodingParams) -> float:
     return min(5.0, max(1.0, raw))
 
 
-def latency_of(level: EncodingLevel, channel: ChannelModel) -> float:
+def latency_of(bits_per_frame: float, channel: ChannelModel) -> float:
     """One-frame delivery latency: base delay plus serialization time."""
-    if level.bits_per_frame is None:
-        raise ValueError("level bits_per_frame unresolved; call resolved() first")
-    return channel.base_delay + level.bits_per_frame / channel.capacity
+    return channel.base_delay + bits_per_frame / channel.capacity
 
 
-def score(level: EncodingLevel, channel: ChannelModel, params: EncodingParams) -> QoeQosScore:
-    """Quantified, normalized experience/service score of one level."""
-    mos = mos_of(level.bits_per_frame, params)
-    latency = latency_of(level, channel)
+def score(bits_per_frame: float, channel: ChannelModel, params: EncodingParams) -> QoeQosScore:
+    """Quantified, normalized experience/service score of a frame of this many bits."""
+    mos = mos_of(bits_per_frame, params)
+    latency = latency_of(bits_per_frame, channel)
     qoe_norm = (mos - 1.0) / 4.0
     l_min, l_max = params.l_min, params.l_max
     qos_norm = min(1.0, max(0.0, (l_max - latency) / (l_max - l_min)))
     return QoeQosScore(mos=mos, latency=latency, qoe_norm=qoe_norm, qos_norm=qos_norm)
 
 
-def select_encoding(levels, channel: ChannelModel, params: EncodingParams):
-    """Pick a level under ``params.policy``; returns (level, degraded).
+def select_encoding(levels, geometry, channel: ChannelModel, params: EncodingParams):
+    """Pick a level for a ``(width, height, channels)`` source under
+    ``params.policy``; returns (level, degraded).
 
-    ``degraded`` is True when the policy's feasible set was empty and the
-    lowest-bits level was returned instead.
+    Only levels whose scale factor divides width and height compete;
+    ``NoLevels`` is raised when none does.  ``degraded`` is True when the
+    policy's feasible set was empty and the lowest-bits level was returned
+    instead.
     """
-    levels = list(levels)
-    if not levels:
-        raise NoLevels("candidate level set is empty")
-    scored = [(i, lvl, score(lvl, channel, params)) for i, lvl in enumerate(levels)]
+    width, height, _ = geometry
+    usable = [lvl for lvl in levels if width % lvl.scale_factor == 0 and height % lvl.scale_factor == 0]
+    if not usable:
+        raise NoLevels(f"no candidate level divides a {width}x{height} source")
+    bits = [level_bits(lvl, *geometry) for lvl in usable]
+    scores = [score(b, channel, params) for b in bits]
     policy, w = params.policy, params.w
 
     if policy is Policy.OPT_QOE:
-        feasible = [(i, l, s) for i, l, s in scored if s.latency <= params.l_max]
-        def key(item):
-            i, lvl, s = item
-            return (-s.mos, lvl.bits_per_frame, i)
+        feasible = [i for i, s in enumerate(scores) if s.latency <= params.l_max]
+        def key(i):
+            return (-scores[i].mos, bits[i], i)
     elif policy is Policy.OPT_QOS:
-        feasible = [(i, l, s) for i, l, s in scored if s.mos >= params.mos_min]
-        def key(item):
-            i, lvl, s = item
-            return (s.latency, -s.mos, i)
+        feasible = [i for i, s in enumerate(scores) if s.mos >= params.mos_min]
+        def key(i):
+            return (scores[i].latency, -scores[i].mos, i)
     else:  # Policy.BALANCE
-        feasible = scored
-        def key(item):
-            i, lvl, s = item
-            return (-(w * s.qoe_norm + (1.0 - w) * s.qos_norm), lvl.bits_per_frame, i)
+        feasible = range(len(scores))
+        def key(i):
+            s = scores[i]
+            return (-(w * s.qoe_norm + (1.0 - w) * s.qos_norm), bits[i], i)
 
     if not feasible:
-        _, lvl, _ = min(scored, key=lambda item: (item[1].bits_per_frame, item[0]))
-        return lvl, True
-    _, lvl, _ = min(feasible, key=key)
-    return lvl, False
+        return usable[bits.index(min(bits))], True
+    return usable[min(feasible, key=key)], False
 
 
 def reencode(frame: Frame, level: EncodingLevel) -> Frame:

@@ -57,7 +57,7 @@ def _frozen(values, ndim: int, dtype, what: str, upper) -> np.ndarray:
     a = np.asarray(values)
     if a.ndim != ndim or a.size == 0:
         raise ValueError(f"{what} must be a non-empty {ndim}-d array, got shape {a.shape}")
-    if not (a.dtype == np.uint8 and upper >= 255) and not ((a >= 0) & (a <= upper)).all():
+    if not (a.dtype == np.uint8 and upper >= 255) and not (a.min() >= 0 and a.max() <= upper):
         raise ValueError(f"{what} values must lie in [0, {upper}]")
     held = a.astype(dtype)
     if a.dtype != dtype and not np.array_equal(held, a):

@@ -99,9 +99,8 @@ def _grid(lo: int, hi: int, limit: int) -> np.ndarray:
 
 @dataclass
 class IdentityTemplate:
-    """A user's centroid and how many samples built it."""
+    """A user's centroid and how many samples built it; the store keys it by user id."""
 
-    user_id: str
     centroid: np.ndarray
     sample_count: int
 
@@ -123,9 +122,7 @@ class KnowledgeStore:
         template = _template_vector(template, "template")
         entry = self.templates.get(user_id)
         if entry is None:
-            self.templates[user_id] = IdentityTemplate(
-                user_id=user_id, centroid=template.copy(), sample_count=1
-            )
+            self.templates[user_id] = IdentityTemplate(centroid=template.copy(), sample_count=1)
         else:
             n = entry.sample_count
             entry.centroid = (n * entry.centroid + template) / (n + 1)
@@ -190,7 +187,6 @@ class KnowledgeStore:
             if user_id in store.templates:
                 raise ValueError(f"user {user_id!r} listed twice in {path}")
             store.templates[user_id] = IdentityTemplate(
-                user_id=user_id, centroid=np.array([float(v) for v in parts[2:]]),
-                sample_count=count,
+                centroid=np.array([float(v) for v in parts[2:]]), sample_count=count
             )
         return store

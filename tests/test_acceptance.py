@@ -17,7 +17,7 @@ from emr.fusion import RvoLayer, compose
 from emr.layering import GmmParams, layer_init, layer_update_classify, mask_postprocess
 from emr.matting import alpha_solve
 from emr.netsim import Link, transmit
-from emr.qoeqos import ChannelModel, EncodingLevel, EncodingParams, Policy, mos_of, select_encoding
+from emr.qoeqos import ChannelModel, EncodingParams, Policy, mos_of, select_encoding
 from emr.raster import BG, FG, UNKNOWN, AlphaMatte, Frame, Trimap, load_pnm, round_u8
 from emr.store import KnowledgeStore
 from emr.errors import ReplayAlarm, TamperAlarm, UnauthorizedAgent
@@ -31,7 +31,7 @@ from emr.tunnel import (
     keypair_gen,
 )
 
-from test_qoeqos import oracle_select, random_levels
+from test_qoeqos import oracle_select, random_geometry, random_levels
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -144,6 +144,7 @@ def test_a4_policy_oracle_and_properties():
     mismatches = 0
     for _ in range(1000):
         levels = random_levels(rng, rng.randrange(1, 17))
+        geometry = random_geometry(rng)
         channel = ChannelModel(capacity=rng.uniform(1e5, 1e8), base_delay=rng.uniform(0, 0.1))
         mos_min, l_max = rng.uniform(1.0, 5.0), rng.uniform(0.05, 1.0)
         w = rng.random()
@@ -151,8 +152,8 @@ def test_a4_policy_oracle_and_properties():
             fps=30.0, b0=1e6, bmax=8e6, policy=rng.choice(list(Policy)), w=w,
             mos_min=mos_min, l_max=l_max,
         )
-        got = select_encoding(levels, channel, params)
-        want = oracle_select(levels, channel, params)
+        got = select_encoding(levels, geometry, channel, params)
+        want = oracle_select(levels, geometry, channel, params)
         if (got[0].id, got[1]) != (want[0].id, want[1]):
             mismatches += 1
 
@@ -167,14 +168,17 @@ def test_a4_policy_oracle_and_properties():
     invariant = True
     for _ in range(1000):
         levels = random_levels(rng, rng.randrange(1, 9))
+        # doubling the source's width and height multiplies every level's bits by 4
+        width, height, channels = random_geometry(rng)
         channel = ChannelModel(capacity=rng.uniform(1e6, 1e8), base_delay=0.0)
-        scaled = [EncodingLevel(id=l.id, bits_per_frame=l.bits_per_frame * 4) for l in levels]
         policy = rng.choice(list(Policy))
         base, _ = select_encoding(
-            levels, channel, EncodingParams(fps=1.0, b0=1e6, bmax=8e6, policy=policy, w=0.5,
-                                            mos_min=2.0, l_max=0.5))
+            levels, (width, height, channels), channel,
+            EncodingParams(fps=1.0, b0=1e6, bmax=8e6, policy=policy, w=0.5,
+                           mos_min=2.0, l_max=0.5))
         after, _ = select_encoding(
-            scaled, ChannelModel(capacity=channel.capacity * 4, base_delay=0.0),
+            levels, (2 * width, 2 * height, channels),
+            ChannelModel(capacity=channel.capacity * 4, base_delay=0.0),
             EncodingParams(fps=1.0, b0=4e6, bmax=32e6, policy=policy, w=0.5,
                            mos_min=2.0, l_max=0.5))
         if base.id != after.id:

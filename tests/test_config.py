@@ -208,7 +208,9 @@ class TestValidation:
             parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1:12345,b:2:8\n", workspace)
         assert info.value.key == "encoding.levels"
         cfg = parse(MINIMAL_TEMPLATE + "[encoding]\nlevels = a:1:1,b:2:8\n", workspace)
-        assert [l.bits_per_frame for l in cfg.encoding.levels] == [None, None]
+        assert [(l.id, l.scale_factor, l.quant_step) for l in cfg.encoding.levels] == [
+            ("a", 1, 1), ("b", 2, 8),
+        ]
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -264,19 +264,18 @@ class TestRunPipeline:
         for index, side in ((2, 63), (3, 63), (5, 32)):
             path = data / f"frame_{index:06d}.ppm"
             save_pnm(Frame.from_array(load_pnm(path).to_array()[:side, :side]), path)
-        sizes = []
+        geometries = []
         select = emr.pipeline.select_encoding
 
-        def counted(levels, *args):
-            levels = list(levels)
-            sizes.append(tuple(lvl.bits_per_frame for lvl in levels))
-            return select(levels, *args)
+        def counted(levels, geometry, *args):
+            geometries.append(geometry)
+            return select(levels, geometry, *args)
 
         monkeypatch.setattr(emr.pipeline, "select_encoding", counted)
         result = run_pipeline(load(cfg_path))
         # a failing geometry is tried again on each of its frames; a frame
         # after it with the earlier geometry reuses the earlier selection
-        assert sizes == [(32 * 32 * 3 * 5,), (), (), (16 * 16 * 3 * 5,)]
+        assert geometries == [(64, 64, 3), (63, 63, 3), (63, 63, 3), (32, 32, 3)]
         assert [r.level for r in result.records] == ["med", "med", "-", "-", "med", "med"]
         assert result.outputs_written == 4
 
@@ -303,18 +302,37 @@ class TestRunPipeline:
         assert result.outputs_written == 8
 
     def test_metrics_agree_with_selection_oracle(self, tmp_path):
-        from emr.qoeqos import score, select_encoding
+        from test_qoeqos import oracle_select
+
+        from emr.qoeqos import level_bits, score
 
         cfg = load(workspace(tmp_path, frames=5))
         result = run_pipeline(cfg)
         # frames are 64x64x3; recompute the expected choice independently
-        usable = [l.resolved(64, 64, 3) for l in cfg.encoding.levels]
-        lvl, degraded = select_encoding(usable, cfg.channel, cfg.encoding)
-        s = score(lvl, cfg.channel, cfg.encoding)
+        lvl, degraded = oracle_select(cfg.encoding.levels, (64, 64, 3), cfg.channel, cfg.encoding)
+        s = score(level_bits(lvl, 64, 64, 3), cfg.channel, cfg.encoding)
         for r in result.records:
             assert r.level == lvl.id
             assert r.mos == s.mos and r.latency == s.latency
             assert r.degraded == degraded
+
+
+    @pytest.mark.parametrize("policy, columns", [
+        ("qos", "high,3.500414,0.993040,0"),
+        ("qoe", "med,1.689933,0.163600,0"),
+        ("balance", "low,1.121673,0.033040,0"),
+    ])
+    def test_each_policy_picks_its_level_on_a_slow_link(self, tmp_path, policy, columns):
+        # at 1e5 bit/s the three policies part: qos takes the one level over
+        # the mos floor, qoe the richest level under the latency bound, and
+        # balance, weighing both, the fastest
+        extra = f"[encoding]\npolicy = {policy}\n[channel]\ncapacity = 1e5\n"
+        result = run_pipeline(load(workspace(tmp_path, frames=6, extra=extra)))
+        rows = result.metrics_text.splitlines()
+        assert rows[0].split(",")[1:5] == ["level", "mos", "latency", "degraded"]
+        assert [",".join(row.split(",")[1:5]) for row in rows[1:]] == [columns] * 6
+        assert result.outputs_written == 6
+        assert len(list((tmp_path / "out").glob("out_*.ppm"))) == 6
 
 
 class TestCaptureGeometry:
@@ -782,11 +800,10 @@ class TestCli:
         run = run_cli("run", "--config", str(cfg_path), "--policy", "qos")
         assert run.returncode == 0
         cfg = load(cfg_path)
-        usable = [l.resolved(64, 64, 3) for l in cfg.encoding.levels]
         want, degraded = oracle_select(
-            usable, cfg.channel, replace(cfg.encoding, policy=Policy.OPT_QOS)
+            cfg.encoding.levels, (64, 64, 3), cfg.channel, replace(cfg.encoding, policy=Policy.OPT_QOS)
         )
-        configured, _ = oracle_select(usable, cfg.channel, cfg.encoding)
+        configured, _ = oracle_select(cfg.encoding.levels, (64, 64, 3), cfg.channel, cfg.encoding)
         assert (want.id, degraded, configured.id) == ("med", False, "high")
         rows = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
         level, flag = rows[0].index("level"), rows[0].index("degraded")

@@ -24,52 +24,58 @@ from emr.raster import Frame
 AT_1FPS = EncodingParams(fps=1.0, b0=1e6, bmax=8e6)
 
 
-def oracle_select(levels, channel, params):
-    """Independent exhaustive evaluation straight from the scoring formulas."""
-    policy, w = params.policy, params.w
+def oracle_select(levels, geometry, channel, params):
+    """Independent exhaustive evaluation straight from the scoring formulas.
 
-    def mos(lvl):
-        b = lvl.bits_per_frame * params.fps
+    Every level's scale factor must divide the geometry's width and height.
+    """
+    policy, w = params.policy, params.w
+    bits = [level_bits(lvl, *geometry) for lvl in levels]
+
+    def mos(i):
+        b = bits[i] * params.fps
         raw = 1 + 4 * math.log(1 + b / params.b0) / math.log(1 + params.bmax / params.b0)
         return min(5.0, max(1.0, raw))
 
-    def lat(lvl):
-        return channel.base_delay + lvl.bits_per_frame / channel.capacity
+    def lat(i):
+        return channel.base_delay + bits[i] / channel.capacity
 
-    def qoe(lvl):
-        return (mos(lvl) - 1) / 4
+    def qoe(i):
+        return (mos(i) - 1) / 4
 
-    def qos(lvl):
+    def qos(i):
         span = params.l_max - params.l_min
-        return min(1.0, max(0.0, (params.l_max - lat(lvl)) / span))
+        return min(1.0, max(0.0, (params.l_max - lat(i)) / span))
 
-    indexed = list(enumerate(levels))
+    indexed = range(len(levels))
     if policy is Policy.OPT_QOE:
-        feasible = [(i, l) for i, l in indexed if lat(l) <= params.l_max]
-        keyfn = lambda il: (-mos(il[1]), il[1].bits_per_frame, il[0])
+        feasible = [i for i in indexed if lat(i) <= params.l_max]
+        keyfn = lambda i: (-mos(i), bits[i], i)
     elif policy is Policy.OPT_QOS:
-        feasible = [(i, l) for i, l in indexed if mos(l) >= params.mos_min]
-        keyfn = lambda il: (lat(il[1]), -mos(il[1]), il[0])
+        feasible = [i for i in indexed if mos(i) >= params.mos_min]
+        keyfn = lambda i: (lat(i), -mos(i), i)
     else:
         feasible = indexed
-        keyfn = lambda il: (-(w * qoe(il[1]) + (1 - w) * qos(il[1])), il[1].bits_per_frame, il[0])
+        keyfn = lambda i: (-(w * qoe(i) + (1 - w) * qos(i)), bits[i], i)
     if not feasible:
-        return min(indexed, key=lambda il: (il[1].bits_per_frame, il[0]))[1], True
-    return min(feasible, key=keyfn)[1], False
+        return levels[min(indexed, key=lambda i: (bits[i], i))], True
+    return levels[min(feasible, key=keyfn)], False
 
 
 def random_levels(rng, n):
-    levels = []
-    for i in range(n):
-        levels.append(
-            EncodingLevel(
-                id=f"L{i}",
-                scale_factor=rng.choice([1, 2, 4]),
-                quant_step=rng.choice([1, 2, 8, 32, 128]),
-                bits_per_frame=rng.randrange(10_000, 20_000_000),
-            )
+    return [
+        EncodingLevel(
+            id=f"L{i}",
+            scale_factor=rng.choice([1, 2, 4]),
+            quant_step=rng.choice([1, 2, 8, 32, 128]),
         )
-    return levels
+        for i in range(n)
+    ]
+
+
+def random_geometry(rng):
+    """A source every random level divides, of 64 to about 34 M bits per level."""
+    return 4 * rng.randrange(8, 300), 4 * rng.randrange(8, 300), rng.choice([1, 3])
 
 
 class TestMos:
@@ -155,17 +161,14 @@ class TestLatency:
         return ChannelModel(capacity=capacity, base_delay=0.01)
 
     def test_empty_payload_costs_base_delay(self):
-        lvl = EncodingLevel(id="x", bits_per_frame=1)
-        assert latency_of(lvl, self.channel()) == pytest.approx(0.01 + 1e-7)
+        assert latency_of(1, self.channel()) == pytest.approx(0.01 + 1e-7)
 
     def test_serialization_time_adds_up(self):
-        lvl = EncodingLevel(id="x", bits_per_frame=1_000_000)
-        assert latency_of(lvl, self.channel()) == pytest.approx(0.11)
+        assert latency_of(1_000_000, self.channel()) == pytest.approx(0.11)
 
     def test_zero_capacity_rejected(self):
-        lvl = EncodingLevel(id="x", bits_per_frame=1)
         with pytest.raises(ValueError, match="capacity"):
-            latency_of(lvl, ChannelModel(capacity=0.0))
+            latency_of(1, ChannelModel(capacity=0.0))
 
     @pytest.mark.parametrize(
         "kw, field",
@@ -177,25 +180,21 @@ class TestLatency:
                          id="kw2-ValueError"),
             pytest.param(dict(capacity=0.0), "capacity", id="kw3-InvalidChannel"),
             pytest.param(dict(capacity=1.0, loss_prob=1.5), "loss_prob", id="kw4-ValueError"),
-            pytest.param(dict(capacity=1e7, level=dict(bits_per_frame=math.nan)),
-                         "bits_per_frame", id="kw5-ValueError"),
-            pytest.param(dict(capacity=1e7, level=dict(scale_factor=math.nan, bits_per_frame=1)),
+            pytest.param(dict(capacity=1e7, level=dict(scale_factor=math.nan)),
                          "scale_factor", id="kw6-ValueError"),
         ],
     )
     def test_nan_channel_rejected(self, kw, field):
-        # refused where the level or channel is built, so latency_of never returns nan
+        # refused where the level or channel is built, so the level's bits and
+        # latency_of never return nan
         kw = dict(kw)
-        level = kw.pop("level", dict(bits_per_frame=1))
+        level = kw.pop("level", {})
         with pytest.raises(ValueError, match=field):
-            latency_of(EncodingLevel(id="x", **level), ChannelModel(**kw))
+            latency_of(level_bits(EncodingLevel(id="x", **level), 8, 8, 1), ChannelModel(**kw))
 
     def test_monotone_in_bits(self):
         ch = self.channel()
-        lats = [
-            latency_of(EncodingLevel(id="x", bits_per_frame=b), ch)
-            for b in (1, 100, 10_000, 1_000_000)
-        ]
+        lats = [latency_of(b, ch) for b in (1, 100, 10_000, 1_000_000)]
         assert lats == sorted(lats)
 
 
@@ -203,23 +202,19 @@ class TestScore:
     def test_norms_at_bounds(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.0)
         bounds = EncodingParams(fps=1.0, l_min=0.0, l_max=0.5)
-        at_max = EncodingLevel(id="a", bits_per_frame=int(0.5 * 1e7))
-        assert score(at_max, ch, bounds).qos_norm == 0.0
-        tiny = EncodingLevel(id="b", bits_per_frame=1)
-        assert score(tiny, ch, bounds).qos_norm == pytest.approx(1.0, abs=1e-6)
+        assert score(int(0.5 * 1e7), ch, bounds).qos_norm == 0.0
+        assert score(1, ch, bounds).qos_norm == pytest.approx(1.0, abs=1e-6)
 
     def test_qoe_norm_is_rescaled_mos(self):
         ch = ChannelModel(capacity=1e7, base_delay=0.01)
-        s = score(EncodingLevel(id="a", bits_per_frame=3_000_000), ch,
-                  EncodingParams(fps=1.0, l_max=1.0))
+        s = score(3_000_000, ch, EncodingParams(fps=1.0, l_max=1.0))
         assert s.qoe_norm == pytest.approx((s.mos - 1) / 4, abs=1e-12)
         assert s.qoe_norm == pytest.approx(0.6309297535714574, abs=1e-9)
 
     def test_bad_bounds_rejected(self):
         ch = ChannelModel(capacity=1e7)
         with pytest.raises(ValueError, match="l_max > l_min"):
-            score(EncodingLevel(id="a", bits_per_frame=1), ch,
-                  EncodingParams(fps=1.0, l_min=0.5, l_max=0.5))
+            score(1, ch, EncodingParams(fps=1.0, l_min=0.5, l_max=0.5))
 
     @pytest.mark.parametrize("kw", [dict(l_min=math.nan), dict(l_max=math.nan)])
     def test_nan_bounds_rejected(self, kw):
@@ -237,10 +232,6 @@ class TestLevelBits:
         lvl = EncodingLevel(id="lq", scale_factor=2, quant_step=32)
         assert level_bits(lvl, 64, 64, 3) == 32 * 32 * 3 * 3
 
-    def test_resolved_fills_bits(self):
-        lvl = EncodingLevel(id="a", scale_factor=1, quant_step=1)
-        assert lvl.resolved(8, 8, 1).bits_per_frame == 8 * 8 * 8
-
     def test_extreme_quantization_floors_at_one_bit(self):
         lvl = EncodingLevel(id="z", scale_factor=1, quant_step=128)
         assert level_bits(lvl, 4, 4, 1) == 16
@@ -248,31 +239,36 @@ class TestLevelBits:
 
 class TestSelectEncoding:
     CH = ChannelModel(capacity=1e7, base_delay=0.01)
+    # one 8-bit sample per pixel: quant 128, 16 and 1 give 1, 4 and 8 bits a sample
+    MEGAPIXEL = (1000, 1000, 1)
 
     def abc(self):
+        # 1 M, 4 M and 8 M bits at MEGAPIXEL
         return [
-            EncodingLevel(id="A", bits_per_frame=1_000_000),
-            EncodingLevel(id="B", bits_per_frame=4_000_000),
-            EncodingLevel(id="C", bits_per_frame=8_000_000),
+            EncodingLevel(id="A", quant_step=128),
+            EncodingLevel(id="B", quant_step=16),
+            EncodingLevel(id="C", quant_step=1),
         ]
 
     def test_qoe_policy_respects_latency_bound(self):
         # C has the top mos but 0.81 s latency; B wins under the 0.5 s bound
         lvl, degraded = select_encoding(
-            self.abc(), self.CH, EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5)
+            self.abc(), self.MEGAPIXEL, self.CH,
+            EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5),
         )
         assert lvl.id == "B" and not degraded
 
     def test_single_level_degrades_when_infeasible(self):
-        only = [EncodingLevel(id="big", bits_per_frame=8_000_000)]
+        only = [EncodingLevel(id="big", quant_step=1)]
         lvl, degraded = select_encoding(
-            only, self.CH, EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5)
+            only, self.MEGAPIXEL, self.CH,
+            EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=0.5),
         )
         assert lvl.id == "big" and degraded
 
     def test_qos_policy_picks_fastest_feasible(self):
         lvl, degraded = select_encoding(
-            self.abc(), self.CH,
+            self.abc(), self.MEGAPIXEL, self.CH,
             EncodingParams(fps=1.0, policy=Policy.OPT_QOS, mos_min=3.0, l_max=0.5),
         )
         # A's mos 2.26 misses the floor; B is the fastest of {B, C}
@@ -280,18 +276,35 @@ class TestSelectEncoding:
 
     def test_empty_level_set_rejected(self):
         with pytest.raises(NoLevels):
-            select_encoding([], self.CH, EncodingParams(fps=1.0))
+            select_encoding([], self.MEGAPIXEL, self.CH, EncodingParams(fps=1.0))
+
+    def test_only_levels_dividing_the_source_compete(self):
+        # C (scale 2, 2 M bits) outscores A (1 M) where it divides the source;
+        # at 999x999 it sits out and A is the one level left
+        levels = [EncodingLevel(id="A", quant_step=128), EncodingLevel(id="C", scale_factor=2)]
+        params = EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=1e9)
+        assert select_encoding(levels, self.MEGAPIXEL, self.CH, params) == (levels[1], False)
+        assert select_encoding(levels, (999, 999, 1), self.CH, params) == (levels[0], False)
+        with pytest.raises(NoLevels, match="999x1000"):
+            select_encoding(levels[1:], (999, 1000, 1), self.CH, params)
+
+    def test_levels_sharing_an_id_keep_their_own_bits(self):
+        # only EncodingParams insists on distinct ids; a bare list may repeat one
+        twins = [EncodingLevel(id="x", quant_step=128), EncodingLevel(id="x", quant_step=1)]
+        params = EncodingParams(fps=1.0, policy=Policy.OPT_QOE, l_max=1e9)
+        assert select_encoding(twins, self.MEGAPIXEL, self.CH, params)[0] is twins[1]
 
     def test_balance_with_full_weight_reduces_to_qoe(self):
         rng = random.Random(1)
         unconstrained = EncodingParams(l_max=1e9)
         for _ in range(100):
             levels = random_levels(rng, rng.randrange(1, 9))
+            geometry = random_geometry(rng)
             got, _ = select_encoding(
-                levels, self.CH, replace(unconstrained, policy=Policy.BALANCE, w=1.0)
+                levels, geometry, self.CH, replace(unconstrained, policy=Policy.BALANCE, w=1.0)
             )
             want, _ = select_encoding(
-                levels, self.CH, replace(unconstrained, policy=Policy.OPT_QOE)
+                levels, geometry, self.CH, replace(unconstrained, policy=Policy.OPT_QOE)
             )
             assert got.id == want.id
 
@@ -300,6 +313,7 @@ class TestSelectEncoding:
         rng = random.Random(42)
         for _ in range(300):
             levels = random_levels(rng, rng.randrange(1, 17))
+            geometry = random_geometry(rng)
             channel = ChannelModel(
                 capacity=rng.uniform(1e5, 1e8), base_delay=rng.uniform(0, 0.1)
             )
@@ -307,29 +321,28 @@ class TestSelectEncoding:
             params = EncodingParams(
                 policy=policy, w=rng.random(), mos_min=mos_min, l_max=l_max
             )
-            got = select_encoding(levels, channel, params)
-            want = oracle_select(levels, channel, params)
+            got = select_encoding(levels, geometry, channel, params)
+            want = oracle_select(levels, geometry, channel, params)
             assert (got[0].id, got[1]) == (want[0].id, want[1])
 
     def test_scaling_invariance(self):
         # multiplying all bitrates, (b0, bmax), and capacity by one constant
-        # leaves every policy's argmax unchanged
+        # leaves every policy's argmax unchanged: doubling the source's width
+        # and height multiplies every level's bits by 4
         rng = random.Random(7)
         for _ in range(100):
             levels = random_levels(rng, rng.randrange(1, 9))
+            width, height, channels = random_geometry(rng)
             channel = ChannelModel(capacity=rng.uniform(1e6, 1e8), base_delay=0.0)
-            scaled = [
-                EncodingLevel(id=l.id, bits_per_frame=l.bits_per_frame * 8) for l in levels
-            ]
-            scaled_channel = ChannelModel(capacity=channel.capacity * 8, base_delay=0.0)
+            scaled_channel = ChannelModel(capacity=channel.capacity * 4, base_delay=0.0)
             for policy in Policy:
                 base, _ = select_encoding(
-                    levels, channel,
+                    levels, (width, height, channels), channel,
                     EncodingParams(fps=1.0, b0=1e6, bmax=8e6, policy=policy, mos_min=2.0),
                 )
                 after, _ = select_encoding(
-                    scaled, scaled_channel,
-                    EncodingParams(fps=1.0, b0=8e6, bmax=64e6, policy=policy, mos_min=2.0),
+                    levels, (2 * width, 2 * height, channels), scaled_channel,
+                    EncodingParams(fps=1.0, b0=4e6, bmax=32e6, policy=policy, mos_min=2.0),
                 )
                 assert base.id == after.id
 

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emr.errors import DimensionMismatch, MalformedImage
 from emr.raster import (
+    _frozen,
     AlphaMatte,
     Frame,
     Trimap,
@@ -285,6 +288,44 @@ class TestMatteAndTrimap:
         for bad in (3, 255):
             with pytest.raises(ValueError):
                 Trimap(np.array([[0, 1], [2, bad]], dtype=np.uint8))
+
+
+def _arrays_at_the_bounds(upper):
+    """Float64, integer and bool arrays holding NaN, ±inf, -0.0 and values at 0 and ``upper``."""
+    edges = [0.0, -0.0, upper, np.nextafter(upper, np.inf), np.nextafter(0.0, -np.inf), -1.0,
+             np.nan, np.inf, -np.inf]
+    floats = st.lists(st.one_of(st.sampled_from(edges), st.floats()), min_size=1, max_size=6)
+    ints = st.lists(st.sampled_from([0, 1, int(upper), int(upper) + 1, -1, 300]),
+                    min_size=1, max_size=6)
+    return st.one_of(
+        floats.map(lambda v: np.array(v, dtype=np.float64)),
+        st.tuples(ints, st.sampled_from([np.int64, np.int16, np.uint8])).map(
+            lambda t: np.array(t[0]).astype(t[1])
+        ),
+        st.lists(st.booleans(), min_size=1, max_size=6).map(np.array),
+    )
+
+
+@given(st.sampled_from([1.0, 2, 255]).flatmap(lambda u: st.tuples(st.just(u), _arrays_at_the_bounds(u))))
+@example((1.0, np.array([np.nan, 0.5])))  # a check that skips NaN would take these
+@example((2, np.array([0.0, np.inf])))
+@example((255, np.array([-np.inf, 255.0])))
+@example((1.0, np.array([-0.0, 1.0])))
+@example((1.0, np.array([0.0, np.nextafter(1.0, 2.0)])))
+@settings(max_examples=300, deadline=None)
+def test_range_check_agrees_with_the_elementwise_form(case):
+    # _frozen checks the range through min and max; the elementwise form it
+    # replaced must accept and refuse the same arrays, and neither may warn
+    upper, a = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        in_range = bool(((a >= 0) & (a <= upper)).all())
+        try:
+            _frozen(a, 1, np.float64, "values", upper)
+            refused = False
+        except ValueError as exc:
+            refused = "must lie in" in str(exc)
+    assert refused is not in_range
 
 
 @pytest.mark.parametrize("cls, field, source", [

@@ -209,7 +209,7 @@ class TestEnroll:
         with pytest.raises(ValueError):
             store.enroll("bob", bad)  # would turn the running mean into NaN
         with pytest.raises(ValueError):
-            IdentityTemplate(user_id="eve", centroid=bad, sample_count=1)
+            IdentityTemplate(centroid=bad, sample_count=1)
 
     def test_user_id_with_comma_rejected(self):
         # and every other id that save could write but load could not read back

@@ -43,7 +43,7 @@ Sections and keys (defaults in parentheses):
                views (front:0,profile:90)  -- scale is relative to the
                capture: a layer keyed at a level of scale factor s is
                placed at scale * s
-    [run]      seed (0)
+    [run]      seed (0)  -- >= 0
 """
 
 from __future__ import annotations
@@ -89,6 +89,13 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{text!r} is not an integer")
+
+
+def _parse_seed(text: str) -> int:
+    seed = _parse_int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_float(text: str) -> float:
@@ -159,7 +166,7 @@ _UNTYPED = {
     ("io", "background"): (None, _parse_path),
     ("io", "out_dir"): ("out", _parse_path),
     ("io", "metrics"): ("metrics.csv", _parse_path),
-    ("run", "seed"): ("0", _parse_int),
+    ("run", "seed"): ("0", _parse_seed),
 }
 
 # (section, key) -> (parser, field of the section's type or None)

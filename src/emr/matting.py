@@ -69,8 +69,9 @@ def trimap_from_mask(mask: Frame, params: MattingParams, scale: int) -> Trimap:
     The radii ``params.r_fg`` and ``params.r_bg`` are in capture pixels: a
     mask keyed at a level of scale factor ``scale`` is eroded and dilated by
     square structuring elements of radii ``r_fg // scale`` and
-    ``r_bg // scale``, with edge-replication padding, so a full-frame mask
-    stays all-FG.
+    ``r_bg // scale``.  The windows are clipped to the frame
+    (``_window_any``), which erodes as edge-replication padding would, so a
+    full-frame mask stays all-FG.
     """
     m = _binary(mask)
     core = ~_window_any(~m, params.r_fg // scale)

@@ -107,11 +107,8 @@ def emit_metrics(records) -> str:
 @dataclass
 class PipelineResult:
     records: list
-    traces: dict          # frame index -> tuple of executed stage names
     outputs_written: int
     metrics_text: str
-    selected_view: str
-    identity_enrolled: bool = False
 
 
 def _list_frames(frames_dir: Path):
@@ -178,7 +175,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     model = None
     fuzzy = None
     records = []
-    traces = {}
     outputs = 0
     enrolled = False
     now = 0.0
@@ -188,7 +184,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
     for frame_index, path in frames:
         start = time.perf_counter()
         rec = FrameMetrics(frame=frame_index)
-        trace = []
         try:
             source = load_pnm(path, index=frame_index)
 
@@ -200,16 +195,13 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             level, degraded, s = selection
             rec.level, rec.mos, rec.latency, rec.degraded = level.id, s.mos, s.latency, degraded
             encoded = reencode(source, level)
-            trace.append("encode")
 
             # 2. confidential envelope
             payload = encode_pnm(encoded)
             wire = encode_envelope(encrypt_envelope(send_tunnel, payload))
-            trace.append("encrypt")
 
             # 3. simulated transport of the wire bytes
             result = transmit(link, len(wire) * 8, now)
-            trace.append("transmit")
             if not result.delivered:
                 rec.drop = 1
                 log.info("frame %06d dropped in transit", frame_index)
@@ -222,7 +214,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             # slot's fresh envelope is the one just sealed
             payload = decrypt_verify(recv_tunnel, wire, registry, send_tunnel.send_seq)
             received = decode_pnm(payload, index=frame_index)
-            trace.append("decrypt")
 
             # 5. motion keying; a frame that cannot blend into the scene stops
             # before it reaches (and resets) the model
@@ -236,13 +227,11 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             mask, model = layer_update_classify(model, received)
             mask = mask_postprocess(mask)
             rec.fg_pixels = int(np.count_nonzero(mask.data))
-            trace.append("layer")
 
             # 6. matting
             trimap = trimap_from_mask(mask, config.matting, level.scale_factor)
             matte = _solve_matte(received, trimap, mask, config.matting)
             fuzzy = fuzzy_update(fuzzy, matte, config.matting)
-            trace.append("matte")
 
             # 7. identification
             identity = None
@@ -262,7 +251,6 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                     log.info("frame %06d: enrolled %s", frame_index, config.store.enroll_user)
                 identity = store.identify(template, config.store.theta)
             rec.identity = identity if identity is not None else UNKNOWN_IDENTITY
-            trace.append("identify")
 
             # 8. fusion into the target scene at the capture's geometry: keying
             # ran on the level's downsampled frame, so scale it back up
@@ -272,12 +260,10 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
                 tx=config.fusion.tx, ty=config.fusion.ty,
             )
             composite = compose(background, [layer])
-            trace.append("fuse")
 
             # 9. output
             save_pnm(composite, config.out_dir / f"out_{frame_index:06d}.ppm")
             outputs += 1
-            trace.append("write")
         except SecurityAlarm as exc:
             setattr(rec, _ALARM_COLUMNS[type(exc)], 1)
             log.warning("frame %06d alarm: %s: %s", frame_index, type(exc).__name__, exc)
@@ -287,18 +273,10 @@ def run_pipeline(config: PipelineConfig, adversary_mode: str = "none",
             if timings:
                 rec.ms_total = (time.perf_counter() - start) * 1000.0
             records.append(rec)
-            traces[frame_index] = tuple(trace)
 
     metrics_text = emit_metrics(records)
     config.metrics_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(config.metrics_path, metrics_text.encode("utf-8"))
     if store_dir:
         store.save(store_dir)
-    return PipelineResult(
-        records=records,
-        traces=traces,
-        outputs_written=outputs,
-        metrics_text=metrics_text,
-        selected_view=view.id,
-        identity_enrolled=enrolled,
-    )
+    return PipelineResult(records, outputs, metrics_text)

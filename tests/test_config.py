@@ -106,6 +106,7 @@ class TestValidation:
             "[store]\ntheta = 2.0\n",
             "[fusion]\nview_angle = 400\n",
             "[run]\nseed = ten\n",
+            "[run]\nseed = -1\n",  # Random(-s) draws Random(s)'s stream
             "[fusion]\nscale = inf\n",
             "[encoding]\nmos_min = nan\n",
             "[encoding]\nfps = inf\n",
@@ -140,6 +141,7 @@ class TestValidation:
             ("[store]\nenroll_user = UNKNOWN\n", "store.enroll_user"),
             ("[store]\nenroll_user = -\n", "store.enroll_user"),
             ("[io]\nmetrics = frames\n", "io.metrics"),  # a directory
+            ("[run]\nseed = -1\n", "run.seed"),
         ],
     )
     def test_error_names_the_config_key(self, workspace, snippet, key):
@@ -247,9 +249,10 @@ class TestOverrides:
         assert cfg.warnings == ()
 
     def test_override_is_checked_like_the_file(self, workspace):
-        with pytest.raises(InvalidValue) as info:
-            parse_config(MINIMAL_TEMPLATE, workspace, overrides={("run", "seed"): "x"})
-        assert info.value.key == "run.seed"
+        for seed in ("x", "-1"):
+            with pytest.raises(InvalidValue) as info:
+                parse_config(MINIMAL_TEMPLATE, workspace, overrides={("run", "seed"): seed})
+            assert info.value.key == "run.seed"
         with pytest.raises(UnknownKey):
             parse_config(MINIMAL_TEMPLATE, workspace, overrides={("run", "speed"): "3"})
         with pytest.raises(InvalidValue) as info:

@@ -25,6 +25,7 @@ written whole by ``write_atomic``, or not at all.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,12 +185,14 @@ def quantize(frame: Frame, step: int) -> Frame:
 
 # --- PNM codec ----------------------------------------------------------------
 #
-# Layout: magic ("P6" or "P5"), width, height, maxval (always 255), each token
-# followed by whitespace, then exactly width*height*channels raw bytes.  The
-# encoder emits "P6\n{w} {h}\n255\n"; the decoder accepts any run of blank
-# characters between header tokens but exactly one after the maxval.
+# Layout: magic ("P6" or "P5"), width, height, maxval (always 255), then
+# exactly width*height*channels raw bytes.  The encoder emits
+# "P6\n{w} {h}\n255\n", one whitespace after each token; the decoder accepts
+# any run of the six ASCII whitespace bytes between tokens but exactly one
+# after the maxval, no "#" comments, and at most 18 significant digits per
+# number.  In a bytes pattern \s is those six bytes and \d is 0-9.
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+_HEADER = re.compile(rb"P[56]\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def encode_pnm(frame: Frame) -> bytes:
@@ -201,47 +204,28 @@ def encode_pnm(frame: Frame) -> bytes:
 
 def decode_pnm(data: bytes, index: int = 0) -> Frame:
     """Parse binary PPM/PGM bytes into a frame; raise MalformedImage otherwise."""
-    if len(data) < 2:
-        raise MalformedImage("too short for a magic number")
     magic = data[:2]
-    if magic == b"P6":
-        channels = 3
-    elif magic == b"P5":
-        channels = 1
-    else:
+    if magic not in (b"P5", b"P6"):
         raise MalformedImage(f"unsupported magic {magic!r}")
-    if len(data) < 3 or data[2] not in _WHITESPACE:
+    if not data[2:3].isspace():
         raise MalformedImage("no whitespace after the magic number")
-
-    pos = 2
-    fields = []
-    for _ in range(3):
-        while pos < len(data) and data[pos] in _WHITESPACE:
-            pos += 1
-        start = pos
-        while pos < len(data) and data[pos] not in _WHITESPACE:
-            pos += 1
-        token = data[start:pos]
-        # int() refuses thousands of digits; over 18 describe no raster that fits in memory
-        if not token.isdigit() or len(token.lstrip(b"0")) > 18:
-            raise MalformedImage(f"bad header token {token[:32]!r}")
-        fields.append(int(token))
-    if pos >= len(data):
-        raise MalformedImage("missing payload")
-    pos += 1  # the single whitespace byte terminating the header
-
-    width, height, maxval = fields
+    header = _HEADER.match(data)
+    # int() refuses thousands of digits; over 18 describe no raster that fits in memory
+    if header is None or any(len(token.lstrip(b"0")) > 18 for token in header.groups()):
+        raise MalformedImage(f"bad header token in {data[:40]!r}")
+    width, height, maxval = map(int, header.groups())
+    channels = 3 if magic == b"P6" else 1
     if maxval != 255:
         raise MalformedImage(f"unsupported maxval {maxval}")
     if width < 1 or height < 1:
         raise MalformedImage("dimensions must be >= 1")
-    size = len(data) - pos
+    size = len(data) - header.end()
     expected = width * height * channels
     if size < expected:
         raise MalformedImage(f"payload has {size} bytes, expected {expected}")
     if size > expected:
         raise MalformedImage("trailing bytes after payload")
-    payload = np.frombuffer(data, np.uint8, offset=pos)
+    payload = np.frombuffer(data, np.uint8, offset=header.end())
     return Frame(payload.reshape(height, width, channels), index)
 
 

@@ -352,6 +352,46 @@ class TestRunPipeline:
         assert [r.identity for r in result.records] == ["UNKNOWN"] * 8
         assert result.outputs_written == 8
 
+    def test_subject_too_thin_for_a_core_is_fused_by_its_mask(self, tmp_path, monkeypatch):
+        import numpy as np
+        import emr.pipeline
+        from emr.errors import InsufficientLabels
+        from emr.raster import Frame, load_pnm, save_pnm
+
+        # a 3 px bar survives the 3x3 opening, but r_fg = 2 erodes it to no
+        # FG label, so alpha_solve raises and the binary mask is the matte
+        data = tmp_path / "data"
+        data.mkdir()
+        bar = (slice(30, 33), slice(12, 53))
+        for i in range(3):
+            img = np.full((64, 64, 3), 100, dtype=np.uint8)
+            if i:
+                img[bar] = (200, 40, 60)
+            save_pnm(Frame.from_array(img, index=i), data / f"frame_{i:06d}.ppm")
+        scene = np.random.RandomState(5).randint(0, 256, (64, 64, 3), dtype=np.uint8)
+        save_pnm(Frame.from_array(scene), data / "scene.ppm")
+        raised = []
+        solve = emr.pipeline.alpha_solve
+
+        def recording_solve(received, *args):
+            try:
+                return solve(received, *args)
+            except InsufficientLabels:
+                raised.append(received.index)
+                raise
+
+        monkeypatch.setattr(emr.pipeline, "alpha_solve", recording_solve)
+        cfg_path = tmp_path / "pipeline.cfg"
+        cfg_path.write_text(BASE_CFG + "[encoding]\nlevels = high:1:1\n")
+        result = run_pipeline(load(cfg_path))
+        assert raised == [1, 2]
+        assert [r.fg_pixels for r in result.records] == [0, 3 * 41, 3 * 41]
+        assert result.outputs_written == 3
+        pasted = scene.copy()
+        pasted[bar] = (200, 40, 60)
+        for i in (1, 2):
+            assert np.array_equal(load_pnm(tmp_path / "out" / f"out_{i:06d}.ppm").data, pasted)
+
     def test_metrics_agree_with_selection_oracle(self, tmp_path):
         from test_qoeqos import oracle_select
 

@@ -57,6 +57,101 @@ def pnm_like(draw):
     return b"".join(parts)
 
 
+_PNM_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def reference_decode_pnm(data, index=0):
+    """decode_pnm as a hand tokenizer: a cursor and one loop per header token."""
+    if len(data) < 2:
+        raise MalformedImage("too short for a magic number")
+    magic = data[:2]
+    if magic == b"P6":
+        channels = 3
+    elif magic == b"P5":
+        channels = 1
+    else:
+        raise MalformedImage(f"unsupported magic {magic!r}")
+    if len(data) < 3 or data[2] not in _PNM_WHITESPACE:
+        raise MalformedImage("no whitespace after the magic number")
+
+    pos = 2
+    fields = []
+    for _ in range(3):
+        while pos < len(data) and data[pos] in _PNM_WHITESPACE:
+            pos += 1
+        start = pos
+        while pos < len(data) and data[pos] not in _PNM_WHITESPACE:
+            pos += 1
+        token = data[start:pos]
+        if not token.isdigit() or len(token.lstrip(b"0")) > 18:
+            raise MalformedImage(f"bad header token {token[:32]!r}")
+        fields.append(int(token))
+    if pos >= len(data):
+        raise MalformedImage("missing payload")
+    pos += 1  # the single whitespace byte terminating the header
+
+    width, height, maxval = fields
+    if maxval != 255:
+        raise MalformedImage(f"unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise MalformedImage("dimensions must be >= 1")
+    size = len(data) - pos
+    expected = width * height * channels
+    if size < expected:
+        raise MalformedImage(f"payload has {size} bytes, expected {expected}")
+    if size > expected:
+        raise MalformedImage("trailing bytes after payload")
+    payload = np.frombuffer(data, np.uint8, offset=pos)
+    return Frame(payload.reshape(height, width, channels), index)
+
+
+# runs of 0-3 whitespace bytes, mostly one byte long
+_WHITESPACE_RUNS = st.sampled_from([1, 1, 1, 2, 3, 0]).flatmap(
+    lambda n: st.lists(st.sampled_from(list(_PNM_WHITESPACE)), min_size=n, max_size=n).map(bytes)
+)
+
+
+@st.composite
+def pnm_header_token(draw, value):
+    """Mostly ``value`` in decimal; else 18 or 19 significant digits, or more
+    than int() parses (4300); at times with a non-digit; 0-3 leading zeros."""
+    digits = draw(st.sampled_from([str(value)] * 20 + ["9" * 18, "1" + "0" * 18, "7" * 4301]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(digits)))
+        digits = digits[:at] + draw(st.sampled_from("x+-.#P")) + digits[at:]
+    return b"0" * draw(st.integers(0, 3)) + digits.encode()
+
+
+@st.composite
+def pnm_near_grammar(draw):
+    """A PNM file at the edges of the header grammar, now and then cut at any offset.
+
+    Tokens sit between runs of 0-3 whitespace bytes.  Whitespace past the
+    first after the maxval opens the payload, whose size is mostly the
+    declared one, else one byte either side.
+    """
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    sides = st.sampled_from([1, 2, 3, 1, 2, 3, 0])
+    width, height = draw(sides), draw(sides)
+    parts = [magic]
+    for value in (width, height, draw(st.sampled_from([255] * 6 + [254, 0]))):
+        parts += [draw(_WHITESPACE_RUNS), draw(pnm_header_token(value))]
+    parts.append(draw(_WHITESPACE_RUNS))
+    size = width * height * (3 if magic == b"P6" else 1) - max(len(parts[-1]) - 1, 0)
+    size = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    payload = draw(_WHITESPACE_RUNS) + draw(st.binary(min_size=size, max_size=size))
+    data = b"".join(parts) + payload[:size]
+    return data[:draw(st.integers(0, len(data)))] if draw(st.sampled_from([False] * 3 + [True])) else data
+
+
+def decoded_or_none(decode, data):
+    """decode(data), or None where it raises MalformedImage."""
+    try:
+        return decode(data)
+    except MalformedImage:
+        return None
+
+
 class TestFrame:
     def test_channels_enforced(self):
         with pytest.raises(ValueError, match="channels"):
@@ -241,6 +336,14 @@ class TestPnmCodec:
         except MalformedImage:
             return
         assert decode_pnm(encode_pnm(frame)) == frame
+
+    @given(pnm_near_grammar())
+    @settings(max_examples=500, deadline=None)
+    @example(b"P5 11 255\n\x07")  # no whitespace between width and height
+    @example(b"P5 " + b"7" * 4301 + b" 1 255\n\x07")  # more digits than int() parses
+    def test_matches_the_reference_tokenizer(self, data):
+        # both refuse the same inputs, and decode the others to equal frames
+        assert decoded_or_none(decode_pnm, data) == decoded_or_none(reference_decode_pnm, data)
 
 
 class TestMatteAndTrimap:
